@@ -37,15 +37,12 @@ __all__ = [
     "is_lower_bound",
     "MaximalityCertificate",
     "certify_maximal",
-    "is_extreme_certified",
     "mlb_mt",
     "signature_matrix",
     "StottParam",
     "StottPair",
     "stott_mx",
     "stott_recover_x",
-    "PairNormalization",
-    "normalize_pair",
 ]
 
 
@@ -97,16 +94,6 @@ def certify_maximal(m: HermitianMatrix, mset: MatrixSet, tol: Tolerances = DEFAU
         is_lower_bound=lower,
         is_maximal=lower and spanning,
     )
-
-
-def is_extreme_certified(m: HermitianMatrix, mset: MatrixSet, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Certified-extreme test for the set of lower bounds.
-
-    A bound passing the spanning certificate is an extreme point of the set
-    of lower bounds, and a bound failing it is not maximal, hence not
-    extreme.  The test is exactly the maximality certificate.
-    """
-    return certify_maximal(m, mset, tol).is_maximal
 
 
 def mlb_mt(a: HermitianMatrix, b: HermitianMatrix, t, tol: Tolerances = DEFAULT_TOL) -> HermitianMatrix:
@@ -222,39 +209,3 @@ def stott_recover_x(m: HermitianMatrix, p: int, q: int, tol: Tolerances = DEFAUL
     if (rebuilt - m).norm() > tol.eq_rel * (1.0 + m.norm()):
         raise ConsistencyError("recovered parameter does not reproduce the input bound")
     return param
-
-
-@dataclass(frozen=True)
-class PairNormalization:
-    """Reduction of a pair {a, b} to the normal form {J, 0}.
-
-    When a - b is invertible, ``transform`` holds a T whose inverse
-    congruence takes a - b to the signature matrix:
-    ``T^-* (a - b) T^-1 = diag(I_p, -I_q)``.  ``inertia`` counts the
-    (positive, zero, negative) eigenvalues of a - b at the rank tolerance;
-    a singular difference has no J-form and ``transform`` is None.
-    """
-
-    has_j_form: bool
-    transform: np.ndarray | None
-    inertia: tuple[int, int, int]
-
-
-def normalize_pair(a: HermitianMatrix, b: HermitianMatrix, tol: Tolerances = DEFAULT_TOL) -> PairNormalization:
-    """Shift {a, b} to {a - b, 0} and diagonalize the difference to J-form."""
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
-    eig = spectral(a - b)
-    w = eig.eigenvalues
-    cut = tol.rank_rel * max(abs(float(w[0])), abs(float(w[-1])))
-    positives = int(np.sum(w > cut))
-    negatives = int(np.sum(w < -cut))
-    zeros = a.dim - positives - negatives
-    inertia = (positives, zeros, negatives)
-    if zeros:
-        return PairNormalization(False, None, inertia)
-    order = np.argsort(-w, kind="stable")
-    lam = w[order]
-    u = eig.eigenvectors[:, order]
-    transform = (np.sqrt(np.abs(lam))[:, None]) * u.conj().T
-    return PairNormalization(True, _freeze(transform), inertia)

@@ -4,6 +4,9 @@ Every subcommand reads matrix sets as JSON documents (see ``documents``),
 emits an annotated human report by default or a byte-stable JSON report with
 ``--json``, and exits with 0 on success, 1 on usage errors, 2 on validation
 or parse errors, and 3 on numerical failures.
+
+The subcommands are the rows of ``COMMANDS``; the parser and the dispatch
+are both built from that table.
 """
 
 from __future__ import annotations
@@ -13,13 +16,13 @@ import json
 import sys
 import time
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .bounds import (
     StottParam,
     certify_maximal,
-    is_extreme_certified,
     is_lower_bound,
     mlb_mt,
     signature_matrix,
@@ -27,12 +30,11 @@ from .bounds import (
     stott_recover_x,
 )
 from .constrained import constrained_at_vector, maximal_in_lu
-from .documents import MatrixSetDocument, emit_document, parse_document
+from .documents import decode_grid, emit_document, parse_document
 from .ensembles import DEFAULT_DIMS, SUITE_NAMES, ensemble_run
 from .errors import (
     LoewnerError,
     NotCommutingFamily,
-    NumericalFailure,
     ParseError,
     UsageError,
     ValidationError,
@@ -41,6 +43,7 @@ from .fixtures import FIXTURE_NAMES, fixture
 from .infimum import (
     commutant_basis,
     commuting_glb,
+    extend_to_maximal,
     finite_infimum,
     pairwise_commuting,
     positive_glb_family,
@@ -59,22 +62,9 @@ from .linalg import (
     subspace_intersect,
 )
 from .parallel import parallel_sum_family, two_op_positive_glb
-from .report import (
-    RunReport,
-    canonical_digest,
-    encode_array,
-    encode_certificate,
-    encode_matrix,
-    encode_matrix_or_none,
-    encode_set,
-)
-from .infimum import extend_to_maximal
+from .report import RunReport, canonical_digest, encode_array, encode_certificate
 
 __all__ = ["main"]
-
-
-def _fail(exc: Exception) -> None:
-    print(f"error: {exc}", file=sys.stderr)
 
 
 def _read_text(path: str) -> str:
@@ -84,29 +74,6 @@ def _read_text(path: str) -> str:
         return Path(path).read_text()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
-
-
-def _read_document(args, tol: Tolerances) -> MatrixSetDocument:
-    return parse_document(_read_text(args.input), tol)
-
-
-def _require_arity(doc: MatrixSetDocument, count: int, command: str) -> None:
-    if len(doc.matrix_set) != count:
-        raise UsageError(
-            f"{command} needs exactly {count} matrices, got {len(doc.matrix_set)}"
-        )
-
-
-def _entry_value(value, where: str) -> complex:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(float(value), 0.0)
-    if (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
-    ):
-        return complex(float(value[0]), float(value[1]))
-    raise ParseError(f"{where}: expected a number or an [re, im] pair")
 
 
 def _arg_payload(value: str, name: str):
@@ -126,18 +93,14 @@ def _parse_matrix_arg(value: str, name: str) -> np.ndarray:
     width = len(payload[0])
     if width == 0 or any(len(r) != width for r in payload):
         raise ValidationError(f"{name}: rows have unequal lengths")
-    out = np.zeros((len(payload), width), dtype=np.complex128)
-    for r, row in enumerate(payload):
-        for c, entry in enumerate(row):
-            out[r, c] = _entry_value(entry, f"{name}[{r}][{c}]")
-    return out
+    return decode_grid(payload, (len(payload), width), name)
 
 
 def _parse_vector_arg(value: str, name: str) -> np.ndarray:
     payload = _arg_payload(value, name)
     if not isinstance(payload, list) or not payload:
         raise ParseError(f"{name}: expected a nonempty 1-d array")
-    return np.array([_entry_value(e, f"{name}[{i}]") for i, e in enumerate(payload)])
+    return decode_grid(payload, (len(payload),), name)
 
 
 def _parse_dims(text: str) -> tuple[int, int]:
@@ -151,21 +114,13 @@ def _parse_dims(text: str) -> tuple[int, int]:
         raise UsageError(f"--dims expects LO:HI or N, got {text!r}") from exc
 
 
-def _doc_payload(doc: MatrixSetDocument) -> dict:
-    return {
-        "dim": doc.dim,
-        "matrices": encode_set(doc.matrix_set),
-        "labels": list(doc.labels) if doc.labels else None,
-    }
-
-
 # ---------------------------------------------------------------------------
-# command handlers: each returns (verdicts, notes, digest_inputs, seed_or_None)
+# command handlers: each takes (args, tol, document or None) and returns
+# (verdicts, notes, digest inputs beyond the document), or None when it has
+# written its own output
 
 
-def _cmd_check_order(args, tol):
-    doc = _read_document(args, tol)
-    _require_arity(doc, 2, "check-order")
+def _cmd_check_order(args, tol, doc):
     s, t = doc.matrix_set[0], doc.matrix_set[1]
     verdict = compare(s, t, tol)
     verdicts = {
@@ -177,11 +132,10 @@ def _cmd_check_order(args, tol):
         "S <= T in the Loewner order exactly when T - S is positive semidefinite;"
         " eigenvalues above -psd_rel * (1 + |T - S|) count as nonnegative.",
     )
-    return verdicts, notes, _doc_payload(doc), None
+    return verdicts, notes, {}
 
 
-def _cmd_infimum(args, tol):
-    doc = _read_document(args, tol)
+def _cmd_infimum(args, tol, doc):
     report = finite_infimum(doc.matrix_set, tol)
     verdicts = {
         "exists": report.exists,
@@ -189,42 +143,39 @@ def _cmd_infimum(args, tol):
         "minimizing_label": (
             doc.label_of(report.minimizing_index) if report.exists else None
         ),
-        "infimum": encode_matrix_or_none(report.infimum),
+        "infimum": encode_array(report.infimum),
     }
     notes = (
         "a finite set has an infimum exactly when one member is a lower bound of"
         " all members; incomparable matrices never have one, so nonexistence is"
         " the generic outcome.",
     )
-    return verdicts, notes, _doc_payload(doc), None
+    return verdicts, notes, {}
 
 
-def _cmd_certify(args, tol):
-    doc = _read_document(args, tol)
+def _cmd_certify(args, tol, doc):
     candidate = hermitize(_parse_matrix_arg(args.candidate, "--candidate"), tol)
     cert = certify_maximal(candidate, doc.matrix_set, tol)
     verdicts = {
         "is_lower_bound": cert.is_lower_bound,
         "certificate": encode_certificate(cert),
         "is_maximal": cert.is_maximal,
-        "extreme_certified": is_extreme_certified(candidate, doc.matrix_set, tol),
+        "extreme_certified": cert.is_maximal,
     }
     notes = (
         "maximality holds exactly when the null spaces of the gaps A - M jointly"
         " span the whole space; a passing certificate also marks M as an extreme"
         " point of the lower-bound set.",
     )
-    digest = {"set": _doc_payload(doc), "candidate": encode_matrix(candidate)}
-    return verdicts, notes, digest, None
+    return verdicts, notes, {"candidate": encode_array(candidate)}
 
 
-def _cmd_maximal_extend(args, tol):
-    doc = _read_document(args, tol)
+def _cmd_maximal_extend(args, tol, doc):
     lower = hermitize(_parse_matrix_arg(args.lower, "--lower"), tol)
     extension = extend_to_maximal(lower, doc.matrix_set, tol)
     cert = certify_maximal(extension, doc.matrix_set, tol)
     verdicts = {
-        "extension": encode_matrix(extension),
+        "extension": encode_array(extension),
         "certificate": encode_certificate(cert),
         "dominates_input": loewner_leq(lower, extension, tol),
     }
@@ -232,12 +183,10 @@ def _cmd_maximal_extend(args, tol):
         "the extension adds a positive maximal lower bound of the family shifted"
         " by the input, so it dominates the input and is itself maximal.",
     )
-    digest = {"set": _doc_payload(doc), "lower": encode_matrix(lower)}
-    return verdicts, notes, digest, None
+    return verdicts, notes, {"lower": encode_array(lower)}
 
 
-def _cmd_commuting_glb(args, tol):
-    doc = _read_document(args, tol)
+def _cmd_commuting_glb(args, tol, doc):
     mset = doc.matrix_set
     commuting = pairwise_commuting(mset, tol)
     commutant = commutant_basis(mset, tol)
@@ -270,19 +219,18 @@ def _cmd_commuting_glb(args, tol):
     verdicts = {
         "pairwise_commuting": commuting,
         "commutant_dimension": len(commutant),
-        "glb": encode_matrix(glb),
+        "glb": encode_array(glb),
         "certificate": encode_certificate(cert),
         "commuting_maximal_exists": cert.is_maximal,
     }
-    return verdicts, tuple(notes), _doc_payload(doc), None
+    return verdicts, notes, {}
 
 
-def _cmd_positive_mlb(args, tol):
-    doc = _read_document(args, tol)
+def _cmd_positive_mlb(args, tol, doc):
     bound = positive_maximal_lb(doc.matrix_set, tol)
     cert = certify_maximal(bound, doc.matrix_set, tol)
     verdicts = {
-        "bound": encode_matrix(bound),
+        "bound": encode_array(bound),
         "certificate": encode_certificate(cert),
         "smallest_member_eigenvalue": min(m.min_eigenvalue() for m in doc.matrix_set),
     }
@@ -290,18 +238,17 @@ def _cmd_positive_mlb(args, tol):
         "built by recursive splitting at the eigenvector attaining the smallest"
         " member eigenvalue; the certificate re-checks maximality from scratch.",
     )
-    return verdicts, notes, _doc_payload(doc), None
+    return verdicts, notes, {}
 
 
-def _cmd_positive_glb(args, tol):
-    doc = _read_document(args, tol)
+def _cmd_positive_glb(args, tol, doc):
     report = positive_glb_family(doc.matrix_set, tol)
     verdicts = {
         "exists": report.exists,
         "common_range_dim": report.k_subspace.dim,
-        "parallel_sum": encode_matrix(report.s_parallel),
-        "tilde_set": encode_set(report.tilde_set),
-        "glb": encode_matrix_or_none(report.glb),
+        "parallel_sum": encode_array(report.s_parallel),
+        "tilde_set": encode_array(report.tilde_set),
+        "glb": encode_array(report.glb),
         "minimizing_index": report.minimizing_index,
         "minimizing_label": (
             doc.label_of(report.minimizing_index) if report.exists else None
@@ -312,12 +259,10 @@ def _cmd_positive_glb(args, tol):
         " effective subspace; the greatest positive lower bound exists exactly"
         " when the compressed family {[S]A} has a minimum member, and equals it.",
     )
-    return verdicts, notes, _doc_payload(doc), None
+    return verdicts, notes, {}
 
 
-def _cmd_mlb_mt(args, tol):
-    doc = _read_document(args, tol)
-    _require_arity(doc, 2, "mlb-mt")
+def _cmd_mlb_mt(args, tol, doc):
     a, b = doc.matrix_set[0], doc.matrix_set[1]
     if args.transform is None:
         transform = np.eye(doc.dim, dtype=np.complex128)
@@ -326,18 +271,17 @@ def _cmd_mlb_mt(args, tol):
     bound = mlb_mt(a, b, transform, tol)
     cert = certify_maximal(bound, doc.matrix_set, tol)
     verdicts = {
-        "bound": encode_matrix(bound),
+        "bound": encode_array(bound),
         "certificate": encode_certificate(cert),
     }
     notes = (
         "M_T = (A + B - T*|T^-*(A - B)T^-1|T) / 2 is a maximal lower bound of"
         " {A, B} for every invertible T and depends on T only through |T|.",
     )
-    digest = {"set": _doc_payload(doc), "transform": encode_array(transform)}
-    return verdicts, notes, digest, None
+    return verdicts, notes, {"transform": encode_array(transform)}
 
 
-def _cmd_stott(args, tol):
+def _cmd_stott(args, tol, doc):
     p, q = args.p, args.q
     if p < 1 or q < 1:
         raise UsageError("--p and --q must both be at least 1")
@@ -350,8 +294,8 @@ def _cmd_stott(args, tol):
         cert = certify_maximal(pair.mx, mset, tol)
         verdicts = {
             "mode": "build",
-            "s_matrix": encode_matrix(pair.sx),
-            "m_matrix": encode_matrix(pair.mx),
+            "s_matrix": encode_array(pair.sx),
+            "m_matrix": encode_array(pair.mx),
             "certificate": encode_certificate(cert),
             "nullspace_dim_s": range_nullspace(pair.sx, tol).nullspace.dim,
             "nullspace_dim_m": range_nullspace(pair.mx, tol).nullspace.dim,
@@ -360,8 +304,7 @@ def _cmd_stott(args, tol):
             "M(X) = J - S(X) runs over all maximal lower bounds of {J, 0}"
             " exactly once as X runs over p x q matrices.",
         )
-        digest = {"p": p, "q": q, "x": encode_array(x)}
-        return verdicts, notes, digest, None
+        return verdicts, notes, {"p": p, "q": q, "x": encode_array(x)}
     m = hermitize(_parse_matrix_arg(args.matrix, "--matrix"), tol)
     param = stott_recover_x(m, p, q, tol)
     rebuilt = stott_mx(param, tol).mx
@@ -374,12 +317,10 @@ def _cmd_stott(args, tol):
         "X is recovered from the angular operator of the null space of M, which"
         " is a graph over the positive block whenever M is maximal for {J, 0}.",
     )
-    digest = {"p": p, "q": q, "matrix": encode_matrix(m)}
-    return verdicts, notes, digest, None
+    return verdicts, notes, {"p": p, "q": q, "matrix": encode_array(m)}
 
 
-def _cmd_constrained(args, tol):
-    doc = _read_document(args, tol)
+def _cmd_constrained(args, tol, doc):
     u = _parse_vector_arg(args.u, "--u")
     report = constrained_at_vector(doc.matrix_set, u, tol)
     element = maximal_in_lu(doc.matrix_set, u, tol)
@@ -389,13 +330,9 @@ def _cmd_constrained(args, tol):
         "attaining_labels": [doc.label_of(i) for i in report.mu_indices],
         "attainers_agree": report.attainers_agree,
         "constrained_family_empty": not report.attainers_agree,
-        "reduced_set": (
-            encode_set(report.reduced_set) if report.reduced_set is not None else None
-        ),
-        "witness_row": (
-            encode_array(report.witness_row) if report.witness_row is not None else None
-        ),
-        "maximal_element": encode_matrix_or_none(element),
+        "reduced_set": encode_array(report.reduced_set),
+        "witness_row": encode_array(report.witness_row),
+        "maximal_element": encode_array(element),
         "certificate": (
             encode_certificate(certify_maximal(element, doc.matrix_set, tol))
             if element is not None
@@ -407,17 +344,15 @@ def _cmd_constrained(args, tol):
         " every member attaining alpha sends u to one common vector; the problem"
         " then reduces to lower bounds of a smaller family on the complement of u.",
     )
-    digest = {"set": _doc_payload(doc), "u": encode_array(u)}
-    return verdicts, notes, digest, None
+    return verdicts, notes, {"u": encode_array(u)}
 
 
-def _cmd_parallel_sum(args, tol):
-    doc = _read_document(args, tol)
+def _cmd_parallel_sum(args, tol, doc):
     total = parallel_sum_family(doc.matrix_set, tol)
     ranges = [range_nullspace(m, tol).range for m in doc.matrix_set]
     meet = subspace_intersect(ranges, tol)
     verdicts = {
-        "parallel_sum": encode_matrix(total),
+        "parallel_sum": encode_array(total),
         "rank": range_nullspace(total, tol).range.dim,
         "common_range_dim": meet.dim,
         "below_every_member": is_lower_bound(total, doc.matrix_set, tol),
@@ -426,56 +361,107 @@ def _cmd_parallel_sum(args, tol):
         "the parallel sum is the matrix analogue of resistors in parallel; its"
         " range is the intersection of the member ranges.",
     )
-    return verdicts, notes, _doc_payload(doc), None
+    return verdicts, notes, {}
 
 
-def _cmd_ando(args, tol):
-    doc = _read_document(args, tol)
-    _require_arity(doc, 2, "ando")
+def _cmd_ando(args, tol, doc):
     a, b = doc.matrix_set[0], doc.matrix_set[1]
     result = two_op_positive_glb(a, b, tol)
     verdicts = {
-        "ando_ab": encode_matrix(result.ando_ab),
-        "ando_ba": encode_matrix(result.ando_ba),
+        "ando_ab": encode_array(result.ando_ab),
+        "ando_ba": encode_array(result.ando_ba),
         "comparability": result.comparability.value,
         "exists": result.exists,
-        "glb": encode_matrix_or_none(result.glb),
+        "glb": encode_array(result.glb),
     }
     notes = (
         "[A]B is the largest part of B supported inside the range of A; the"
         " greatest positive lower bound of the pair exists exactly when [A]B"
         " and [B]A are comparable, and is then the smaller of the two.",
     )
-    return verdicts, notes, _doc_payload(doc), None
+    return verdicts, notes, {}
 
 
-def _cmd_ensemble(args, tol):
+def _cmd_ensemble(args, tol, doc):
     dims = _parse_dims(args.dims) if args.dims else DEFAULT_DIMS.get(args.suite)
-    verdicts = ensemble_run(args.suite, args.trials, dims, args.seed, tol)
-    verdicts = {"suite": args.suite, "dims": list(dims) if dims else None, **verdicts}
+    inputs = {"suite": args.suite, "trials": args.trials, "dims": list(dims) if dims else None}
+    verdicts = {
+        "suite": args.suite,
+        "dims": inputs["dims"],
+        **ensemble_run(args.suite, args.trials, dims, args.seed, tol),
+    }
     notes = (
         "seeded suite: identical seed, trials, dims, and tolerances reproduce"
         " this report byte for byte.",
     )
-    digest = {"suite": args.suite, "trials": args.trials, "dims": list(dims) if dims else None}
-    return verdicts, notes, digest, args.seed
+    return verdicts, notes, inputs
 
 
-_HANDLERS = {
-    "check-order": _cmd_check_order,
-    "infimum": _cmd_infimum,
-    "certify": _cmd_certify,
-    "maximal-extend": _cmd_maximal_extend,
-    "commuting-glb": _cmd_commuting_glb,
-    "positive-mlb": _cmd_positive_mlb,
-    "positive-glb": _cmd_positive_glb,
-    "mlb-mt": _cmd_mlb_mt,
-    "stott": _cmd_stott,
-    "constrained": _cmd_constrained,
-    "parallel-sum": _cmd_parallel_sum,
-    "ando": _cmd_ando,
-    "ensemble": _cmd_ensemble,
-}
+def _cmd_fixture(args, tol, doc):
+    fx = fixture(args.name, args.truncate_n)
+    sys.stdout.write(emit_document(fx.document, indent=None if args.json else 2))
+    if not args.json:
+        for note in fx.notes:
+            sys.stdout.write(f"note: {note}\n")
+    return None
+
+
+class Command(NamedTuple):
+    name: str
+    help: str
+    arguments: tuple  # (flags, add_argument keywords) per extra argument
+    arity: int | None  # members the document must hold; None any, 0 reads none
+    handler: Callable
+
+
+def _arg(*flags: str, **kwargs) -> tuple:
+    return flags, kwargs
+
+
+COMMANDS = (
+    Command("check-order", "compare two matrices in the Loewner order", (), 2, _cmd_check_order),
+    Command("infimum", "decide whether the set has an infimum", (), None, _cmd_infimum),
+    Command("certify", "certify a candidate maximal lower bound",
+            (_arg("--candidate", required=True, help="candidate matrix as inline JSON or @file"),),
+            None, _cmd_certify),
+    Command("maximal-extend", "extend a lower bound to a maximal one",
+            (_arg("--lower", required=True, help="starting lower bound as inline JSON or @file"),),
+            None, _cmd_maximal_extend),
+    Command("commuting-glb", "greatest lower bound among commuting matrices", (), None,
+            _cmd_commuting_glb),
+    Command("positive-mlb", "positive maximal lower bound of a PSD family", (), None,
+            _cmd_positive_mlb),
+    Command("positive-glb", "greatest positive lower bound of a PSD family", (), None,
+            _cmd_positive_glb),
+    Command("mlb-mt", "explicit maximal lower bound of a pair",
+            (_arg("--transform", default=None,
+                  help="invertible transform T as inline JSON or @file (default identity)"),),
+            2, _cmd_mlb_mt),
+    Command("stott", "parametrize maximal lower bounds of {J, 0}",
+            (_arg("--p", type=int, required=True, help="positive block size"),
+             _arg("--q", type=int, required=True, help="negative block size"),
+             _arg("--x", default=None, help="p x q parameter as inline JSON or @file"),
+             _arg("--matrix", default=None,
+                  help="maximal lower bound of {J, 0} to invert, inline JSON or @file")),
+            0, _cmd_stott),
+    Command("constrained", "lower bounds pinned to the set minimum at a vector",
+            (_arg("--u", required=True, help="unit vector as inline JSON or @file"),),
+            None, _cmd_constrained),
+    Command("parallel-sum", "parallel sum of a PSD family", (), None, _cmd_parallel_sum),
+    Command("ando", "range-limited parts [A]B, [B]A and the pair's positive glb", (), 2, _cmd_ando),
+    Command("fixture", "emit a bundled example family as a document",
+            (_arg("name", choices=sorted(FIXTURE_NAMES), metavar="name",
+                  help=f"one of: {', '.join(sorted(FIXTURE_NAMES))}"),
+             _arg("--truncate-n", type=int, default=None,
+                  help="members to draw from a countable family (default 8)")),
+            0, _cmd_fixture),
+    Command("ensemble", "run a named seeded invariant suite",
+            (_arg("--suite", required=True, choices=sorted(SUITE_NAMES), metavar="SUITE",
+                  help=f"one of: {', '.join(sorted(SUITE_NAMES))}"),
+             _arg("--trials", type=int, default=100, help="number of trials"),
+             _arg("--dims", default=None, help="dimension range LO:HI (or a single N)")),
+            0, _cmd_ensemble),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -500,67 +486,39 @@ def _build_parser() -> argparse.ArgumentParser:
         " bounds of finite Hermitian matrix families.",
     )
     sub = parser.add_subparsers(dest="command")
-
-    sub.add_parser("check-order", parents=[common, reader],
-                   help="compare two matrices in the Loewner order")
-    sub.add_parser("infimum", parents=[common, reader],
-                   help="decide whether the set has an infimum")
-    p = sub.add_parser("certify", parents=[common, reader],
-                       help="certify a candidate maximal lower bound")
-    p.add_argument("--candidate", required=True,
-                   help="candidate matrix as inline JSON or @file")
-    p = sub.add_parser("maximal-extend", parents=[common, reader],
-                       help="extend a lower bound to a maximal one")
-    p.add_argument("--lower", required=True,
-                   help="starting lower bound as inline JSON or @file")
-    sub.add_parser("commuting-glb", parents=[common, reader],
-                   help="greatest lower bound among commuting matrices")
-    sub.add_parser("positive-mlb", parents=[common, reader],
-                   help="positive maximal lower bound of a PSD family")
-    sub.add_parser("positive-glb", parents=[common, reader],
-                   help="greatest positive lower bound of a PSD family")
-    p = sub.add_parser("mlb-mt", parents=[common, reader],
-                       help="explicit maximal lower bound of a pair")
-    p.add_argument("--transform", default=None,
-                   help="invertible transform T as inline JSON or @file (default identity)")
-    p = sub.add_parser("stott", parents=[common],
-                       help="parametrize maximal lower bounds of {J, 0}")
-    p.add_argument("--p", type=int, required=True, help="positive block size")
-    p.add_argument("--q", type=int, required=True, help="negative block size")
-    p.add_argument("--x", default=None, help="p x q parameter as inline JSON or @file")
-    p.add_argument("--matrix", default=None,
-                   help="maximal lower bound of {J, 0} to invert, inline JSON or @file")
-    p = sub.add_parser("constrained", parents=[common, reader],
-                       help="lower bounds pinned to the set minimum at a vector")
-    p.add_argument("--u", required=True, help="unit vector as inline JSON or @file")
-    sub.add_parser("parallel-sum", parents=[common, reader],
-                   help="parallel sum of a PSD family")
-    sub.add_parser("ando", parents=[common, reader],
-                   help="range-limited parts [A]B, [B]A and the pair's positive glb")
-    p = sub.add_parser("fixture", parents=[common],
-                       help="emit a bundled example family as a document")
-    p.add_argument("name", choices=sorted(FIXTURE_NAMES), metavar="name",
-                   help=f"one of: {', '.join(sorted(FIXTURE_NAMES))}")
-    p.add_argument("--truncate-n", type=int, default=None,
-                   help="members to draw from a countable family (default 8)")
-    p = sub.add_parser("ensemble", parents=[common],
-                       help="run a named seeded invariant suite")
-    p.add_argument("--suite", required=True, choices=sorted(SUITE_NAMES), metavar="SUITE",
-                   help=f"one of: {', '.join(sorted(SUITE_NAMES))}")
-    p.add_argument("--trials", type=int, default=100, help="number of trials")
-    p.add_argument("--dims", default=None, help="dimension range LO:HI (or a single N)")
+    for spec in COMMANDS:
+        parents = [common] if spec.arity == 0 else [common, reader]
+        p = sub.add_parser(spec.name, parents=parents, help=spec.help)
+        for flags, kwargs in spec.arguments:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(spec=spec)
     return parser
 
 
-def _cmd_fixture(args) -> int:
-    fx = fixture(args.name, args.truncate_n)
-    if args.json:
-        sys.stdout.write(emit_document(fx.document))
-    else:
-        sys.stdout.write(emit_document(fx.document, indent=2))
-        for note in fx.notes:
-            sys.stdout.write(f"note: {note}\n")
-    return 0
+def _execute(spec: Command, args, tol: Tolerances):
+    """Read the command's document, if it takes one, and run its handler.
+
+    Returns (verdicts, notes, digest inputs), or None when the handler wrote
+    its own output.  The document is dropped on return, before the caller
+    serializes the digest.
+    """
+    doc = None
+    if spec.arity != 0:
+        doc = parse_document(_read_text(args.input), tol)
+        if spec.arity is not None and len(doc.matrix_set) != spec.arity:
+            raise UsageError(
+                f"{spec.name} needs exactly {spec.arity} matrices, got {len(doc.matrix_set)}"
+            )
+    result = spec.handler(args, tol, doc)
+    if result is None or doc is None:
+        return result
+    verdicts, notes, extra = result
+    payload = {
+        "dim": doc.dim,
+        "matrices": encode_array(doc.matrix_set),
+        "labels": list(doc.labels) if doc.labels else None,
+    }
+    return verdicts, notes, ({"set": payload, **extra} if extra else payload)
 
 
 def main(argv=None) -> int:
@@ -577,35 +535,30 @@ def main(argv=None) -> int:
             tol = Tolerances(rank_rel=args.tol_rank, psd_rel=args.tol_psd, eq_rel=args.tol_eq)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-        if args.command == "fixture":
-            return _cmd_fixture(args)
-        handler = _HANDLERS[args.command]
         started = time.perf_counter()
-        verdicts, notes, digest_inputs, seed = handler(args, tol)
-        elapsed = (time.perf_counter() - started) * 1000.0
-        report = RunReport(
-            command=args.command,
-            digest=canonical_digest(args.command, digest_inputs, tol.as_dict(), seed),
-            tolerances=tol,
-            seed=seed,
-            verdicts=verdicts,
-            notes=tuple(notes),
-            elapsed_ms=elapsed,
-        )
-        sys.stdout.write(report.to_json() if args.json else report.render_text())
-        return 0
-    except UsageError as exc:
-        _fail(exc)
-        return 1
-    except ValidationError as exc:
-        _fail(exc)
-        return 2
-    except NumericalFailure as exc:
-        _fail(exc)
-        return 3
+        result = _execute(args.spec, args, tol)
     except LoewnerError as exc:
-        _fail(exc)
-        return 3
+        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, UsageError):
+            return 1
+        return 2 if isinstance(exc, ValidationError) else 3
+    if result is None:
+        return 0
+    verdicts, notes, inputs = result
+    elapsed = (time.perf_counter() - started) * 1000.0
+    # the ensemble suites are the only randomized command
+    seed = args.seed if args.command == "ensemble" else None
+    report = RunReport(
+        command=args.command,
+        digest=canonical_digest(args.command, inputs, tol.as_dict(), seed),
+        tolerances=tol,
+        seed=seed,
+        verdicts=verdicts,
+        notes=tuple(notes),
+        elapsed_ms=elapsed,
+    )
+    sys.stdout.write(report.to_json() if args.json else report.render_text())
+    return 0
 
 
 if __name__ == "__main__":

@@ -11,28 +11,35 @@ Schema (one JSON object):
 
 Parsing is strict: structural problems raise ``ParseError`` with a field
 locator, semantic problems (shape, hermiticity, label count) raise
-``ValidationError``.
+``ValidationError``.  ``decode_grid`` reads every entry grid, here and in the
+CLI's inline matrix and vector arguments.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .errors import NotHermitianWithinTolerance, ParseError, ValidationError
-from .linalg import DEFAULT_TOL, HermitianMatrix, MatrixSet, Tolerances, hermitize
+from .errors import ParseError, ValidationError
+from .linalg import DEFAULT_TOL, MatrixSet, Tolerances, hermitize
+from .report import encode_array
 
 __all__ = [
     "MatrixSetDocument",
     "parse_document",
     "emit_document",
     "document_from_set",
+    "decode_grid",
 ]
 
 _FIELD_TAGS = ("real", "complex")
 _TOP_LEVEL_KEYS = {"dim", "field_tag", "matrices", "labels"}
+_NUMBER_TYPES = {int, float}
+_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -51,17 +58,63 @@ class MatrixSetDocument:
 
 
 def _number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if type(value) not in _NUMBER_TYPES:
         raise ParseError(f"{where}: expected a number, got {value!r}")
+    if not -_FLOAT_MAX <= value <= _FLOAT_MAX:  # also false for NaN
+        raise ParseError(f"{where}: expected a finite number")
     return float(value)
 
 
-def _entry(value, field_tag: str, where: str) -> complex:
+def _entry(value, where: str, field_tag: str | None) -> complex:
+    if field_tag is None:  # an inline argument: each entry a number or a pair
+        pair = isinstance(value, list) and len(value) == 2
+        if not (type(value) in _NUMBER_TYPES or (pair and set(map(type, value)) <= _NUMBER_TYPES)):
+            raise ParseError(f"{where}: expected a number or an [re, im] pair")
+        field_tag = "complex" if pair else "real"
     if field_tag == "real":
         return complex(_number(value, where), 0.0)
     if not isinstance(value, list) or len(value) != 2:
         raise ParseError(f"{where}: expected an [re, im] pair")
     return complex(_number(value[0], where + "[0]"), _number(value[1], where + "[1]"))
+
+
+def _walk(grid, shape: tuple, where: str, field_tag: str | None) -> np.ndarray:
+    """Entry-by-entry decode, raising at the first bad row or entry."""
+    noun = "rows" if len(shape) == 2 else "entries"
+    if not isinstance(grid, list):
+        raise ParseError(f"{where}: expected a list of {noun}")
+    if len(grid) != shape[0]:
+        raise ValidationError(f"{where}: has {len(grid)} {noun}, expected {shape[0]}")
+    out = np.empty(shape, dtype=np.complex128)
+    for i, item in enumerate(grid):
+        at = f"{where}[{i}]"
+        out[i] = _walk(item, shape[1:], at, field_tag) if len(shape) > 1 else _entry(item, at, field_tag)
+    return out
+
+
+def decode_grid(grid, shape: tuple, where: str, field_tag: str | None = None) -> np.ndarray:
+    """Decode a list of entries (1-d) or of rows (2-d) into a complex array.
+
+    ``field_tag`` ``"real"`` asks for plain numbers, ``"complex"`` for
+    ``[re, im]`` pairs, and ``None`` (for an inline argument already checked
+    to be a nonempty array) takes either, entry by entry.  A grid whose
+    entries all have the asked-for form and are finite is converted in one
+    numpy call.  Any other is walked entry by entry, which raises
+    ``ParseError`` or ``ValidationError`` at ``where`` plus the index of the
+    first bad row or entry, or decodes a mix of numbers and pairs.
+    """
+    depth = len(shape) - 1
+    pairs = field_tag == "complex" or (field_tag is None and isinstance(grid[0][0] if depth else grid[0], list))
+    try:
+        leaves = iter(grid)
+        for _ in range(depth + pairs):
+            leaves = chain.from_iterable(leaves)
+        arr = np.array(grid, dtype=np.float64) if set(map(type, leaves)) <= _NUMBER_TYPES else None
+    except (TypeError, ValueError, OverflowError):  # mis-nested, ragged, or past the float range
+        arr = None
+    if arr is None or arr.shape != shape + (2,) * pairs or not np.isfinite(arr).all():
+        return _walk(grid, shape, where, field_tag)
+    return arr.view(np.complex128)[..., 0] if pairs else arr.astype(np.complex128)
 
 
 def parse_document(text: str, tol: Tolerances = DEFAULT_TOL) -> MatrixSetDocument:
@@ -98,21 +151,10 @@ def parse_document(text: str, tol: Tolerances = DEFAULT_TOL) -> MatrixSetDocumen
     members = []
     for i, grid in enumerate(grids):
         where = f"matrices[{i}]"
-        if not isinstance(grid, list):
-            raise ParseError(f"{where}: expected a list of rows")
-        if len(grid) != dim:
-            raise ValidationError(f"{where}: has {len(grid)} rows, expected {dim}")
-        arr = np.zeros((dim, dim), dtype=np.complex128)
-        for r, row in enumerate(grid):
-            if not isinstance(row, list):
-                raise ParseError(f"{where}[{r}]: expected a list of entries")
-            if len(row) != dim:
-                raise ValidationError(f"{where}[{r}]: has {len(row)} entries, expected {dim}")
-            for c, value in enumerate(row):
-                arr[r, c] = _entry(value, field_tag, f"{where}[{r}][{c}]")
+        arr = decode_grid(grid, (dim, dim), where, field_tag)
         try:
             members.append(hermitize(arr, tol))
-        except NotHermitianWithinTolerance as exc:
+        except ValidationError as exc:
             raise ValidationError(f"{where}: {exc}") from exc
 
     labels = payload.get("labels")
@@ -128,26 +170,13 @@ def parse_document(text: str, tol: Tolerances = DEFAULT_TOL) -> MatrixSetDocumen
     return MatrixSetDocument(dim, field_tag, MatrixSet(members), labels)
 
 
-def _emit_entry(value: complex, field_tag: str):
-    if field_tag == "real":
-        return float(value.real)
-    return [float(value.real), float(value.imag)]
-
-
 def emit_document(document: MatrixSetDocument, indent: int | None = None) -> str:
     """Serialize a document back to JSON text (deterministically)."""
-    grids = []
-    for member in document.matrix_set:
-        grids.append(
-            [
-                [_emit_entry(complex(member.mat[r, c]), document.field_tag) for c in range(document.dim)]
-                for r in range(document.dim)
-            ]
-        )
+    real = document.field_tag == "real"
     payload: dict = {
         "dim": document.dim,
         "field_tag": document.field_tag,
-        "matrices": grids,
+        "matrices": [encode_array(m.mat.real if real else m.mat) for m in document.matrix_set],
     }
     if document.labels is not None:
         payload["labels"] = list(document.labels)

@@ -38,7 +38,6 @@ __all__ = [
     "hermitize",
     "spectral",
     "fix_column_phases",
-    "matrix_function",
     "sqrt_psd",
     "matrix_abs",
     "pinv",
@@ -121,9 +120,6 @@ class HermitianMatrix:
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.mat)[0])
 
-    def distance(self, other: "HermitianMatrix") -> float:
-        return (self - other).norm()
-
     def _require_same_dim(self, other: "HermitianMatrix") -> None:
         if self.dim != other.dim:
             raise DimensionMismatch(f"dimensions differ: {self.dim} vs {other.dim}")
@@ -163,15 +159,25 @@ def hermitize(raw, tol: Tolerances = DEFAULT_TOL) -> HermitianMatrix:
 
     The Hermitian defect must satisfy ``|raw - raw*| <= eq_rel * (1 + |raw|)``
     in spectral norm; anything beyond that is rejected rather than silently
-    symmetrized away.
+    symmetrized away.  So is a non-finite entry, or one whose sum or
+    difference with its mirror entry overflows, since symmetrizing it would
+    silently give inf or NaN.
     """
     arr = np.asarray(raw, dtype=np.complex128)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise NonSquare(f"expected a square matrix, got shape {arr.shape}")
     if arr.shape[0] == 0:
         raise NonSquare("matrix dimension must be at least 1")
+    with np.errstate(over="ignore", invalid="ignore"):
+        bad = ~np.isfinite(arr + arr.conj().T)
+        bad |= ~np.isfinite(arr - arr.conj().T)
+    if bad.any():
+        r, c = np.argwhere(bad)[0]
+        raise ValidationError(f"entry [{r}][{c}] is not finite or overflows with its mirror entry")
     defect = float(np.linalg.norm(arr - arr.conj().T, 2))
     scale = 1.0 + float(np.linalg.norm(arr, 2))
+    if not math.isfinite(scale):
+        raise ValidationError("the spectral norm overflows")
     if defect > tol.eq_rel * scale:
         raise NotHermitianWithinTolerance(
             f"Hermitian defect {defect:.3e} exceeds {tol.eq_rel * scale:.3e}"
@@ -245,10 +251,6 @@ class EigDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> HermitianMatrix:
-        v = self.eigenvectors
-        return HermitianMatrix((v * self.eigenvalues) @ v.conj().T)
-
 
 def spectral(s: HermitianMatrix) -> EigDecomposition:
     """Eigendecomposition with ascending eigenvalues and deterministic phases."""
@@ -259,48 +261,43 @@ def spectral(s: HermitianMatrix) -> EigDecomposition:
     return EigDecomposition(_freeze(w), _freeze(fix_column_phases(v)))
 
 
-_MATRIX_FUNCTIONS = ("sqrt_psd", "abs", "pinv")
-
-
-def matrix_function(s: HermitianMatrix, kind: str, tol: Tolerances = DEFAULT_TOL) -> HermitianMatrix:
-    """Apply ``sqrt_psd``, ``abs``, or ``pinv`` to ``s`` through its eigenvalues.
-
-    ``pinv`` zeroes eigenvalues within ``rank_rel`` of zero (relative to the
-    largest magnitude) before inverting, so numerically rank-deficient inputs
-    do not blow up.  ``sqrt_psd`` clamps within-tolerance negative eigenvalues
-    to zero and rejects anything more negative.
-    """
-    if kind not in _MATRIX_FUNCTIONS:
-        raise ValueError(f"unknown matrix function {kind!r}, expected one of {_MATRIX_FUNCTIONS}")
+def _map_eigenvalues(s: HermitianMatrix, fn) -> HermitianMatrix:
+    """V fn(w, scale) V* for s = V diag(w) V*, where ``scale`` is the largest
+    eigenvalue magnitude."""
     eig = spectral(s)
     w = eig.eigenvalues
-    scale = max(abs(float(w[0])), abs(float(w[-1])))
-    if kind == "abs":
-        fw = np.abs(w)
-    elif kind == "sqrt_psd":
+    v = eig.eigenvectors
+    return HermitianMatrix((v * fn(w, max(abs(float(w[0])), abs(float(w[-1]))))) @ v.conj().T)
+
+
+def sqrt_psd(s: HermitianMatrix, tol: Tolerances = DEFAULT_TOL) -> HermitianMatrix:
+    """PSD square root; within-tolerance negative eigenvalues are clamped to
+    zero and anything more negative is rejected."""
+
+    def root(w, scale):
         if w[0] < -tol.psd_rel * (1.0 + scale):
             raise NotPositiveSemidefinite(
                 f"sqrt_psd needs a PSD input; smallest eigenvalue is {w[0]:.3e}"
             )
-        fw = np.sqrt(np.maximum(w, 0.0))
-    else:
-        cut = tol.rank_rel * scale
-        small = np.abs(w) <= cut
-        fw = np.where(small, 0.0, 1.0 / np.where(small, 1.0, w))
-    v = eig.eigenvectors
-    return HermitianMatrix((v * fw) @ v.conj().T)
+        return np.sqrt(np.maximum(w, 0.0))
 
-
-def sqrt_psd(s: HermitianMatrix, tol: Tolerances = DEFAULT_TOL) -> HermitianMatrix:
-    return matrix_function(s, "sqrt_psd", tol)
+    return _map_eigenvalues(s, root)
 
 
 def matrix_abs(s: HermitianMatrix, tol: Tolerances = DEFAULT_TOL) -> HermitianMatrix:
-    return matrix_function(s, "abs", tol)
+    return _map_eigenvalues(s, lambda w, scale: np.abs(w))
 
 
 def pinv(s: HermitianMatrix, tol: Tolerances = DEFAULT_TOL) -> HermitianMatrix:
-    return matrix_function(s, "pinv", tol)
+    """Pseudo-inverse that zeroes eigenvalues within ``rank_rel`` of zero
+    (relative to the largest magnitude) before inverting, so numerically
+    rank-deficient inputs do not blow up."""
+
+    def inverse(w, scale):
+        small = np.abs(w) <= tol.rank_rel * scale
+        return np.where(small, 0.0, 1.0 / np.where(small, 1.0, w))
+
+    return _map_eigenvalues(s, inverse)
 
 
 def polar_abs(t: np.ndarray) -> np.ndarray:
@@ -381,11 +378,6 @@ class Subspace:
             return Subspace.zero_subspace(n)
         u, _, _ = np.linalg.svd(self.basis, full_matrices=True)
         return Subspace(u[:, k:])
-
-    def contains_vector(self, v: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
-        vec = np.asarray(v, dtype=np.complex128).reshape(-1)
-        residual = vec - self.projector() @ vec
-        return float(np.linalg.norm(residual)) <= tol.eq_rel * (1.0 + float(np.linalg.norm(vec)))
 
     def __repr__(self) -> str:
         return f"Subspace(ambient={self.ambient_dim}, dim={self.dim})"

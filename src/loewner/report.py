@@ -18,38 +18,30 @@ from .linalg import HermitianMatrix, MatrixSet, Tolerances
 
 __all__ = [
     "RunReport",
-    "encode_matrix",
-    "encode_matrix_or_none",
-    "encode_set",
+    "encode_array",
     "encode_certificate",
     "canonical_digest",
 ]
 
 
-def _component(value: float) -> float:
-    # + 0.0 folds negative zero into plain zero for stable, tidy output
-    return float(value) + 0.0
+def encode_array(value):
+    """Wire encoding of a matrix, vector or matrix set (``None`` passes through).
 
-
-def encode_matrix(m: HermitianMatrix) -> list:
-    """Rows of [re, im] pairs; the uniform machine encoding for matrices."""
-    return [
-        [[_component(entry.real), _component(entry.imag)] for entry in row]
-        for row in np.asarray(m.mat)
-    ]
-
-
-def encode_matrix_or_none(m: HermitianMatrix | None):
-    return None if m is None else encode_matrix(m)
-
-
-def encode_set(mset: MatrixSet) -> list:
-    return [encode_matrix(member) for member in mset]
-
-
-def encode_array(arr: np.ndarray) -> list:
-    grid = np.atleast_2d(np.asarray(arr, dtype=np.complex128))
-    return [[[_component(e.real), _component(e.imag)] for e in row] for row in grid]
+    Complex entries become ``[re, im]`` pairs and real entries plain numbers;
+    a vector encodes as a one-row grid and a ``MatrixSet`` as a list of
+    grids, one member at a time.  Adding 0.0 folds negative zero into plain
+    zero, so equal values always encode to equal bytes.
+    """
+    if value is None:
+        return None
+    if isinstance(value, MatrixSet):
+        return [encode_array(member) for member in value]
+    if isinstance(value, HermitianMatrix):
+        value = value.mat
+    arr = np.atleast_2d(value)
+    if np.iscomplexobj(arr):
+        arr = np.stack((arr.real, arr.imag), axis=-1)
+    return (arr + 0.0).tolist()
 
 
 def encode_certificate(cert) -> dict:

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from loewner import HermitianMatrix
+from loewner import DEFAULT_TOL, HermitianMatrix
 
 
 def herm(entries) -> HermitianMatrix:
@@ -13,3 +13,10 @@ def assert_matrix_close(actual, expected, atol=1e-12):
     a = actual.mat if isinstance(actual, HermitianMatrix) else np.asarray(actual)
     e = expected.mat if isinstance(expected, HermitianMatrix) else np.asarray(expected)
     np.testing.assert_allclose(a, e, rtol=0.0, atol=atol)
+
+
+def contains_vector(subspace, v, tol=DEFAULT_TOL) -> bool:
+    """True when ``v`` lies in ``subspace`` within ``eq_rel``."""
+    vec = np.asarray(v, dtype=np.complex128).reshape(-1)
+    residual = vec - subspace.projector() @ vec
+    return float(np.linalg.norm(residual)) <= tol.eq_rel * (1.0 + float(np.linalg.norm(vec)))

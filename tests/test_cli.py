@@ -118,10 +118,10 @@ class TestExitCodes:
         assert "cannot read" in err
 
     def test_numerical_failure_is_exit_3(self, tmp_path, capsys, monkeypatch):
-        def boom(args, tol):
+        def boom(*args):
             raise ConvergenceFailure("eigensolver stalled")
 
-        monkeypatch.setitem(cli._HANDLERS, "infimum", boom)
+        monkeypatch.setattr(cli, "finite_infimum", boom)
         path = write_doc(tmp_path, EX62)
         code, _, err = run(["infimum", "-i", path], capsys)
         assert code == 3
@@ -164,6 +164,94 @@ class TestStdinAndFiles:
         code, _, err = run(["certify", "-i", doc, "--candidate", "[[1,", "--json"], capsys)
         assert code == 2
         assert "invalid JSON" in err
+
+
+class TestInlineArguments:
+    def test_pairs_and_numbers_decode_alike(self, tmp_path, capsys):
+        path = write_doc(tmp_path, EX62)
+        outs = []
+        for cand in (
+            "[[0.5, 0], [0, 0]]",
+            "[[[0.5, 0], [0, 0]], [[0, 0], [0, 0]]]",
+            "[[0.5, [0, 0]], [[0, 0], 0]]",
+        ):
+            code, out, _ = run(["certify", "-i", path, "--candidate", cand, "--json"], capsys)
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1] == outs[2]
+        assert json.loads(outs[0])["verdicts"]["is_maximal"] is True
+
+    def test_complex_x_builds_and_recovers(self, tmp_path, capsys):
+        code, out, _ = run(["stott", "--p", "1", "--q", "1", "--x", "[[[0, 1]]]", "--json"], capsys)
+        assert code == 0
+        built = json.loads(out)["verdicts"]
+        assert built["certificate"]["is_maximal"] is True
+        m_path = tmp_path / "m.json"
+        m_path.write_text(json.dumps(built["m_matrix"]))
+        code, out, _ = run(["stott", "--p", "1", "--q", "1", "--matrix", f"@{m_path}", "--json"], capsys)
+        assert code == 0
+        x = matrix_from_pairs(json.loads(out)["verdicts"]["x"])
+        np.testing.assert_allclose(x, [[1.0j]], atol=1e-8)
+
+    def test_mixed_vector(self, tmp_path, capsys):
+        path = write_doc(tmp_path, EX62)
+        code, out, _ = run(["constrained", "-i", path, "--u", "[[1, 0], 0]", "--json"], capsys)
+        assert code == 0
+        assert json.loads(out)["verdicts"]["attaining_labels"] == ["A", "B"]
+
+    @pytest.mark.parametrize(
+        "argv, locator",
+        [
+            (["certify", "--candidate", '[[0.5, "x"], [0, 0]]'], "--candidate[0][1]"),
+            (["certify", "--candidate", "[[NaN, 0], [0, 0]]"], "--candidate[0][0]"),
+            (["certify", "--candidate", "[[1e400, 0], [0, 0]]"], "--candidate[0][0]"),
+            (["certify", "--candidate", "[[0, [0, Infinity]], [0, 0]]"], "--candidate[0][1][1]"),
+            (["maximal-extend", "--lower", "[[0, 0], [0, 1" + "0" * 400 + "]]"], "--lower[1][1]"),
+            (["mlb-mt", "--transform", "[[1, 0], [0, [1, 2, 3]]]"], "--transform[1][1]"),
+            (["constrained", "--u", '[1, "a"]'], "--u[1]"),
+            (["constrained", "--u", "[1, NaN]"], "--u[1]"),
+        ],
+    )
+    def test_bad_entry_is_exit_2_with_locator(self, tmp_path, capsys, argv, locator):
+        path = write_doc(tmp_path, EX62)
+        code, out, err = run([argv[0], "-i", path, "--json", *argv[1:]], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {locator}: ")
+
+    def test_bad_x_entry_is_exit_2_with_locator(self, capsys):
+        code, _, err = run(["stott", "--p", "1", "--q", "1", "--x", "[[true]]"], capsys)
+        assert code == 2
+        assert err.startswith("error: --x[0][0]: expected a number")
+
+    def test_symmetrization_overflow_in_candidate_is_exit_2(self, tmp_path, capsys):
+        path = write_doc(tmp_path, EX62)
+        code, _, err = run(["certify", "-i", path, "--candidate", "[[1e308, 1e308], [1e308, 0]]"], capsys)
+        assert code == 2
+        assert "entry [0][0]" in err
+
+
+class TestNonFiniteDocuments:
+    @pytest.mark.parametrize(
+        "token", ["NaN", "Infinity", "1e400", "1" + "0" * 400], ids=["nan", "inf", "1e400", "huge-int"]
+    )
+    def test_exit_2_with_locator(self, tmp_path, capsys, token):
+        text = '{"dim": 2, "field_tag": "real", "matrices": [[[1.0, %s], [%s, 1.0]]]}' % (token, token)
+        path = write_doc(tmp_path, text)
+        code, out, err = run(["infimum", "-i", path, "--json"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: matrices[0][0][1]: expected a finite number")
+
+    def test_symmetrization_overflow_is_exit_2(self, tmp_path, capsys):
+        text = json.dumps(
+            {"dim": 2, "field_tag": "real", "matrices": [[[1e308, 1e308], [1e308, -1e308]]]}
+        )
+        path = write_doc(tmp_path, text)
+        code, out, err = run(["infimum", "-i", path, "--json"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: matrices[0]: entry [0][0]")
 
 
 class TestReports:

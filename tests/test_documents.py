@@ -11,7 +11,10 @@ from loewner import (
     emit_document,
     parse_document,
 )
+from loewner import documents
+from loewner.documents import decode_grid
 from loewner.errors import ParseError, ValidationError
+from loewner.report import encode_array
 
 from .conftest import assert_matrix_close, herm
 
@@ -228,3 +231,120 @@ class TestDocumentFromSet:
         assert again.labels == ("a", "b")
         for original, parsed in zip(mset, again.matrix_set):
             assert_matrix_close(parsed, original)
+
+
+def one_member(grid, field_tag="real"):
+    return json.dumps({"dim": len(grid), "field_tag": field_tag, "matrices": [grid]})
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize(
+        "token",
+        ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400],
+        ids=["nan", "inf", "-inf", "1e400", "huge-int"],
+    )
+    def test_real_entry_rejected_with_locator(self, token):
+        text = '{"dim": 2, "field_tag": "real", "matrices": [[[1.0, 0.0], [0.0, %s]]]}' % token
+        with pytest.raises(ParseError, match=r"matrices\[0\]\[1\]\[1\]: expected a finite number"):
+            parse_document(text)
+
+    @pytest.mark.parametrize(
+        "token", ["NaN", "Infinity", "1e400", "-" + "9" * 400], ids=["nan", "inf", "1e400", "huge-int"]
+    )
+    def test_complex_component_rejected_with_locator(self, token):
+        text = (
+            '{"dim": 1, "field_tag": "complex", "matrices": [[[[1.0, 0.0]]], [[[2.0, %s]]]]}' % token
+        )
+        with pytest.raises(ParseError, match=r"matrices\[1\]\[0\]\[0\]\[1\]: expected a finite number"):
+            parse_document(text)
+
+    def test_symmetrization_overflow_rejected(self):
+        text = one_member([[1e308, 1e308], [1e308, -1e308]])
+        with pytest.raises(ValidationError, match=r"matrices\[0\]: entry \[0\]\[0\].*overflows"):
+            parse_document(text)
+
+    def test_off_diagonal_overflow_rejected(self):
+        text = one_member([[0.0, 1e308], [-1e308, 0.0]])
+        with pytest.raises(ValidationError, match=r"matrices\[0\]: entry \[0\]\[1\]"):
+            parse_document(text)
+
+    def test_spectral_norm_overflow_rejected(self):
+        text = one_member([[8e307] * 4 for _ in range(4)])
+        with pytest.raises(ValidationError, match=r"matrices\[0\]: the spectral norm overflows"):
+            parse_document(text)
+
+
+class TestDecodeGrid:
+    def test_valid_documents_never_walk_entries(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("a valid document reached the per-entry walk")
+
+        monkeypatch.setattr(documents, "_walk", fail)
+        parse_document(REAL_DOC)
+        parse_document(COMPLEX_DOC)
+
+    @pytest.mark.parametrize("field_tag", ["real", "complex"])
+    def test_whole_grid_decode_matches_walk(self, field_tag):
+        rng = np.random.default_rng(7)
+        values = rng.standard_normal((5, 5, 2))
+        values[0, 1] = [-0.0, -0.0]
+        values[2, 3, 0] = 3
+        if field_tag == "real":
+            grid = values[..., 0].tolist()
+            grid[2][3] = 3
+        else:
+            grid = values.tolist()
+            grid[2][3][0] = 3
+        fast = decode_grid(grid, (5, 5), "m", field_tag)
+        slow = documents._walk(grid, (5, 5), "m", field_tag)
+        assert fast.tobytes() == slow.tobytes()
+
+    def test_mixed_numbers_and_pairs_take_the_walk(self):
+        grid = [[1, [2.0, -1.0]], [[2.0, 1.0], 3.5]]
+        out = decode_grid(grid, (2, 2), "--x")
+        np.testing.assert_array_equal(out, [[1.0, 2.0 - 1.0j], [2.0 + 1.0j, 3.5]])
+
+    def test_vector(self):
+        out = decode_grid([1, [0.0, 2.0], 3.0], (3,), "--u")
+        np.testing.assert_array_equal(out, [1.0, 2.0j, 3.0])
+
+    @pytest.mark.parametrize(
+        "grid, field_tag, message",
+        [
+            ([[1.0, True]], "real", r"m\[0\]\[1\]: expected a number, got True"),
+            ([[1.0, "2"]], "real", r"m\[0\]\[1\]: expected a number, got '2'"),
+            ([[1.0, [1.0, 0.0]]], "real", r"m\[0\]\[1\]: expected a number"),
+            ([[[1.0, 0.0], 2.0]], "complex", r"m\[0\]\[1\]: expected an \[re, im\] pair"),
+            ([[[1.0, 0.0], [2.0, None]]], "complex", r"m\[0\]\[1\]\[1\]: expected a number"),
+            ([[1.0, [1.0, 0.0, 0.0]]], None, r"m\[0\]\[1\]: expected a number or an \[re, im\] pair"),
+            ([[1.0, float("nan")]], None, r"m\[0\]\[1\]: expected a finite number"),
+            ([[1.0, [0.0, float("inf")]]], None, r"m\[0\]\[1\]\[1\]: expected a finite number"),
+        ],
+    )
+    def test_first_bad_entry_is_named(self, grid, field_tag, message):
+        with pytest.raises(ParseError, match=message):
+            decode_grid(grid, (1, 2), "m", field_tag)
+
+
+def encode_reference(arr):
+    """Entry-by-entry encoding of a complex grid as [re, im] pairs."""
+    return [[[float(e.real) + 0.0, float(e.imag) + 0.0] for e in row] for row in np.atleast_2d(arr)]
+
+
+class TestEncodeArray:
+    def test_matches_entrywise_encoding_and_folds_negative_zero(self):
+        rng = np.random.default_rng(3)
+        arr = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        arr[0, 0] = complex(-0.0, -0.0)
+        encoded = encode_array(arr)
+        assert json.dumps(encoded) == json.dumps(encode_reference(arr))
+        assert "-0.0" not in json.dumps(encoded)
+
+    def test_vector_is_one_row(self):
+        assert encode_array(np.array([1.0 + 2.0j, -0.0j])) == [[[1.0, 2.0], [0.0, 0.0]]]
+
+    def test_real_array_and_set_and_none(self):
+        assert encode_array(np.array([[1.0, -0.0]])) == [[1.0, 0.0]]
+        mset = MatrixSet([herm([[1.0]]), herm([[2.0]])])
+        assert encode_array(mset) == [[[[1.0, 0.0]]], [[[2.0, 0.0]]]]
+        assert encode_array(None) is None

@@ -34,7 +34,7 @@ from loewner.errors import (
 from loewner.linalg import fix_column_phases
 from loewner.sampling import random_hermitian, random_psd, random_unitary, trial_rng
 
-from .conftest import assert_matrix_close, herm
+from .conftest import assert_matrix_close, contains_vector, herm
 
 
 class TestTolerances:
@@ -90,7 +90,6 @@ class TestHermitianMatrix:
         assert_matrix_close(a - b, [[1.0, -1.0], [-1.0, 2.0]])
         assert_matrix_close(-a, [[-1.0, 0.0], [0.0, -2.0]])
         assert_matrix_close(2.0 * a, [[2.0, 0.0], [0.0, 4.0]])
-        assert a.distance(b) == pytest.approx((a - b).norm())
 
     def test_complex_scalar_rejected(self):
         with pytest.raises(ValueError):
@@ -139,7 +138,8 @@ class TestSpectral:
         for _ in range(20):
             m = random_hermitian(rng, 4)
             eig = spectral(m)
-            assert_matrix_close(eig.reconstruct(), m, atol=1e-12)
+            v = eig.eigenvectors
+            assert_matrix_close((v * eig.eigenvalues) @ v.conj().T, m, atol=1e-12)
             assert np.all(np.diff(eig.eigenvalues) >= 0.0)
 
     def test_phase_convention(self):
@@ -179,12 +179,6 @@ class TestMatrixFunctions:
             assert_matrix_close(s.mat @ plus.mat @ s.mat, s.mat, atol=1e-9)
             assert_matrix_close(plus.mat @ s.mat @ plus.mat, plus.mat, atol=1e-9)
 
-    def test_unknown_kind(self):
-        from loewner.linalg import matrix_function
-
-        with pytest.raises(ValueError):
-            matrix_function(identity(2), "exp")
-
     def test_polar_abs_oracle(self):
         t = np.array([[0.0, 2.0], [0.0, 0.0]])
         assert_matrix_close(polar_abs(t), np.diag([0.0, 2.0]))
@@ -201,7 +195,7 @@ class TestSubspace:
         cols = np.array([[1.0, 2.0], [0.0, 0.0], [1.0, 2.0]])
         s = Subspace.from_span(cols)
         assert s.dim == 1
-        assert s.contains_vector(np.array([1.0, 0.0, 1.0]))
+        assert contains_vector(s, np.array([1.0, 0.0, 1.0]))
 
     def test_rejects_nonorthonormal(self):
         with pytest.raises(ValueError):
@@ -225,7 +219,7 @@ class TestSubspace:
         assert subspace_sum([a, b]).dim == 3
         meet = subspace_intersect([a, b])
         assert meet.dim == 1
-        assert meet.contains_vector(e[:, 1])
+        assert contains_vector(meet, e[:, 1])
 
     def test_skew_lines_meet_trivially(self):
         a = Subspace(np.array([[1.0], [0.0]]))
@@ -265,7 +259,7 @@ class TestRangeNullspace:
         split = range_nullspace(herm(np.diag([1.0, 0.0, -2.0])))
         assert split.range.dim == 2
         assert split.nullspace.dim == 1
-        assert split.nullspace.contains_vector(np.array([0.0, 1.0, 0.0]))
+        assert contains_vector(split.nullspace, np.array([0.0, 1.0, 0.0]))
 
     def test_dims_partition(self):
         rng = trial_rng(13, 1)
