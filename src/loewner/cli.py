@@ -459,7 +459,8 @@ COMMANDS = (
             (_arg("--suite", required=True, choices=sorted(SUITE_NAMES), metavar="SUITE",
                   help=f"one of: {', '.join(sorted(SUITE_NAMES))}"),
              _arg("--trials", type=int, default=100, help="number of trials"),
-             _arg("--dims", default=None, help="dimension range LO:HI (or a single N)")),
+             _arg("--dims", default=None, help="dimension range LO:HI (or a single N)"),
+             _arg("--seed", type=int, default=0, help="seed of the suite's trials")),
             0, _cmd_ensemble),
 )
 
@@ -472,7 +473,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="relative positivity threshold")
     common.add_argument("--tol-eq", type=float, default=DEFAULT_TOL.eq_rel,
                         help="relative equality threshold")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized runs")
     common.add_argument("--json", action="store_true",
                         help="emit the byte-stable JSON report instead of text")
 
@@ -546,8 +546,8 @@ def main(argv=None) -> int:
         return 0
     verdicts, notes, inputs = result
     elapsed = (time.perf_counter() - started) * 1000.0
-    # the ensemble suites are the only randomized command
-    seed = args.seed if args.command == "ensemble" else None
+    # only the ensemble suites are randomized, and only they take --seed
+    seed = getattr(args, "seed", None)
     report = RunReport(
         command=args.command,
         digest=canonical_digest(args.command, inputs, tol.as_dict(), seed),

@@ -96,7 +96,7 @@ class RangeConditionViolated(NumericalFailure):
 
 
 class SchurRangeViolation(RangeConditionViolated):
-    """Range condition broke down inside a recursive splitting step."""
+    """Range condition broke down in one split of the positive maximal lower bound."""
 
 
 class AngularExtractionFailed(NumericalFailure):

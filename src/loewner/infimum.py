@@ -26,6 +26,7 @@ from .linalg import (
     MatrixSet,
     Subspace,
     Tolerances,
+    _eigh,
     _sym,
     fix_column_phases,
     identity,
@@ -33,7 +34,6 @@ from .linalg import (
     loewner_leq,
     matrix_abs,
     range_nullspace,
-    spectral,
 )
 from .parallel import ando_limit, parallel_sum_family
 from .sampling import random_invertible, random_psd
@@ -125,14 +125,16 @@ def simultaneous_eigenbasis(mset: MatrixSet, tol: Tolerances = DEFAULT_TOL) -> n
             cols = basis[:, idx]
             w, v = np.linalg.eigh(_sym(cols.conj().T @ member.mat @ cols))
             basis[:, idx] = cols @ v
-            start = 0
-            for t in range(1, len(idx)):
-                if w[t] - w[t - 1] > width:
-                    refined.append(idx[start:t])
-                    start = t
-            refined.append(idx[start:])
+            refined.extend(idx[a:b] for a, b in _cluster_bounds(w, width))
         clusters = refined
     return fix_column_phases(basis)
+
+
+def _cluster_bounds(w: np.ndarray, width: float) -> list[tuple[int, int]]:
+    """(start, stop) of the runs of ascending ``w`` whose consecutive gaps
+    stay within ``width``."""
+    edges = [0, *(np.flatnonzero(np.diff(w) > width) + 1).tolist(), len(w)]
+    return list(zip(edges[:-1], edges[1:]))
 
 
 def commuting_glb_two_routes(
@@ -177,35 +179,62 @@ def commuting_glb(mset: MatrixSet, tol: Tolerances = DEFAULT_TOL) -> HermitianMa
     return folded
 
 
+# Fixed weights of the combination whose eigenspaces carry the commutant:
+# one plus the fractional parts of multiples of the golden ratio.  They are
+# pairwise incommensurate, so the combination generically separates the
+# joint eigenspaces of a commuting family; an accidental merge only enlarges
+# a block.
+_GOLDEN_FRACTION = 0.6180339887498949
+
+
 def commutant_basis(mset: MatrixSet, tol: Tolerances = DEFAULT_TOL) -> list[np.ndarray]:
     """Basis of the algebra of matrices commuting with every member.
 
-    Solves A X - X A = 0 for all members jointly, as one stacked linear
-    system on vectorized X.  The identity is always present, so the result
-    has at least one element.
+    Any such X commutes with C = sum_i t_i A_i, so it maps each eigenspace
+    of C into itself: in C's eigenbasis X is block-diagonal over C's
+    eigenvalue clusters.  Only those blocks are solved for, as one stacked
+    system A_i X - X A_i = 0 over sum_j m_j^2 unknowns instead of n^2;
+    clusters merged within the clustering width only enlarge the blocks,
+    so no element is lost.  Singular values count as zero below
+    ``rank_rel`` times sqrt(sum_i (lambda_max(A_i) - lambda_min(A_i))^2),
+    an upper bound on the largest singular value of the full commutator
+    operator that is within a factor sqrt(k) of it.  The elements are
+    orthonormal in the Frobenius inner product; the identity is always in
+    their span, so there is at least one.
     """
     n = mset.dim
-    eye = np.eye(n)
-    rows = []
-    for member in mset:
-        a = member.mat
-        rows.append(np.kron(a, eye) - np.kron(eye, a.T))
-    system = np.vstack(rows)
-    _, sing, vh = np.linalg.svd(system)
-    cut = tol.rank_rel * (float(sing[0]) if sing.size and sing[0] > 0 else 1.0)
-    rank = int(np.sum(sing > cut))
-    null = vh[rank:].conj().T
-    return [null[:, j].reshape(n, n) for j in range(null.shape[1])]
+    spectra = [np.linalg.eigvalsh(member.mat) for member in mset]
+    weights = 1.0 + (np.arange(len(mset)) * _GOLDEN_FRACTION) % 1.0
+    w, v = _eigh(sum(t * member.mat for t, member in zip(weights, mset)))
+    width = _CLUSTER_REL * sum(t * max(abs(s[0]), abs(s[-1])) for t, s in zip(weights, spectra))
+    # (row, column) of every unknown entry of the diagonal blocks
+    pairs = [np.mgrid[a:b, a:b].reshape(2, -1) for a, b in _cluster_bounds(w, width)]
+    r, c = np.hstack(pairs)
+    j = np.arange(r.size)
+    system = np.zeros((len(mset), n, n, r.size), dtype=np.complex128)
+    for op, member in zip(system, mset):
+        b = v.conj().T @ member.mat @ v
+        # column j holds B E - E B for the matrix unit E at (r[j], c[j])
+        op[:, c, j] = b[:, r]
+        op[r, :, j] -= b[c, :]
+    _, sing, vh = np.linalg.svd(system.reshape(-1, r.size), full_matrices=False)
+    bound = float(np.sqrt(sum((s[-1] - s[0]) ** 2 for s in spectra)))
+    cut = tol.rank_rel * (bound if bound > 0 else 1.0)
+    null = vh[int(np.sum(sing > cut)):].conj()
+    blocks = np.zeros((null.shape[0], n, n), dtype=np.complex128)
+    blocks[:, r, c] = null
+    return list(v @ blocks @ v.conj().T)
 
 
 def positive_maximal_lb(mset: MatrixSet, tol: Tolerances = DEFAULT_TOL) -> HermitianMatrix:
     """Positive maximal lower bound of a finite family of PSD matrices.
 
-    Recursion on the dimension: shift the family so its smallest member
-    eigenvalue is zero, split off the eigenvector attaining it, take
+    One split per level, iteratively: shift the family so its smallest
+    member eigenvalue is zero, split off the eigenvector attaining it, take
     generalized Schur complements of the shifted members over that line,
-    recurse on the quotient family, and lift the result back.  The output
-    is PSD, a lower bound, and certified maximal.
+    and repeat on the quotient family down to dimension one; then lift the
+    result back level by level.  The output is PSD, a lower bound, and
+    certified maximal.
     """
     for i, member in enumerate(mset):
         if not is_psd(member, tol):
@@ -214,28 +243,34 @@ def positive_maximal_lb(mset: MatrixSet, tol: Tolerances = DEFAULT_TOL) -> Hermi
 
 
 def _positive_mlb(mset: MatrixSet, tol: Tolerances) -> HermitianMatrix:
-    n = mset.dim
-    eigs = [spectral(member) for member in mset]
-    minima = [float(e.eigenvalues[0]) for e in eigs]
-    k = int(np.argmin(minima))
-    gamma = minima[k]
-    if n == 1:
-        return HermitianMatrix([[gamma]])
-    shift = gamma * identity(n)
-    shifted = MatrixSet(member - shift for member in mset)
-    pivot = eigs[k].eigenvectors[:, 0]
-    line = Subspace(pivot[:, None])
-    try:
-        reduced = quotient_set(shifted, line, tol)
-    except RangeConditionViolated as exc:
-        raise SchurRangeViolation(
-            f"splitting at the minimizing eigenvector broke down: {exc}"
-        ) from exc
-    inner = _positive_mlb(reduced, tol)
-    rotation = np.hstack([pivot[:, None], line.complement().basis])
-    lifted = np.zeros((n, n), dtype=np.complex128)
-    lifted[1:, 1:] = inner.mat
-    return HermitianMatrix(rotation @ lifted @ rotation.conj().T + gamma * np.eye(n))
+    # Only (line, gamma) is kept per level, so memory stays O(n^2); the lift
+    # rebuilds each level's rotation from its line.
+    levels: list[tuple[Subspace, float]] = []
+    while True:
+        eigs = [_eigh(member.mat) for member in mset]
+        minima = [float(w[0]) for w, _ in eigs]
+        k = int(np.argmin(minima))
+        gamma = minima[k]
+        if mset.dim == 1:
+            break
+        shift = gamma * identity(mset.dim)
+        shifted = MatrixSet(member - shift for member in mset)
+        line = Subspace(fix_column_phases(eigs[k][1][:, :1]))
+        try:
+            mset = quotient_set(shifted, line, tol, norms=[float(w[-1]) - gamma for w, _ in eigs])
+        except RangeConditionViolated as exc:
+            raise SchurRangeViolation(
+                f"splitting at the minimizing eigenvector broke down: {exc}"
+            ) from exc
+        levels.append((line, gamma))
+    bound = HermitianMatrix([[gamma]])
+    for line, gamma in reversed(levels):
+        n = line.ambient_dim
+        rotation = np.hstack([line.basis, line.complement().basis])
+        lifted = np.zeros((n, n), dtype=np.complex128)
+        lifted[1:, 1:] = bound.mat
+        bound = HermitianMatrix(rotation @ lifted @ rotation.conj().T + gamma * np.eye(n))
+    return bound
 
 
 def extend_to_maximal(l: HermitianMatrix, mset: MatrixSet, tol: Tolerances = DEFAULT_TOL) -> HermitianMatrix:

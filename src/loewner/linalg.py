@@ -252,12 +252,17 @@ class EigDecomposition:
     eigenvectors: np.ndarray
 
 
-def spectral(s: HermitianMatrix) -> EigDecomposition:
-    """Eigendecomposition with ascending eigenvalues and deterministic phases."""
+def _eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh`` with non-convergence reported as ConvergenceFailure."""
     try:
-        w, v = np.linalg.eigh(s.mat)
+        return np.linalg.eigh(mat)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigensolver did not converge: {exc}") from exc
+
+
+def spectral(s: HermitianMatrix) -> EigDecomposition:
+    """Eigendecomposition with ascending eigenvalues and deterministic phases."""
+    w, v = _eigh(s.mat)
     return EigDecomposition(_freeze(w), _freeze(fix_column_phases(v)))
 
 

@@ -4,7 +4,7 @@ complements, shorted operators, and member-wise quotient sets."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,11 +44,14 @@ class BlockPartition:
     s1: np.ndarray
     s12: np.ndarray
     s2: np.ndarray
-    rotation: np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.rotation.shape[0]
+        return self.h1.ambient_dim
+
+    @property
+    def rotation(self) -> np.ndarray:
+        return np.hstack([self.h1.basis, self.h2.basis])
 
     def block_matrix(self) -> np.ndarray:
         top = np.hstack([self.s1, self.s12])
@@ -68,23 +71,29 @@ class BlockPartition:
         return HermitianMatrix(r @ full @ r.conj().T)
 
 
-def partition_blocks(s: HermitianMatrix, h1: Subspace, tol: Tolerances = DEFAULT_TOL) -> BlockPartition:
-    """Express ``s`` in block form over h1 and its orthogonal complement."""
-    if h1.ambient_dim != s.dim:
+def _check_split(h1: Subspace, n: int) -> None:
+    if h1.ambient_dim != n:
         raise DimensionMismatch(
-            f"subspace ambient dimension {h1.ambient_dim} does not match matrix dimension {s.dim}"
+            f"subspace ambient dimension {h1.ambient_dim} does not match matrix dimension {n}"
         )
-    if not 0 < h1.dim < s.dim:
+    if not 0 < h1.dim < n:
         raise TrivialSubspace(
-            f"need a proper nontrivial subspace, got dimension {h1.dim} of {s.dim}"
+            f"need a proper nontrivial subspace, got dimension {h1.dim} of {n}"
         )
-    u1 = h1.basis
-    h2 = h1.complement()
-    u2 = h2.basis
+
+
+def _blocks(s: HermitianMatrix, h1: Subspace, h2: Subspace) -> BlockPartition:
+    u1, u2 = h1.basis, h2.basis
     s1 = _sym(u1.conj().T @ s.mat @ u1)
     s2 = _sym(u2.conj().T @ s.mat @ u2)
     s12 = u1.conj().T @ s.mat @ u2
-    return BlockPartition(h1, h2, s1, s12, s2, np.hstack([u1, u2]))
+    return BlockPartition(h1, h2, s1, s12, s2)
+
+
+def partition_blocks(s: HermitianMatrix, h1: Subspace, tol: Tolerances = DEFAULT_TOL) -> BlockPartition:
+    """Express ``s`` in block form over h1 and its orthogonal complement."""
+    _check_split(h1, s.dim)
+    return _blocks(s, h1, h1.complement())
 
 
 # Rank decisions on the corner block are floored at the machine-noise level
@@ -93,6 +102,14 @@ def partition_blocks(s: HermitianMatrix, h1: Subspace, tol: Tolerances = DEFAULT
 # that noise as invertible would inject arbitrarily large errors into the
 # complement.
 _NOISE_FLOOR = 64.0 * float(np.finfo(np.float64).eps)
+
+
+def _spectral_norm(block: np.ndarray) -> float:
+    """Largest singular value.  A single row or column is its own singular
+    vector, so its Euclidean norm is exact and needs no SVD."""
+    if 1 in block.shape:
+        return float(np.linalg.norm(block.ravel()))
+    return float(np.linalg.norm(block, 2))
 
 
 def _corner_analysis(
@@ -112,8 +129,8 @@ def _corner_analysis(
     cut = max(tol.rank_rel * own, _NOISE_FLOOR * anchor)
     mask = np.abs(w) > cut
     vr = v[:, mask]
-    residual = float(np.linalg.norm(part.s12 - vr @ (vr.conj().T @ part.s12), 2))
-    threshold = tol.rank_rel * (1.0 + float(np.linalg.norm(part.s12, 2))) + _NOISE_FLOOR * anchor
+    residual = _spectral_norm(part.s12 - vr @ (vr.conj().T @ part.s12))
+    threshold = tol.rank_rel * (1.0 + _spectral_norm(part.s12)) + _NOISE_FLOOR * anchor
     inv_w = np.where(mask, 1.0 / np.where(mask, w, 1.0), 0.0)
     correction = part.s12.conj().T @ ((v * inv_w) @ v.conj().T) @ part.s12
     return residual, threshold, HermitianMatrix(part.s2 - correction)
@@ -155,6 +172,16 @@ class SchurResult(NamedTuple):
     shorted: HermitianMatrix
 
 
+def _checked_complement(part: BlockPartition, tol: Tolerances, anchor: float) -> HermitianMatrix:
+    residual, threshold, complement = _corner_analysis(part, tol, anchor)
+    if residual > threshold:
+        raise RangeConditionViolated(
+            f"coupling block leaves the range of the corner block "
+            f"(residual {residual:.3e} > {threshold:.3e})"
+        )
+    return complement
+
+
 def schur_complement(s: HermitianMatrix, h1: Subspace, tol: Tolerances = DEFAULT_TOL) -> SchurResult:
     """Generalized Schur complement of ``s`` over h1, plus the shorted operator.
 
@@ -164,21 +191,26 @@ def schur_complement(s: HermitianMatrix, h1: Subspace, tol: Tolerances = DEFAULT
     coupling block to stay inside the corner block's range.
     """
     part = partition_blocks(s, h1, tol)
-    residual, threshold, complement = _corner_analysis(part, tol, s.norm())
-    if residual > threshold:
-        raise RangeConditionViolated(
-            f"coupling block leaves the range of the corner block "
-            f"(residual {residual:.3e} > {threshold:.3e})"
-        )
+    complement = _checked_complement(part, tol, s.norm())
     return SchurResult(complement, part.embed_h2(complement.mat))
 
 
-def quotient_set(mset: MatrixSet, h1: Subspace, tol: Tolerances = DEFAULT_TOL) -> MatrixSet:
-    """Member-wise generalized Schur complements over a shared subspace."""
+def quotient_set(
+    mset: MatrixSet, h1: Subspace, tol: Tolerances = DEFAULT_TOL, norms: Sequence[float] | None = None
+) -> MatrixSet:
+    """Member-wise generalized Schur complements over a shared subspace.
+
+    The complement of h1 is built once for all members.  ``norms``, when
+    given, are the members' spectral norms, for a caller that already has
+    their eigenvalues; they anchor the noise floor of the rank decisions.
+    """
+    _check_split(h1, mset.dim)
+    h2 = h1.complement()
     complements = []
     for i, member in enumerate(mset):
+        anchor = member.norm() if norms is None else norms[i]
         try:
-            complements.append(schur_complement(member, h1, tol).complement)
+            complements.append(_checked_complement(_blocks(member, h1, h2), tol, anchor))
         except RangeConditionViolated as exc:
             raise RangeConditionViolated(f"member {i}: {exc}") from exc
     return MatrixSet(complements)

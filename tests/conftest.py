@@ -20,3 +20,16 @@ def contains_vector(subspace, v, tol=DEFAULT_TOL) -> bool:
     vec = np.asarray(v, dtype=np.complex128).reshape(-1)
     residual = vec - subspace.projector() @ vec
     return float(np.linalg.norm(residual)) <= tol.eq_rel * (1.0 + float(np.linalg.norm(vec)))
+
+
+def commutant_kron(mset, tol=DEFAULT_TOL) -> list:
+    """Reference commutant for small n: the null space of the stacked
+    Kronecker system A X - X A = 0 on row-major vectorized X, with the rank
+    cut relative to the system's largest singular value."""
+    n = mset.dim
+    eye = np.eye(n)
+    system = np.vstack([np.kron(m.mat, eye) - np.kron(eye, m.mat.T) for m in mset])
+    _, sing, vh = np.linalg.svd(system)
+    cut = tol.rank_rel * (float(sing[0]) if sing.size and sing[0] > 0 else 1.0)
+    null = vh[int(np.sum(sing > cut)):].conj().T
+    return [null[:, j].reshape(n, n) for j in range(null.shape[1])]

@@ -542,6 +542,11 @@ class TestEnsembleCommand:
         assert payload["verdicts"]["suite"] == "albert-vs-spectral"
         assert payload["verdicts"]["agreements"] == 3
 
+    def test_seed_is_rejected_by_other_commands(self, capsys):
+        code, _, err = run(["infimum", "--seed", "5"], capsys)
+        assert code == 1
+        assert "usage:" in err and "--seed" in err
+
     def test_byte_stable(self, capsys):
         argv = ["ensemble", "--suite", "parallel-ando", "--trials", "3", "--json"]
         _, first, _ = run(argv, capsys)

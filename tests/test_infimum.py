@@ -1,10 +1,14 @@
 """Finite infima, commuting greatest lower bounds, the positive recursion,
 maximal extensions, distinctness, and family positive bounds."""
 
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from loewner import (
+    DEFAULT_TOL,
     MatrixSet,
     certify_maximal,
     commutant_basis,
@@ -13,6 +17,7 @@ from loewner import (
     distinct_maximals,
     extend_to_maximal,
     finite_infimum,
+    fixture,
     identity,
     is_lower_bound,
     is_psd,
@@ -35,10 +40,11 @@ from loewner.sampling import (
     random_hermitian,
     random_incomparable_pair,
     random_psd,
+    random_unitary,
     trial_rng,
 )
 
-from .conftest import assert_matrix_close, herm
+from .conftest import assert_matrix_close, commutant_kron, herm
 
 
 EX_PAIR = MatrixSet([herm([[1.0, 0.0], [0.0, 0.0]]), herm([[1.0, 1.0], [1.0, 2.0]])])
@@ -133,6 +139,67 @@ class TestCommuting:
                 assert float(np.abs(gap).max()) <= 1e-10
 
 
+def _repeated_commuting_family(rng, n: int, size: int) -> MatrixSet:
+    """Members U diag(d_i) U* whose joint eigenvalue tuples repeat: the
+    coordinates are drawn into at most max(2, n/2) groups that share every
+    d_i.  The first two coordinates lie in different groups, so the family
+    is not scalar; a scalar family built this way is scalar only up to
+    rounding, and its commutant dimension is then decided by the noise."""
+    u = random_unitary(rng, n)
+    groups = rng.integers(0, max(2, n // 2), n)
+    groups[:2] = (0, 1)
+    diagonals = rng.standard_normal((size, n))[:, groups]
+    return MatrixSet(herm((u * d) @ u.conj().T) for d in diagonals)
+
+
+def _commutant_cases():
+    rng = trial_rng(53, 0)
+    cases = []
+    for t in range(12):
+        n = int(rng.integers(2, 7))
+        size = int(rng.integers(1, 4))
+        cases.append((f"repeated-joint-{t}-n{n}-k{size}", _repeated_commuting_family(rng, n, size)))
+    for n in range(2, 7):
+        cases.append((f"noncommuting-pair-n{n}", MatrixSet([random_hermitian(rng, n) for _ in range(2)])))
+        u = random_unitary(rng, n)
+        single = herm((u * np.arange(1.0, n + 1.0)) @ u.conj().T)
+        cases.append((f"distinct-single-n{n}", MatrixSet([single])))
+        cases.append((f"identity-n{n}", MatrixSet([identity(n)])))
+        cases.append((f"zero-n{n}", MatrixSet([zero(n)])))
+    cases.append(("ex6.2", fixture("ex6.2").document.matrix_set))
+    return cases
+
+
+class TestCommutantOracle:
+    """The block solve in a combination's eigenspaces against the full
+    Kronecker solve, on families whose commutants differ in structure."""
+
+    @pytest.mark.parametrize("mset", [pytest.param(m, id=name) for name, m in _commutant_cases()])
+    def test_matches_kronecker_oracle(self, mset):
+        basis = commutant_basis(mset)
+        assert len(basis) == len(commutant_kron(mset))
+        for element in basis:
+            for member in mset:
+                gap = float(np.linalg.norm(member.mat @ element - element @ member.mat, 2))
+                bound = 1.0 + member.norm() * float(np.linalg.norm(element, 2))
+                assert gap <= DEFAULT_TOL.eq_rel * bound
+        stacked = np.stack([element.ravel() for element in basis], axis=1)
+        assert np.linalg.matrix_rank(stacked) == len(basis)
+
+    def test_peak_memory_of_a_commuting_family(self):
+        # The dense Kronecker system of this family, with the full left
+        # singular vectors of its SVD, needs several hundred MB.
+        family = _repeated_commuting_family(trial_rng(54, 0), 30, 3)
+        tracemalloc.start()
+        try:
+            basis = commutant_basis(family)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(basis) > 30
+        assert peak < 32e6
+
+
 class TestPositiveMaximalLb:
     def test_oracle(self):
         m = positive_maximal_lb(EX_PAIR)
@@ -160,6 +227,49 @@ class TestPositiveMaximalLb:
     def test_rejects_indefinite_member(self):
         with pytest.raises(NotPositiveSemidefinite):
             positive_maximal_lb(MatrixSet([herm(np.diag([1.0, -1.0]))]))
+
+    def test_split_work_per_level(self, monkeypatch):
+        # Per level, one complement SVD for the quotient set and one for the
+        # lift, and three orthonormality checks (an SVD-backed matrix
+        # 2-norm): the pivot line and the two complements.  The coupling
+        # block is a single row, whose norm needs no SVD.
+        counts = {"svd": 0, "norm2": 0}
+        svd, norm = np.linalg.svd, np.linalg.norm
+
+        def counting_svd(*args, **kwargs):
+            counts["svd"] += 1
+            return svd(*args, **kwargs)
+
+        def counting_norm(x, ord=None, *args, **kwargs):
+            if ord == 2 and np.ndim(x) == 2:
+                counts["norm2"] += 1
+            return norm(x, ord, *args, **kwargs)
+
+        n = 10
+        mset = MatrixSet(random_psd(trial_rng(56, 0), n) for _ in range(3))
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(np.linalg, "norm", counting_norm)
+        positive_maximal_lb(mset)
+        assert counts == {"svd": 2 * (n - 1), "norm2": 3 * (n - 1)}
+
+    def test_stack_depth_does_not_grow_with_dimension(self):
+        rng = trial_rng(55, 0)
+        n = 80
+        pair = MatrixSet([random_psd(rng, n), random_psd(rng, n)])
+        family = MatrixSet([random_psd(rng, n, rank=n - 1), random_psd(rng, n), random_psd(rng, n)])
+        lower = (min(m.min_eigenvalue() for m in family) - 1.0) * identity(n)
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 30)
+        try:
+            bound = positive_maximal_lb(pair)
+            extended = extend_to_maximal(lower, family)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert is_lower_bound(bound, pair)
+        assert is_lower_bound(extended, family) and loewner_leq(lower, extended)
 
 
 class TestExtendToMaximal:
