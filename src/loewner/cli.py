@@ -235,7 +235,7 @@ def _cmd_positive_mlb(args, tol, doc):
         "smallest_member_eigenvalue": min(m.min_eigenvalue() for m in doc.matrix_set),
     }
     notes = (
-        "built by recursive splitting at the eigenvector attaining the smallest"
+        "built one split per level, each at the eigenvector attaining the smallest"
         " member eigenvalue; the certificate re-checks maximality from scratch.",
     )
     return verdicts, notes, {}

@@ -33,6 +33,7 @@ from .linalg import (
     MatrixSet,
     Subspace,
     Tolerances,
+    _eigh,
     identity,
     loewner_leq,
     polar_abs,
@@ -52,7 +53,7 @@ from .sampling import (
     random_unitary,
     trial_rng,
 )
-from .schur import albert_is_psd, schur_complement
+from .schur import _NOISE_FLOOR, albert_is_psd, schur_complement
 
 __all__ = ["SUITE_NAMES", "DEFAULT_DIMS", "ensemble_run"]
 
@@ -219,17 +220,41 @@ _PERTURBATION_STEPS = (1e-3, 1e-2, 1e-1)
 def _no_dominating_perturbation(
     m: HermitianMatrix, mset: MatrixSet, rng: np.random.Generator, count: int, tol: Tolerances
 ) -> bool:
-    """True when no perturbation m + t P (P random PSD, unit norm) stays a
-    lower bound of the set; evaluated in one batched eigenvalue sweep."""
+    """True when no perturbation m + s P (P = G G* random PSD, s = step / |P|)
+    stays a lower bound of the set.
+
+    A bound rejects most candidates first.  For each member A and each
+    eigenpair (w_j, u_j) of A - m, the Rayleigh quotient gives
+    lambda_min(A - m - s P) <= w_j - s |G* u_j|^2, and s >= step / |G|_F^2
+    since |P| <= tr P = |G|_F^2.  The exact test's margin is at most
+    psd_rel * (1 + |A - m| + step), so a candidate whose bound lies below
+    minus that, widened by a rounding slack, fails the exact test too.  Only
+    the survivors are built and decided by batched eigenvalues.
+    """
     n = m.dim
     g = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+    steps = np.array([_PERTURBATION_STEPS[k % len(_PERTURBATION_STEPS)] for k in range(count)])
+    gaps = [_eigh(member.mat - m.mat) for member in mset]
+    forms = np.abs(np.conj(np.swapaxes(g, 1, 2)) @ np.hstack([u for _, u in gaps])) ** 2
+    forms = forms.sum(axis=1).reshape(count, len(gaps), n)
+    frobenius = (np.abs(g) ** 2).sum(axis=(1, 2))
+    shrink = steps / np.where(frobenius > 0.0, frobenius, 1.0)
+    gap_w = np.stack([w for w, _ in gaps])
+    bounds = (gap_w[None, :, :] - shrink[:, None, None] * forms).min(axis=2)
+    gap_norms = np.abs(gap_w[:, [0, -1]]).max(axis=1)
+    # n times the noise floor covers the rounding of the eigenpairs, of the
+    # forms and of the exact route's eigenvalues, each a few n * eps * |A - m|
+    slack = (tol.psd_rel + _NOISE_FLOOR * n) * (1.0 + gap_norms[None, :] + steps[:, None])
+    survivors = np.flatnonzero(~(bounds < -slack).any(axis=1))
+    if survivors.size == 0:
+        return True
+    g, steps = g[survivors], steps[survivors]
     p = np.einsum("kij,klj->kil", g, g.conj())
     p = (p + np.conj(np.swapaxes(p, 1, 2))) / 2.0
     norms = np.abs(np.linalg.eigvalsh(p)).max(axis=1)
     norms = np.where(norms > 0.0, norms, 1.0)
-    steps = np.array([_PERTURBATION_STEPS[k % len(_PERTURBATION_STEPS)] for k in range(count)])
     candidates = m.mat[None, :, :] + (steps / norms)[:, None, None] * p
-    alive = np.ones(count, dtype=bool)
+    alive = np.ones(survivors.size, dtype=bool)
     for member in mset:
         index = np.flatnonzero(alive)
         if index.size == 0:

@@ -27,6 +27,7 @@ from .linalg import (
     Subspace,
     Tolerances,
     _eigh,
+    _frobenius_within,
     _sym,
     fix_column_phases,
     identity,
@@ -37,7 +38,7 @@ from .linalg import (
 )
 from .parallel import ando_limit, parallel_sum_family
 from .sampling import random_invertible, random_psd
-from .schur import quotient_set
+from .schur import _NOISE_FLOOR, quotient_set
 
 __all__ = [
     "InfimumReport",
@@ -90,8 +91,11 @@ def _check_commuting(mset: MatrixSet, tol: Tolerances) -> None:
     for i in range(len(mset)):
         for j in range(i + 1, len(mset)):
             a, b = mset[i].mat, mset[j].mat
-            gap = float(np.linalg.norm(a @ b - b @ a, 2))
+            commutator = a @ b - b @ a
             bound = tol.eq_rel * (1.0 + mset[i].norm() * mset[j].norm())
+            if _frobenius_within(commutator, bound):
+                continue
+            gap = float(np.linalg.norm(commutator, 2))
             if gap > bound:
                 raise NotCommutingFamily(
                     f"members {i} and {j} do not commute (commutator norm {gap:.3e})"
@@ -198,7 +202,9 @@ def commutant_basis(mset: MatrixSet, tol: Tolerances = DEFAULT_TOL) -> list[np.n
     so no element is lost.  Singular values count as zero below
     ``rank_rel`` times sqrt(sum_i (lambda_max(A_i) - lambda_min(A_i))^2),
     an upper bound on the largest singular value of the full commutator
-    operator that is within a factor sqrt(k) of it.  The elements are
+    operator that is within a factor sqrt(k) of it, and never below the
+    rounding noise of the largest member norm, so that a family scalar only
+    up to rounding keeps its full commutant.  The elements are
     orthonormal in the Frobenius inner product; the identity is always in
     their span, so there is at least one.
     """
@@ -219,7 +225,8 @@ def commutant_basis(mset: MatrixSet, tol: Tolerances = DEFAULT_TOL) -> list[np.n
         op[r, :, j] -= b[c, :]
     _, sing, vh = np.linalg.svd(system.reshape(-1, r.size), full_matrices=False)
     bound = float(np.sqrt(sum((s[-1] - s[0]) ** 2 for s in spectra)))
-    cut = tol.rank_rel * (bound if bound > 0 else 1.0)
+    scale = max(max(abs(s[0]), abs(s[-1])) for s in spectra)
+    cut = max(tol.rank_rel * (bound if bound > 0 else 1.0), _NOISE_FLOOR * scale)
     null = vh[int(np.sum(sing > cut)):].conj()
     blocks = np.zeros((null.shape[0], n, n), dtype=np.complex128)
     blocks[:, r, c] = null
@@ -399,9 +406,12 @@ def positive_glb_family(mset: MatrixSet, tol: Tolerances = DEFAULT_TOL) -> Posit
     if report.exists:
         glb = report.infimum
         projector = k.projector()
-        leak = float(np.linalg.norm(glb.mat - projector @ glb.mat @ projector, 2))
-        if leak > tol.eq_rel * (1.0 + glb.norm()):
-            raise ConsistencyError(
-                f"the bound leaks outside the common range subspace by {leak:.3e}"
-            )
+        outside = glb.mat - projector @ glb.mat @ projector
+        bound = tol.eq_rel * (1.0 + glb.norm())
+        if not _frobenius_within(outside, bound):
+            leak = float(np.linalg.norm(outside, 2))
+            if leak > bound:
+                raise ConsistencyError(
+                    f"the bound leaks outside the common range subspace by {leak:.3e}"
+                )
     return PositiveGlbReport(k, s, tilde, report.exists, report.infimum, report.minimizing_index)

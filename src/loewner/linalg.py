@@ -88,6 +88,17 @@ def _sym(arr: np.ndarray) -> np.ndarray:
     return (arr + arr.conj().T) / 2.0
 
 
+def _frobenius_within(arr: np.ndarray, bound: float) -> bool:
+    """True when the Frobenius norm of ``arr`` is at most a finite ``bound``.
+
+    The Frobenius norm bounds the spectral norm from above, so True settles
+    ``|arr| <= bound`` without an SVD; False settles nothing, and the caller
+    decides with the spectral norm.  The BLAS dot product overflows to inf
+    without a floating-point warning.
+    """
+    return math.isfinite(bound) and math.sqrt(np.vdot(arr, arr).real) <= bound
+
+
 class HermitianMatrix:
     """Dense complex Hermitian matrix, symmetrized exactly at construction.
 
@@ -161,7 +172,8 @@ def hermitize(raw, tol: Tolerances = DEFAULT_TOL) -> HermitianMatrix:
     in spectral norm; anything beyond that is rejected rather than silently
     symmetrized away.  So is a non-finite entry, or one whose sum or
     difference with its mirror entry overflows, since symmetrizing it would
-    silently give inf or NaN.
+    silently give inf or NaN.  Frobenius norms accept most inputs; the
+    spectral norms decide the rest.
     """
     arr = np.asarray(raw, dtype=np.complex128)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -169,12 +181,17 @@ def hermitize(raw, tol: Tolerances = DEFAULT_TOL) -> HermitianMatrix:
     if arr.shape[0] == 0:
         raise NonSquare("matrix dimension must be at least 1")
     with np.errstate(over="ignore", invalid="ignore"):
+        skew = arr - arr.conj().T
         bad = ~np.isfinite(arr + arr.conj().T)
-        bad |= ~np.isfinite(arr - arr.conj().T)
+        bad |= ~np.isfinite(skew)
+        # |raw|_F / sqrt(n) <= |raw|, so this bound is at most the exact one
+        bound = tol.eq_rel * (1.0 + float(np.linalg.norm(arr)) / math.sqrt(arr.shape[0]))
     if bad.any():
         r, c = np.argwhere(bad)[0]
         raise ValidationError(f"entry [{r}][{c}] is not finite or overflows with its mirror entry")
-    defect = float(np.linalg.norm(arr - arr.conj().T, 2))
+    if _frobenius_within(skew, bound):
+        return HermitianMatrix(arr)
+    defect = float(np.linalg.norm(skew, 2))
     scale = 1.0 + float(np.linalg.norm(arr, 2))
     if not math.isfinite(scale):
         raise ValidationError("the spectral norm overflows")
@@ -333,8 +350,8 @@ class Subspace:
         if n < 1 or k > n:
             raise ValueError(f"invalid basis shape {arr.shape}")
         if k:
-            gram = arr.conj().T @ arr
-            if float(np.linalg.norm(gram - np.eye(k), 2)) > 1e-6:
+            defect = arr.conj().T @ arr - np.eye(k)
+            if not _frobenius_within(defect, 1e-6) and float(np.linalg.norm(defect, 2)) > 1e-6:
                 raise ValueError("basis columns are not orthonormal")
         self.basis = _freeze(np.array(arr))
 

@@ -1,9 +1,15 @@
 """Seeded ensemble suites: shape, determinism, and small-scale sanity."""
 
+import numpy as np
 import pytest
 
-from loewner import DEFAULT_DIMS, SUITE_NAMES, ensemble_run
+from loewner import DEFAULT_DIMS, DEFAULT_TOL, SUITE_NAMES, MatrixSet, ensemble_run, identity
+from loewner.ensembles import _no_dominating_perturbation
 from loewner.errors import UnknownSuite, ValidationError
+from loewner.infimum import positive_maximal_lb
+from loewner.sampling import random_psd, trial_rng
+
+from .conftest import no_dominating_perturbation_exact
 
 
 EXPECTED_KEYS = {
@@ -112,3 +118,48 @@ class TestSmallRuns:
     def test_explicit_dims_respected(self):
         result = ensemble_run("albert-vs-spectral", 5, dims=(2, 2), seed=3)
         assert result["agreements"] == 5
+
+
+def _psd_family(rng) -> MatrixSet:
+    """A family drawn like the positive-mlb suite's."""
+    n = int(rng.integers(2, 7))
+    size = int(rng.integers(2, 5))
+    return MatrixSet(
+        random_psd(rng, n, int(rng.integers(max(1, n - 2), n + 1))) for _ in range(size)
+    )
+
+
+class TestPerturbationScreen:
+    """The screened perturbation sweep against the exact route, which builds
+    and decides every candidate."""
+
+    def test_matches_exact_route(self):
+        verdicts = []
+        for t in range(8):
+            mset = _psd_family(trial_rng(61, t))
+            maximal = positive_maximal_lb(mset)
+            for delta in (0.0, 1e-12, 1e-6, 1e-3, 0.5):
+                m = maximal - delta * identity(mset.dim)
+                rng, reference = trial_rng(62, t), trial_rng(62, t)
+                screened = _no_dominating_perturbation(m, mset, rng, 1000, DEFAULT_TOL)
+                exact = no_dominating_perturbation_exact(m, mset, reference, 1000)
+                assert screened == exact, (t, delta)
+                assert rng.bit_generator.state == reference.bit_generator.state
+                verdicts.append(exact)
+        assert verdicts.count(False) >= 8
+        assert verdicts.count(True) >= 8
+
+    def test_maximal_bound_needs_no_batched_eigenvalues(self, monkeypatch):
+        batched = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting_eigvalsh(a, *args, **kwargs):
+            if np.ndim(a) == 3:
+                batched.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        mset = _psd_family(trial_rng(63, 0))
+        maximal = positive_maximal_lb(mset)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        assert _no_dominating_perturbation(maximal, mset, trial_rng(64, 0), 1000, DEFAULT_TOL)
+        assert batched == []

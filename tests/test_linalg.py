@@ -110,6 +110,21 @@ class TestHermitize:
         with pytest.raises(NotHermitianWithinTolerance):
             hermitize(np.array([[1.0, 1.0], [0.5, 2.0]]))
 
+    @staticmethod
+    def _two_skew_blocks(x):
+        # I + D/2 for D two 2x2 skew blocks of spectral norm x, so the
+        # Hermitian defect has spectral norm x and Frobenius norm 2x
+        raw = np.eye(4)
+        raw[0, 1] = raw[2, 3] = x / 2.0
+        raw[1, 0] = raw[3, 2] = -x / 2.0
+        return raw
+
+    def test_spectral_norm_decides_past_the_frobenius_bound(self):
+        # the bound is eq_rel * (1 + |raw|) = 2e-8 in both norms here
+        assert hermitize(self._two_skew_blocks(1.5e-8)).dim == 4
+        with pytest.raises(NotHermitianWithinTolerance, match="defect 2.500e-08"):
+            hermitize(self._two_skew_blocks(2.5e-8))
+
 
 class TestMatrixSet:
     def test_requires_nonempty(self):
@@ -200,6 +215,32 @@ class TestSubspace:
     def test_rejects_nonorthonormal(self):
         with pytest.raises(ValueError):
             Subspace(np.array([[1.0], [1.0]]))
+
+    @staticmethod
+    def _stretched(stretch):
+        # orthonormal columns scaled by sqrt(1 + stretch): the Gram defect is
+        # diag(stretch), so its spectral norm is max(stretch) and its
+        # Frobenius norm |stretch|
+        q = random_unitary(trial_rng(14, 0), 5)[:, :4]
+        return q * np.sqrt(1.0 + np.asarray(stretch))
+
+    def test_orthonormality_boundary(self, monkeypatch):
+        calls = []
+        norm = np.linalg.norm
+
+        def counting_norm(x, ord=None, *args, **kwargs):
+            if ord == 2:
+                calls.append(np.shape(x))
+            return norm(x, ord, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counting_norm)
+        assert Subspace(self._stretched([1e-12] * 4)).dim == 4
+        assert calls == []
+        # spectral defect 0.9e-6 <= 1e-6 < Frobenius defect 1.8e-6
+        assert Subspace(self._stretched([0.9e-6] * 4)).dim == 4
+        assert calls == [(4, 4)]
+        with pytest.raises(ValueError, match="not orthonormal"):
+            Subspace(self._stretched([0.0, 0.0, 0.0, 1.1e-6]))
 
     def test_complement(self):
         s = Subspace(np.array([[1.0], [0.0], [0.0]]))
