@@ -85,6 +85,9 @@ def cases() -> list[tuple[str, list[str]]]:
                                           f"[[[-1, 0], [0, -{ROOT2}]], [[0, {ROOT2}], [-2, 0]]]"]))
     for suite in SUITES:
         out.append((f"ensemble-{suite}", ["ensemble", "--suite", suite, "--trials", "5", "--json"]))
+    for suite in SUITES:
+        out.append((f"ensemble-{suite}-seed601",
+                    ["ensemble", "--suite", suite, "--trials", "10", "--seed", "601", "--json"]))
     return out
 
 
