@@ -36,7 +36,7 @@ from .errors import (
     UsageError,
     ValidationError,
 )
-from .fixtures import FIXTURE_NAMES, Fixture, fixture, fixture_notes
+from .fixtures import FIXTURE_NAMES, Fixture, fixture
 from .infimum import (
     InfimumReport,
     PositiveGlbReport,
@@ -82,10 +82,8 @@ from .parallel import (
 )
 from .schur import (
     AlbertReport,
-    BlockPartition,
     SchurResult,
     albert_is_psd,
-    partition_blocks,
     quotient_set,
     schur_complement,
 )
@@ -95,7 +93,6 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "AlbertReport",
-    "BlockPartition",
     "Comparability",
     "ConsistencyError",
     "ConstrainedReport",
@@ -136,7 +133,6 @@ __all__ = [
     "extend_to_maximal",
     "finite_infimum",
     "fixture",
-    "fixture_notes",
     "hermitize",
     "identity",
     "is_lower_bound",
@@ -149,7 +145,6 @@ __all__ = [
     "parallel_sum",
     "parallel_sum_family",
     "parse_document",
-    "partition_blocks",
     "pinv",
     "polar_abs",
     "positive_glb_family",

@@ -199,8 +199,7 @@ def _cmd_commuting_glb(args, tol, doc):
             " diagonalization were compared and agree."
         )
     elif len(commutant) == 1:
-        gamma = min(member.min_eigenvalue() for member in mset)
-        glb = gamma * identity(mset.dim)
+        glb = mset.min_eigenvalue() * identity(mset.dim)
         notes.append(
             "the members do not pairwise commute and only scalars commute with"
             " all of them, so the commuting lower bounds are c I with c at most"
@@ -232,7 +231,7 @@ def _cmd_positive_mlb(args, tol, doc):
     verdicts = {
         "bound": encode_array(bound),
         "certificate": encode_certificate(cert),
-        "smallest_member_eigenvalue": min(m.min_eigenvalue() for m in doc.matrix_set),
+        "smallest_member_eigenvalue": doc.matrix_set.min_eigenvalue(),
     }
     notes = (
         "built one split per level, each at the eigenvector attaining the smallest"

@@ -117,8 +117,7 @@ def maximal_in_lu(mset: MatrixSet, u, tol: Tolerances = DEFAULT_TOL) -> Hermitia
     if mset.dim == 1:
         return HermitianMatrix([[report.alpha]])
     reduced = report.reduced_set
-    gamma = min(member.min_eigenvalue() for member in reduced)
-    inner = extend_to_maximal(gamma * identity(reduced.dim), reduced, tol)
+    inner = extend_to_maximal(reduced.min_eigenvalue() * identity(reduced.dim), reduced, tol)
     blocks = np.zeros((mset.dim, mset.dim), dtype=np.complex128)
     blocks[0, 0] = report.alpha
     blocks[0, 1:] = report.witness_row

@@ -176,7 +176,7 @@ def emit_document(document: MatrixSetDocument, indent: int | None = None) -> str
     payload: dict = {
         "dim": document.dim,
         "field_tag": document.field_tag,
-        "matrices": [encode_array(m.mat.real if real else m.mat) for m in document.matrix_set],
+        "matrices": encode_array(document.matrix_set.stack.real if real else document.matrix_set),
     }
     if document.labels is not None:
         payload["labels"] = list(document.labels)
@@ -185,8 +185,7 @@ def emit_document(document: MatrixSetDocument, indent: int | None = None) -> str
 
 def document_from_set(mset: MatrixSet, labels=None) -> MatrixSetDocument:
     """Wrap a matrix set as a document, choosing the narrowest field tag."""
-    has_imag = any(float(np.abs(member.mat.imag).max()) > 0.0 for member in mset)
-    tag = "complex" if has_imag else "real"
+    tag = "complex" if np.abs(mset.stack.imag).max() > 0.0 else "real"
     if labels is not None:
         labels = tuple(str(s) for s in labels)
         if len(labels) != len(mset):

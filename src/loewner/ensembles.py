@@ -20,6 +20,7 @@ from .bounds import (
 )
 from .errors import UnknownSuite, ValidationError
 from .infimum import (
+    _joint_diagonals,
     commuting_glb_two_routes,
     distinct_maximals,
     finite_infimum,
@@ -34,6 +35,7 @@ from .linalg import (
     Subspace,
     Tolerances,
     _eigh,
+    _order_margin,
     identity,
     loewner_leq,
     polar_abs,
@@ -56,6 +58,10 @@ from .sampling import (
 from .schur import _NOISE_FLOOR, albert_is_psd, schur_complement
 
 __all__ = ["SUITE_NAMES", "DEFAULT_DIMS", "ensemble_run"]
+
+# The largest dimension a suite may draw.  The positive-mlb suite holds 1000
+# complex n x n perturbations per trial: 66 MB at n = 64, 640 MB at n = 200.
+MAX_SUITE_DIM = 64
 
 
 def _draw_dim(rng: np.random.Generator, dims: tuple[int, int]) -> int:
@@ -194,10 +200,8 @@ def _commuting_tworoute(trials: int, dims: tuple[int, int], seed: int, tol: Tole
         for member in family:
             comm = folded.mat @ member.mat - member.mat @ folded.mat
             max_commutator = max(max_commutator, float(np.linalg.norm(comm, 2)) / scale)
-        basis = simultaneous_eigenbasis(family, tol)
-        diag_min = np.stack(
-            [np.real(np.diagonal(basis.conj().T @ m.mat @ basis)) for m in family]
-        ).min(axis=0)
+        basis = simultaneous_eigenbasis(family)
+        diag_min = _joint_diagonals(family, basis).min(axis=0)
         all_below = True
         for _ in range(candidates_per_trial):
             drop = np.abs(rng.standard_normal(n))
@@ -234,12 +238,13 @@ def _no_dominating_perturbation(
     n = m.dim
     g = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
     steps = np.array([_PERTURBATION_STEPS[k % len(_PERTURBATION_STEPS)] for k in range(count)])
-    gaps = [_eigh(member.mat - m.mat) for member in mset]
-    forms = np.abs(np.conj(np.swapaxes(g, 1, 2)) @ np.hstack([u for _, u in gaps])) ** 2
-    forms = forms.sum(axis=1).reshape(count, len(gaps), n)
+    gap_w, gap_u = _eigh(mset.stack - m.mat)
+    # the members' eigenvector matrices side by side, n x (k n)
+    columns = np.swapaxes(gap_u, 0, 1).reshape(n, -1)
+    forms = np.abs(np.conj(np.swapaxes(g, 1, 2)) @ columns) ** 2
+    forms = forms.sum(axis=1).reshape(count, len(mset), n)
     frobenius = (np.abs(g) ** 2).sum(axis=(1, 2))
     shrink = steps / np.where(frobenius > 0.0, frobenius, 1.0)
-    gap_w = np.stack([w for w, _ in gaps])
     bounds = (gap_w[None, :, :] - shrink[:, None, None] * forms).min(axis=2)
     gap_norms = np.abs(gap_w[:, [0, -1]]).max(axis=1)
     # n times the noise floor covers the rounding of the eigenpairs, of the
@@ -260,8 +265,7 @@ def _no_dominating_perturbation(
         if index.size == 0:
             break
         w = np.linalg.eigvalsh(member.mat[None, :, :] - candidates[index])
-        margin = tol.psd_rel * (1.0 + np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1])))
-        alive[index] = w[:, 0] >= -margin
+        alive[index] = w[:, 0] >= -_order_margin(w, tol)
     return not bool(alive.any())
 
 
@@ -278,11 +282,9 @@ def _positive_mlb(trials: int, dims: tuple[int, int], seed: int, tol: Tolerances
         rng = trial_rng(seed, t)
         n = _draw_dim(rng, dims)
         size = int(rng.integers(2, 5))
-        members = []
-        for _ in range(size):
-            rank = int(rng.integers(max(1, n - 2), n + 1))
-            members.append(random_psd(rng, n, rank))
-        mset = MatrixSet(members)
+        mset = MatrixSet(
+            random_psd(rng, n, int(rng.integers(max(1, n - 2), n + 1))) for _ in range(size)
+        )
         m = positive_maximal_lb(mset, tol)
         scale = 1.0 + mset.max_norm()
         if m.min_eigenvalue() >= -1e-9 * scale:
@@ -291,8 +293,7 @@ def _positive_mlb(trials: int, dims: tuple[int, int], seed: int, tol: Tolerances
             lower_bounds += 1
         if certify_maximal(m, mset, tol).is_maximal:
             certified += 1
-        gamma = min(member.min_eigenvalue() for member in mset)
-        if (m - gamma * identity(n)).min_eigenvalue() >= -tol.psd_rel * scale:
+        if (m - mset.min_eigenvalue() * identity(n)).min_eigenvalue() >= -tol.psd_rel * scale:
             floor_ok += 1
         if _no_dominating_perturbation(m, mset, rng, perturbations, tol):
             unperturbable += 1
@@ -452,4 +453,6 @@ def ensemble_run(
     lo, hi = int(dims[0]), int(dims[1])
     if lo < 1 or hi < lo:
         raise ValidationError(f"invalid dimension range {dims}")
+    if hi > MAX_SUITE_DIM:
+        raise ValidationError(f"dimension {hi} exceeds the suites' limit of {MAX_SUITE_DIM}")
     return _SUITES[suite](trials, (lo, hi), int(seed), tol)

@@ -15,9 +15,13 @@ from .documents import MatrixSetDocument, document_from_set
 from .errors import UnknownFixture, ValidationError
 from .linalg import HermitianMatrix, MatrixSet
 
-__all__ = ["Fixture", "FIXTURE_NAMES", "fixture", "fixture_notes"]
+__all__ = ["Fixture", "FIXTURE_NAMES", "fixture"]
 
 DEFAULT_TRUNCATION = 8
+
+# ex3.2 (and its alias ex3.5iii) holds N members of size N x N, so its
+# truncation is capped: 128 members take 34 MB, 2,000 would take 128 GB.
+MAX_SQUARE_TRUNCATION = 128
 
 # Golden-ratio fractions drive the low-discrepancy angle sequence of ex3.5i.
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -31,23 +35,14 @@ class Fixture:
     notes: tuple[str, ...]
 
 
-def _projection_family_diag(n_members: int) -> list[HermitianMatrix]:
-    """Members n^2 P_n, with P_n the projection onto the n-th basis vector."""
-    members = []
-    for n in range(1, n_members + 1):
-        mat = np.zeros((n_members, n_members))
-        mat[n - 1, n - 1] = float(n * n)
-        members.append(HermitianMatrix(mat))
-    return members
-
-
 def _vector_projection(c: complex, s: complex) -> HermitianMatrix:
     v = np.array([c, s], dtype=np.complex128)
     return HermitianMatrix(np.outer(v, v.conj()))
 
 
 def _ex32(n: int) -> tuple[MatrixSet, list[str], tuple[str, ...]]:
-    members = _projection_family_diag(n)
+    # members k^2 P_k, with P_k the projection onto the k-th basis vector
+    members = [HermitianMatrix(np.diag(np.eye(n)[k - 1] * float(k * k))) for k in range(1, n + 1)]
     labels = [f"n={k}" for k in range(1, n + 1)]
     notes = (
         "unbounded family of scaled one-dimensional projections;"
@@ -197,9 +192,10 @@ def fixture(name: str, truncation: int | None = None) -> Fixture:
     n = DEFAULT_TRUNCATION if truncation is None else int(truncation)
     if n < 1:
         raise ValidationError(f"truncation must be at least 1, got {n}")
+    if key == "ex3.2" and n > MAX_SQUARE_TRUNCATION:
+        raise ValidationError(
+            f"{name} builds {n} members of size {n} x {n}; its truncation is limited"
+            f" to {MAX_SQUARE_TRUNCATION}"
+        )
     mset, labels, notes = _TRUNCATED[key](n)
     return Fixture(name, n, document_from_set(mset, labels), notes)
-
-
-def fixture_notes(name: str, truncation: int | None = None) -> tuple[str, ...]:
-    return fixture(name, truncation).notes

@@ -15,7 +15,6 @@ from .errors import (
     InfimumExists,
     NotCommutingFamily,
     NotLowerBound,
-    NotPositiveSemidefinite,
     RangeConditionViolated,
     SchurRangeViolation,
     UsageError,
@@ -28,10 +27,10 @@ from .linalg import (
     Tolerances,
     _eigh,
     _frobenius_within,
+    _require_psd_members,
     _sym,
     fix_column_phases,
     identity,
-    is_psd,
     loewner_leq,
     matrix_abs,
     range_nullspace,
@@ -108,7 +107,7 @@ def _check_commuting(mset: MatrixSet, tol: Tolerances) -> None:
 _CLUSTER_REL = 1e-5
 
 
-def simultaneous_eigenbasis(mset: MatrixSet, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def simultaneous_eigenbasis(mset: MatrixSet) -> np.ndarray:
     """Common unitary eigenbasis of a pairwise commuting family.
 
     Starts from the whole space as one cluster and refines member by member:
@@ -150,14 +149,15 @@ def commuting_glb_two_routes(
     _check_commuting(mset, tol)
     folded = mset[0]
     for member in mset.members[1:]:
-        gap = matrix_abs(folded - member, tol)
-        folded = HermitianMatrix(0.5 * (folded.mat + member.mat - gap.mat))
-    basis = simultaneous_eigenbasis(mset, tol)
-    diagonals = np.stack(
-        [np.real(np.diagonal(basis.conj().T @ member.mat @ basis)) for member in mset]
-    )
-    joint = HermitianMatrix((basis * diagonals.min(axis=0)) @ basis.conj().T)
+        folded = 0.5 * (folded + member - matrix_abs(folded - member))
+    basis = simultaneous_eigenbasis(mset)
+    joint = HermitianMatrix((basis * _joint_diagonals(mset, basis).min(axis=0)) @ basis.conj().T)
     return folded, joint
+
+
+def _joint_diagonals(mset: MatrixSet, basis: np.ndarray) -> np.ndarray:
+    """Real diagonals of every member in ``basis``, one row per member."""
+    return np.real(np.diagonal(basis.conj().T @ mset.stack @ basis, axis1=1, axis2=2))
 
 
 # Two independent routes to the same matrix must agree this tightly,
@@ -209,7 +209,7 @@ def commutant_basis(mset: MatrixSet, tol: Tolerances = DEFAULT_TOL) -> list[np.n
     their span, so there is at least one.
     """
     n = mset.dim
-    spectra = [np.linalg.eigvalsh(member.mat) for member in mset]
+    spectra = mset.eigenvalues()
     weights = 1.0 + (np.arange(len(mset)) * _GOLDEN_FRACTION) % 1.0
     w, v = _eigh(sum(t * member.mat for t, member in zip(weights, mset)))
     width = _CLUSTER_REL * sum(t * max(abs(s[0]), abs(s[-1])) for t, s in zip(weights, spectra))
@@ -243,9 +243,7 @@ def positive_maximal_lb(mset: MatrixSet, tol: Tolerances = DEFAULT_TOL) -> Hermi
     result back level by level.  The output is PSD, a lower bound, and
     certified maximal.
     """
-    for i, member in enumerate(mset):
-        if not is_psd(member, tol):
-            raise NotPositiveSemidefinite(f"member {i} is not positive semidefinite")
+    _require_psd_members(mset, tol)
     return _positive_mlb(mset, tol)
 
 
@@ -254,21 +252,17 @@ def _positive_mlb(mset: MatrixSet, tol: Tolerances) -> HermitianMatrix:
     # rebuilds each level's rotation from its line.
     levels: list[tuple[Subspace, float]] = []
     while True:
-        eigs = [_eigh(member.mat) for member in mset]
-        minima = [float(w[0]) for w, _ in eigs]
-        k = int(np.argmin(minima))
-        gamma = minima[k]
+        w, v = _eigh(mset.stack)
+        k = int(np.argmin(w[:, 0]))
+        gamma = float(w[k, 0])
         if mset.dim == 1:
             break
-        shift = gamma * identity(mset.dim)
-        shifted = MatrixSet(member - shift for member in mset)
-        line = Subspace(fix_column_phases(eigs[k][1][:, :1]))
+        shifted = mset.minus(gamma * identity(mset.dim))
+        line = Subspace(fix_column_phases(v[k, :, :1]))
         try:
-            mset = quotient_set(shifted, line, tol, norms=[float(w[-1]) - gamma for w, _ in eigs])
+            mset = quotient_set(shifted, line, tol, norms=[float(top) - gamma for top in w[:, -1]])
         except RangeConditionViolated as exc:
-            raise SchurRangeViolation(
-                f"splitting at the minimizing eigenvector broke down: {exc}"
-            ) from exc
+            raise SchurRangeViolation(f"splitting at the minimizing eigenvector broke down: {exc}") from exc
         levels.append((line, gamma))
     bound = HermitianMatrix([[gamma]])
     for line, gamma in reversed(levels):
@@ -301,11 +295,6 @@ _DISTINCT_REL = 1e-6
 _MAX_ROUTE_TRIES = 24
 
 
-def _floor_bound(mset: MatrixSet) -> HermitianMatrix:
-    gamma = min(member.min_eigenvalue() for member in mset)
-    return gamma * identity(mset.dim)
-
-
 def distinct_maximals(
     mset: MatrixSet,
     count: int,
@@ -330,7 +319,7 @@ def distinct_maximals(
     n = mset.dim
     scale = 1.0 + mset.max_norm()
     separation = max(tol.eq_rel, _DISTINCT_REL) * scale
-    floor = _floor_bound(mset)
+    floor = mset.min_eigenvalue() * identity(n)
 
     def certified(candidate: HermitianMatrix) -> HermitianMatrix:
         cert = certify_maximal(candidate, mset, tol)
@@ -396,9 +385,6 @@ class PositiveGlbReport:
 
 def positive_glb_family(mset: MatrixSet, tol: Tolerances = DEFAULT_TOL) -> PositiveGlbReport:
     """Existence and value of the greatest positive lower bound of a family."""
-    for i, member in enumerate(mset):
-        if not is_psd(member, tol):
-            raise NotPositiveSemidefinite(f"member {i} is not positive semidefinite")
     s = parallel_sum_family(mset, tol)
     k = range_nullspace(s, tol).range
     tilde = MatrixSet(ando_limit(s, member, tol) for member in mset)

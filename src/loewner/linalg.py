@@ -29,7 +29,6 @@ __all__ = [
     "DEFAULT_TOL",
     "HermitianMatrix",
     "MatrixSet",
-    "EigDecomposition",
     "Subspace",
     "RangeNullspace",
     "Comparability",
@@ -100,13 +99,15 @@ def _frobenius_within(arr: np.ndarray, bound: float) -> bool:
 
 
 class HermitianMatrix:
-    """Dense complex Hermitian matrix, symmetrized exactly at construction.
+    """Dense complex Hermitian matrix, Hermitian by construction.
 
-    Symmetrizing via (A + A*)/2 makes ``mat[i, j] == conj(mat[j, i])`` hold
-    exactly in floating point, so downstream code never needs to re-check.
+    The constructor symmetrizes its input via (A + A*)/2, so that
+    ``mat[i, j] == conj(mat[j, i])`` holds exactly in floating point; sums,
+    differences, negations and real multiples keep that identity exactly and
+    are wrapped as they are.  The eigenvalues are computed once.
     """
 
-    __slots__ = ("mat", "_norm")
+    __slots__ = ("mat", "_eigvals")
 
     def __init__(self, entries) -> None:
         arr = np.asarray(entries, dtype=np.complex128)
@@ -115,21 +116,24 @@ class HermitianMatrix:
         if arr.shape[0] == 0:
             raise NonSquare("matrix dimension must be at least 1")
         self.mat = _freeze(_sym(arr))
-        self._norm = None
+        self._eigvals = None
 
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
 
+    def _spectrum(self) -> np.ndarray:
+        if self._eigvals is None:
+            self._eigvals = _freeze(np.linalg.eigvalsh(self.mat))
+        return self._eigvals
+
     def norm(self) -> float:
         """Spectral norm, i.e. the largest eigenvalue magnitude."""
-        if self._norm is None:
-            w = np.linalg.eigvalsh(self.mat)
-            self._norm = float(max(abs(w[0]), abs(w[-1])))
-        return self._norm
+        w = self._spectrum()
+        return float(max(abs(w[0]), abs(w[-1])))
 
     def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.mat)[0])
+        return float(self._spectrum()[0])
 
     def _require_same_dim(self, other: "HermitianMatrix") -> None:
         if self.dim != other.dim:
@@ -137,24 +141,32 @@ class HermitianMatrix:
 
     def __add__(self, other: "HermitianMatrix") -> "HermitianMatrix":
         self._require_same_dim(other)
-        return HermitianMatrix(self.mat + other.mat)
+        return _hermitian(self.mat + other.mat)
 
     def __sub__(self, other: "HermitianMatrix") -> "HermitianMatrix":
         self._require_same_dim(other)
-        return HermitianMatrix(self.mat - other.mat)
+        return _hermitian(self.mat - other.mat)
 
     def __neg__(self) -> "HermitianMatrix":
-        return HermitianMatrix(-self.mat)
+        return _hermitian(-self.mat)
 
     def __mul__(self, scalar) -> "HermitianMatrix":
         if abs(complex(scalar).imag) > 0.0:
             raise ValueError("only real scalars preserve hermiticity")
-        return HermitianMatrix(float(np.real(scalar)) * self.mat)
+        return _hermitian(float(np.real(scalar)) * self.mat)
 
     __rmul__ = __mul__
 
     def __repr__(self) -> str:
         return f"HermitianMatrix(dim={self.dim})"
+
+
+def _hermitian(mat: np.ndarray) -> HermitianMatrix:
+    """Wrap an exactly Hermitian array as it is: no copy, no symmetrizing."""
+    out = HermitianMatrix.__new__(HermitianMatrix)
+    out.mat = _freeze(mat)
+    out._eigvals = None
+    return out
 
 
 def identity(n: int) -> HermitianMatrix:
@@ -203,29 +215,26 @@ def hermitize(raw, tol: Tolerances = DEFAULT_TOL) -> HermitianMatrix:
 
 
 class MatrixSet:
-    """Nonempty ordered collection of Hermitian matrices of one dimension."""
+    """Nonempty ordered family of Hermitian matrices of one dimension, held
+    as one frozen ``(k, n, n)`` array ``stack`` whose slices are the members;
+    one batched eigenvalue call serves every member's spectrum."""
 
-    __slots__ = ("members",)
+    __slots__ = ("stack", "members", "_eigvals")
 
     def __init__(self, members: Iterable[HermitianMatrix]) -> None:
         tup = tuple(members)
         if not tup:
             raise ValidationError("a matrix set must contain at least one member")
-        dim = tup[0].dim
         for i, member in enumerate(tup):
-            if member.dim != dim:
-                raise DimensionMismatch(
-                    f"member {i} has dimension {member.dim}, expected {dim}"
-                )
-        self.members = tup
-
-    @classmethod
-    def from_arrays(cls, arrays: Iterable) -> "MatrixSet":
-        return cls(HermitianMatrix(a) for a in arrays)
+            if member.dim != tup[0].dim:
+                raise DimensionMismatch(f"member {i} has dimension {member.dim}, expected {tup[0].dim}")
+        self.stack = _freeze(np.stack([member.mat for member in tup]))
+        self.members = tuple(_hermitian(mat) for mat in self.stack)
+        self._eigvals = None
 
     @property
     def dim(self) -> int:
-        return self.members[0].dim
+        return self.stack.shape[1]
 
     def __len__(self) -> int:
         return len(self.members)
@@ -236,8 +245,19 @@ class MatrixSet:
     def __getitem__(self, index: int) -> HermitianMatrix:
         return self.members[index]
 
+    def eigenvalues(self) -> np.ndarray:
+        """Ascending eigenvalues of every member, one row per member."""
+        if self._eigvals is None:
+            self._eigvals = _freeze(np.linalg.eigvalsh(self.stack))
+            for member, w in zip(self.members, self._eigvals):
+                member._eigvals = w
+        return self._eigvals
+
     def max_norm(self) -> float:
-        return max(m.norm() for m in self.members)
+        return float(np.abs(self.eigenvalues()[:, [0, -1]]).max())
+
+    def min_eigenvalue(self) -> float:
+        return float(self.eigenvalues()[:, 0].min())
 
     def minus(self, shift: HermitianMatrix) -> "MatrixSet":
         return MatrixSet(m - shift for m in self.members)
@@ -261,14 +281,6 @@ def fix_column_phases(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class EigDecomposition:
-    """Ascending eigenvalues plus a phase-fixed unitary of eigenvectors."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 def _eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``np.linalg.eigh`` with non-convergence reported as ConvergenceFailure."""
     try:
@@ -277,37 +289,32 @@ def _eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ConvergenceFailure(f"eigensolver did not converge: {exc}") from exc
 
 
-def spectral(s: HermitianMatrix) -> EigDecomposition:
-    """Eigendecomposition with ascending eigenvalues and deterministic phases."""
+def spectral(s: HermitianMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Frozen (w, v) with s = v diag(w) v*, ``w`` ascending and ``v`` phase-fixed."""
     w, v = _eigh(s.mat)
-    return EigDecomposition(_freeze(w), _freeze(fix_column_phases(v)))
+    return _freeze(w), _freeze(fix_column_phases(v))
 
 
 def _map_eigenvalues(s: HermitianMatrix, fn) -> HermitianMatrix:
-    """V fn(w, scale) V* for s = V diag(w) V*, where ``scale`` is the largest
-    eigenvalue magnitude."""
-    eig = spectral(s)
-    w = eig.eigenvalues
-    v = eig.eigenvectors
-    return HermitianMatrix((v * fn(w, max(abs(float(w[0])), abs(float(w[-1]))))) @ v.conj().T)
+    """V fn(w) V* for s = V diag(w) V*."""
+    w, v = spectral(s)
+    return HermitianMatrix((v * fn(w)) @ v.conj().T)
 
 
 def sqrt_psd(s: HermitianMatrix, tol: Tolerances = DEFAULT_TOL) -> HermitianMatrix:
     """PSD square root; within-tolerance negative eigenvalues are clamped to
     zero and anything more negative is rejected."""
 
-    def root(w, scale):
-        if w[0] < -tol.psd_rel * (1.0 + scale):
-            raise NotPositiveSemidefinite(
-                f"sqrt_psd needs a PSD input; smallest eigenvalue is {w[0]:.3e}"
-            )
+    def root(w):
+        if w[0] < -_order_margin(w, tol):
+            raise NotPositiveSemidefinite(f"sqrt_psd needs a PSD input; smallest eigenvalue is {w[0]:.3e}")
         return np.sqrt(np.maximum(w, 0.0))
 
     return _map_eigenvalues(s, root)
 
 
-def matrix_abs(s: HermitianMatrix, tol: Tolerances = DEFAULT_TOL) -> HermitianMatrix:
-    return _map_eigenvalues(s, lambda w, scale: np.abs(w))
+def matrix_abs(s: HermitianMatrix) -> HermitianMatrix:
+    return _map_eigenvalues(s, np.abs)
 
 
 def pinv(s: HermitianMatrix, tol: Tolerances = DEFAULT_TOL) -> HermitianMatrix:
@@ -315,8 +322,8 @@ def pinv(s: HermitianMatrix, tol: Tolerances = DEFAULT_TOL) -> HermitianMatrix:
     (relative to the largest magnitude) before inverting, so numerically
     rank-deficient inputs do not blow up."""
 
-    def inverse(w, scale):
-        small = np.abs(w) <= tol.rank_rel * scale
+    def inverse(w):
+        small = np.abs(w) <= tol.rank_rel * max(abs(float(w[0])), abs(float(w[-1])))
         return np.where(small, 0.0, 1.0 / np.where(small, 1.0, w))
 
     return _map_eigenvalues(s, inverse)
@@ -460,12 +467,10 @@ def range_nullspace(
     anchors the cut to an external magnitude instead, for matrices formed
     as differences whose own norm may be pure rounding noise.
     """
-    eig = spectral(s)
-    w = eig.eigenvalues
+    w, v = spectral(s)
     anchor = max(abs(float(w[0])), abs(float(w[-1]))) if scale is None else float(scale)
     cut = tol.rank_rel * anchor
     mask = np.abs(w) > cut
-    v = eig.eigenvectors
     return RangeNullspace(Subspace(v[:, mask]), Subspace(v[:, ~mask]))
 
 
@@ -474,6 +479,12 @@ class Comparability(enum.Enum):
     GREATER_EQUAL = "T<=S"
     EQUAL = "equal"
     INCOMPARABLE = "incomparable"
+
+
+def _order_margin(w: np.ndarray, tol: Tolerances):
+    """How far below zero an eigenvalue may lie and count as nonnegative:
+    psd_rel * (1 + max |lambda|) over ascending ``w`` along its last axis."""
+    return tol.psd_rel * (1.0 + np.maximum(np.abs(w[..., 0]), np.abs(w[..., -1])))
 
 
 def compare(s: HermitianMatrix, t: HermitianMatrix, tol: Tolerances = DEFAULT_TOL) -> Comparability:
@@ -485,8 +496,8 @@ def compare(s: HermitianMatrix, t: HermitianMatrix, tol: Tolerances = DEFAULT_TO
     """
     if s.dim != t.dim:
         raise DimensionMismatch(f"dimensions differ: {s.dim} vs {t.dim}")
-    w = np.linalg.eigvalsh((t - s).mat)
-    margin = tol.psd_rel * (1.0 + max(abs(float(w[0])), abs(float(w[-1]))))
+    w = np.linalg.eigvalsh(t.mat - s.mat)
+    margin = _order_margin(w, tol)
     leq = w[0] >= -margin
     geq = w[-1] <= margin
     if leq and geq:
@@ -503,4 +514,14 @@ def loewner_leq(s: HermitianMatrix, t: HermitianMatrix, tol: Tolerances = DEFAUL
 
 
 def is_psd(s: HermitianMatrix, tol: Tolerances = DEFAULT_TOL) -> bool:
-    return loewner_leq(zero(s.dim), s, tol)
+    """0 <= s, decided on the cached eigenvalues of ``s``."""
+    w = s._spectrum()
+    return bool(w[0] >= -_order_margin(w, tol))
+
+
+def _require_psd_members(mset: MatrixSet, tol: Tolerances) -> None:
+    """Raise NotPositiveSemidefinite naming the first member that is not PSD."""
+    w = mset.eigenvalues()
+    bad = np.flatnonzero(~(w[:, 0] >= -_order_margin(w, tol)))
+    if bad.size:
+        raise NotPositiveSemidefinite(f"member {bad[0]} is not positive semidefinite")

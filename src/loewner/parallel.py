@@ -15,6 +15,7 @@ from .linalg import (
     MatrixSet,
     Subspace,
     Tolerances,
+    _require_psd_members,
     compare,
     is_psd,
     pinv,
@@ -54,19 +55,17 @@ def parallel_sum(a: HermitianMatrix, b: HermitianMatrix, tol: Tolerances = DEFAU
     _require_psd(b, tol, "second argument")
     inverse = pinv(a + b, tol)
     raw = HermitianMatrix(a.mat @ inverse.mat @ b.mat)
-    eig = spectral(raw)
+    w, v = spectral(raw)
     cut = tol.rank_rel * max(a.norm(), b.norm())
-    values = np.where(np.abs(eig.eigenvalues) > cut, eig.eigenvalues, 0.0)
-    v = eig.eigenvectors
+    values = np.where(np.abs(w) > cut, w, 0.0)
     return HermitianMatrix((v * values) @ v.conj().T)
 
 
 def parallel_sum_family(mset: MatrixSet, tol: Tolerances = DEFAULT_TOL) -> HermitianMatrix:
     """Left fold of the parallel sum over a family; a singleton folds to itself."""
+    _require_psd_members(mset, tol)
     result = mset[0]
-    _require_psd(result, tol, "member 0")
-    for i, member in enumerate(mset.members[1:], start=1):
-        _require_psd(member, tol, f"member {i}")
+    for member in mset.members[1:]:
         result = parallel_sum(result, member, tol)
     return result
 

@@ -28,15 +28,15 @@ def encode_array(value):
     """Wire encoding of a matrix, vector or matrix set (``None`` passes through).
 
     Complex entries become ``[re, im]`` pairs and real entries plain numbers;
-    a vector encodes as a one-row grid and a ``MatrixSet`` as a list of
-    grids, one member at a time.  Adding 0.0 folds negative zero into plain
+    a vector encodes as a one-row grid and a ``MatrixSet`` (its stacked
+    array) as a list of grids.  Adding 0.0 folds negative zero into plain
     zero, so equal values always encode to equal bytes.
     """
     if value is None:
         return None
     if isinstance(value, MatrixSet):
-        return [encode_array(member) for member in value]
-    if isinstance(value, HermitianMatrix):
+        value = value.stack
+    elif isinstance(value, HermitianMatrix):
         value = value.mat
     arr = np.atleast_2d(value)
     if np.iscomplexobj(arr):

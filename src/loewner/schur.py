@@ -1,5 +1,5 @@
-"""Block partitioning, the three-part positivity test, generalized Schur
-complements, shorted operators, and member-wise quotient sets."""
+"""The three-part block positivity test, generalized Schur complements,
+shorted operators, and member-wise quotient sets."""
 
 from __future__ import annotations
 
@@ -21,57 +21,16 @@ from .linalg import (
 )
 
 __all__ = [
-    "BlockPartition",
     "AlbertReport",
     "SchurResult",
-    "partition_blocks",
     "albert_is_psd",
     "schur_complement",
     "quotient_set",
 ]
 
 
-@dataclass(frozen=True)
-class BlockPartition:
-    """Blocks of a Hermitian matrix in coordinates adapted to (h1, h2).
-
-    ``rotation`` is the unitary ``[basis(h1) | basis(h2)]``; ``reassemble``
-    rotates the blocks back to standard coordinates.
-    """
-
-    h1: Subspace
-    h2: Subspace
-    s1: np.ndarray
-    s12: np.ndarray
-    s2: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.h1.ambient_dim
-
-    @property
-    def rotation(self) -> np.ndarray:
-        return np.hstack([self.h1.basis, self.h2.basis])
-
-    def block_matrix(self) -> np.ndarray:
-        top = np.hstack([self.s1, self.s12])
-        bottom = np.hstack([self.s12.conj().T, self.s2])
-        return np.vstack([top, bottom])
-
-    def reassemble(self) -> HermitianMatrix:
-        r = self.rotation
-        return HermitianMatrix(r @ self.block_matrix() @ r.conj().T)
-
-    def embed_h2(self, block: np.ndarray) -> HermitianMatrix:
-        """Rotate ``[[0, 0], [0, block]]`` back to standard coordinates."""
-        k = self.h1.dim
-        full = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        full[k:, k:] = block
-        r = self.rotation
-        return HermitianMatrix(r @ full @ r.conj().T)
-
-
-def _check_split(h1: Subspace, n: int) -> None:
+def _split(h1: Subspace, n: int) -> Subspace:
+    """The orthogonal complement of h1, a proper nontrivial subspace of C^n."""
     if h1.ambient_dim != n:
         raise DimensionMismatch(
             f"subspace ambient dimension {h1.ambient_dim} does not match matrix dimension {n}"
@@ -80,20 +39,16 @@ def _check_split(h1: Subspace, n: int) -> None:
         raise TrivialSubspace(
             f"need a proper nontrivial subspace, got dimension {h1.dim} of {n}"
         )
+    return h1.complement()
 
 
-def _blocks(s: HermitianMatrix, h1: Subspace, h2: Subspace) -> BlockPartition:
+def _blocks(s: HermitianMatrix, h1: Subspace, h2: Subspace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Corner, coupling and remaining blocks (s1, s12, s2) of ``s`` over (h1, h2)."""
     u1, u2 = h1.basis, h2.basis
     s1 = _sym(u1.conj().T @ s.mat @ u1)
     s2 = _sym(u2.conj().T @ s.mat @ u2)
     s12 = u1.conj().T @ s.mat @ u2
-    return BlockPartition(h1, h2, s1, s12, s2)
-
-
-def partition_blocks(s: HermitianMatrix, h1: Subspace, tol: Tolerances = DEFAULT_TOL) -> BlockPartition:
-    """Express ``s`` in block form over h1 and its orthogonal complement."""
-    _check_split(h1, s.dim)
-    return _blocks(s, h1, h1.complement())
+    return s1, s12, s2
 
 
 # Rank decisions on the corner block are floored at the machine-noise level
@@ -112,9 +67,7 @@ def _spectral_norm(block: np.ndarray) -> float:
     return float(np.linalg.norm(block, 2))
 
 
-def _corner_analysis(
-    part: BlockPartition, tol: Tolerances, anchor: float
-) -> tuple[float, float, HermitianMatrix]:
+def _corner_analysis(blocks: tuple, tol: Tolerances, anchor: float) -> tuple[float, float, HermitianMatrix]:
     """Range-condition residual, its threshold, and the complement block.
 
     A single eigendecomposition of the corner block drives both decisions, so
@@ -122,18 +75,17 @@ def _corner_analysis(
     the inversion drops.  Range inclusion is a rank decision, so the threshold
     uses ``rank_rel``; ``anchor`` is the parent matrix's scale.
     """
-    eig = spectral(HermitianMatrix(part.s1))
-    w = eig.eigenvalues
-    v = eig.eigenvectors
+    s1, s12, s2 = blocks
+    w, v = spectral(HermitianMatrix(s1))
     own = max(abs(float(w[0])), abs(float(w[-1])))
     cut = max(tol.rank_rel * own, _NOISE_FLOOR * anchor)
     mask = np.abs(w) > cut
     vr = v[:, mask]
-    residual = _spectral_norm(part.s12 - vr @ (vr.conj().T @ part.s12))
-    threshold = tol.rank_rel * (1.0 + _spectral_norm(part.s12)) + _NOISE_FLOOR * anchor
+    residual = _spectral_norm(s12 - vr @ (vr.conj().T @ s12))
+    threshold = tol.rank_rel * (1.0 + _spectral_norm(s12)) + _NOISE_FLOOR * anchor
     inv_w = np.where(mask, 1.0 / np.where(mask, w, 1.0), 0.0)
-    correction = part.s12.conj().T @ ((v * inv_w) @ v.conj().T) @ part.s12
-    return residual, threshold, HermitianMatrix(part.s2 - correction)
+    correction = s12.conj().T @ ((v * inv_w) @ v.conj().T) @ s12
+    return residual, threshold, HermitianMatrix(s2 - correction)
 
 
 @dataclass(frozen=True)
@@ -156,10 +108,10 @@ def albert_is_psd(s: HermitianMatrix, h1: Subspace, tol: Tolerances = DEFAULT_TO
     stays inside the corner block's range, and the generalized Schur
     complement is PSD.
     """
-    part = partition_blocks(s, h1, tol)
-    if not is_psd(HermitianMatrix(part.s1), tol):
+    blocks = _blocks(s, h1, _split(h1, s.dim))
+    if not is_psd(HermitianMatrix(blocks[0]), tol):
         return AlbertReport(False, "(i)")
-    residual, threshold, complement = _corner_analysis(part, tol, s.norm())
+    residual, threshold, complement = _corner_analysis(blocks, tol, s.norm())
     if residual > threshold:
         return AlbertReport(False, "(ii)")
     if not is_psd(complement, tol):
@@ -172,8 +124,8 @@ class SchurResult(NamedTuple):
     shorted: HermitianMatrix
 
 
-def _checked_complement(part: BlockPartition, tol: Tolerances, anchor: float) -> HermitianMatrix:
-    residual, threshold, complement = _corner_analysis(part, tol, anchor)
+def _checked_complement(blocks: tuple, tol: Tolerances, anchor: float) -> HermitianMatrix:
+    residual, threshold, complement = _corner_analysis(blocks, tol, anchor)
     if residual > threshold:
         raise RangeConditionViolated(
             f"coupling block leaves the range of the corner block "
@@ -190,9 +142,12 @@ def schur_complement(s: HermitianMatrix, h1: Subspace, tol: Tolerances = DEFAULT
     ``[[0, 0], [0, complement]]`` in (h1, h2) coordinates.  Requires the
     coupling block to stay inside the corner block's range.
     """
-    part = partition_blocks(s, h1, tol)
-    complement = _checked_complement(part, tol, s.norm())
-    return SchurResult(complement, part.embed_h2(complement.mat))
+    h2 = _split(h1, s.dim)
+    complement = _checked_complement(_blocks(s, h1, h2), tol, s.norm())
+    shorted = np.zeros((s.dim, s.dim), dtype=np.complex128)
+    shorted[h1.dim:, h1.dim:] = complement.mat
+    rotation = np.hstack([h1.basis, h2.basis])
+    return SchurResult(complement, HermitianMatrix(rotation @ shorted @ rotation.conj().T))
 
 
 def quotient_set(
@@ -204,8 +159,7 @@ def quotient_set(
     given, are the members' spectral norms, for a caller that already has
     their eigenvalues; they anchor the noise floor of the rank decisions.
     """
-    _check_split(h1, mset.dim)
-    h2 = h1.complement()
+    h2 = _split(h1, mset.dim)
     complements = []
     for i, member in enumerate(mset):
         anchor = member.norm() if norms is None else norms[i]

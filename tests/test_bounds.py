@@ -216,3 +216,27 @@ class TestNormalizePair:
             mj = stott_mx(StottParam(p, q, x)).mx
             pulled = HermitianMatrix(t.conj().T @ mj.mat @ t) + b
             assert certify_maximal(pulled, MatrixSet([a, b])).is_maximal
+
+
+class TestStackedLowerBound:
+    """The one batched eigenvalue call of ``is_lower_bound`` decides as the
+    member-by-member fold of ``loewner_leq`` does, at the order margin too."""
+
+    def test_agrees_with_member_fold(self):
+        verdicts = []
+        for t in range(12):
+            rng = trial_rng(61, t)
+            n = int(rng.integers(1, 7))
+            mset = MatrixSet([random_hermitian(rng, n) for _ in range(int(rng.integers(1, 5)))])
+            s = mset.max_norm()
+            for base in (mset.min_eigenvalue() * identity(n), mset[0]):
+                for delta in (-1e-3, -1e-9 * s, 0.0, 1e-9 * s, 1e-3):
+                    lower = base - delta * identity(n)
+                    stacked = is_lower_bound(lower, mset)
+                    assert stacked == all(loewner_leq(lower, m) for m in mset)
+                    verdicts.append(stacked)
+        assert True in verdicts and False in verdicts
+
+    def test_rejects_other_dimension(self):
+        with pytest.raises(DimensionMismatch):
+            is_lower_bound(zero(3), PAIR)

@@ -2,6 +2,7 @@
 
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -50,6 +51,18 @@ AWKWARD_FAMILY = json.dumps(
         ],
     }
 )
+
+
+def run_traced(argv, capsys):
+    """``run``, also asserting that the command allocated under 1 MB."""
+    tracemalloc.start()
+    try:
+        result = run(argv, capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"peak allocation {peak} bytes"
+    return result
 
 
 def run(argv, capsys, monkeypatch=None, stdin_text=None):
@@ -521,6 +534,21 @@ class TestFixtureCommand:
         np.testing.assert_allclose(bound, np.diag([0.5, 0.0]), atol=1e-12)
 
 
+class TestTruncationLimit:
+    @pytest.mark.parametrize("name", ["ex3.2", "ex3.5iii"])
+    @pytest.mark.parametrize("n", ["129", "2000"])
+    def test_square_family_is_capped_before_it_is_built(self, name, n, capsys):
+        code, out, err = run_traced(["fixture", name, "--truncate-n", n, "--json"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "limited to 128" in err
+
+    def test_families_of_fixed_size_keep_long_truncations(self, capsys):
+        code, out, _ = run(["fixture", "ex4.3", "--truncate-n", "200", "--json"], capsys)
+        assert code == 0
+        assert len(json.loads(out)["matrices"]) == 201
+
+
 class TestEnsembleCommand:
     def test_runs_and_reports_seed(self, capsys):
         code, out, _ = run(
@@ -577,6 +605,14 @@ class TestEnsembleCommand:
         )
         assert code == 1
         assert "LO:HI" in err
+
+    @pytest.mark.parametrize("dims", ["2:65", "200", "1:100000000"])
+    def test_dims_past_the_limit_are_rejected_before_any_trial(self, dims, capsys):
+        code, _, err = run_traced(
+            ["ensemble", "--suite", "positive-mlb", "--trials", "1000", "--dims", dims], capsys
+        )
+        assert code == 2
+        assert "limit of 64" in err
 
     def test_unknown_suite_rejected_by_parser(self, capsys):
         code, _, _ = run(["ensemble", "--suite", "nonsense", "--trials", "1"], capsys)

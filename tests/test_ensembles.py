@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from loewner import DEFAULT_DIMS, DEFAULT_TOL, SUITE_NAMES, MatrixSet, ensemble_run, identity
-from loewner.ensembles import _no_dominating_perturbation
+from loewner.ensembles import MAX_SUITE_DIM, _no_dominating_perturbation
 from loewner.errors import UnknownSuite, ValidationError
 from loewner.infimum import positive_maximal_lb
 from loewner.sampling import random_psd, trial_rng
@@ -92,6 +92,12 @@ class TestSuiteCatalog:
             ensemble_run("anti-lattice", 1, dims=(4, 2))
         with pytest.raises(ValidationError, match="dimension range"):
             ensemble_run("anti-lattice", 1, dims=(0, 3))
+
+    def test_dimension_limit(self):
+        assert max(hi for _, hi in DEFAULT_DIMS.values()) <= MAX_SUITE_DIM
+        assert ensemble_run("mt-family", 1, dims=(MAX_SUITE_DIM, MAX_SUITE_DIM))["trials"] == 1
+        with pytest.raises(ValidationError, match=f"limit of {MAX_SUITE_DIM}"):
+            ensemble_run("positive-mlb", 1, dims=(2, MAX_SUITE_DIM + 1))
 
 
 class TestSmallRuns:

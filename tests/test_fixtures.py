@@ -7,11 +7,11 @@ from loewner import (
     FIXTURE_NAMES,
     emit_document,
     fixture,
-    fixture_notes,
     parse_document,
     positive_glb_family,
 )
 from loewner.errors import UnknownFixture, ValidationError
+from loewner.fixtures import MAX_SQUARE_TRUNCATION
 
 from .conftest import assert_matrix_close
 
@@ -40,7 +40,7 @@ class TestCatalog:
 
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_notes_nonempty(self, name):
-        notes = fixture_notes(name)
+        notes = fixture(name).notes
         assert notes
         assert all(isinstance(s, str) and s for s in notes)
 
@@ -51,6 +51,13 @@ class TestCatalog:
     def test_truncation_must_be_positive(self):
         with pytest.raises(ValidationError, match="at least 1"):
             fixture("ex3.2", truncation=0)
+
+    def test_square_family_truncation_limit(self):
+        assert len(fixture("ex3.2", truncation=MAX_SQUARE_TRUNCATION).document.matrix_set) == 128
+        for name in ("ex3.2", "ex3.5iii"):
+            with pytest.raises(ValidationError, match="limited to 128"):
+                fixture(name, truncation=MAX_SQUARE_TRUNCATION + 1)
+        assert len(fixture("ex4.3", truncation=1000).document.matrix_set) == 1001
 
     def test_default_truncation(self):
         fx = fixture("ex3.2")

@@ -1,0 +1,36 @@
+"""Every name a package module imports is used there or re-exported through
+the module's ``__all__``."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "loewner"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    return sorted(imported - used - exported)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_finds_an_unused_import():
+    source = "import os\nimport a.b\nfrom x import y, z as w\n__all__ = ['y']\nprint(a)\n"
+    assert unused_imports(source) == ["os", "w"]

@@ -23,6 +23,7 @@ from loewner import (
     is_psd,
     loewner_leq,
     pairwise_commuting,
+    parallel_sum_family,
     positive_glb_family,
     positive_maximal_lb,
     simultaneous_eigenbasis,
@@ -391,3 +392,23 @@ class TestPositiveGlbFamily:
     def test_rejects_indefinite_member(self):
         with pytest.raises(NotPositiveSemidefinite):
             positive_glb_family(MatrixSet([herm(np.diag([1.0, -1.0]))]))
+
+
+class TestFamilyPsdCheck:
+    """The check on cached spectra names the member the loop over ``is_psd``
+    named first, in each of the three routines that require a PSD family."""
+
+    @pytest.mark.parametrize("routine", [positive_maximal_lb, positive_glb_family, parallel_sum_family])
+    def test_names_first_failing_member(self, routine):
+        for t in range(10):
+            rng = trial_rng(62, t)
+            n = int(rng.integers(1, 6))
+            members = [random_psd(rng, n, rank=int(rng.integers(0, n + 1))) for _ in range(4)]
+            # push some members below zero, a few of them barely past the margin
+            for i in rng.choice(4, size=int(rng.integers(1, 4)), replace=False):
+                scale = 1.0 + members[i].norm()
+                depth = [1e-3, 2e-9 * scale][int(rng.integers(0, 2))]
+                members[i] = members[i] - (members[i].min_eigenvalue() + depth) * identity(n)
+            first = next(i for i, m in enumerate(members) if not is_psd(m))
+            with pytest.raises(NotPositiveSemidefinite, match=rf"^member {first} is not positive semidefinite$"):
+                routine(MatrixSet(members))

@@ -31,7 +31,8 @@ from loewner.errors import (
     NotHermitianWithinTolerance,
     NotPositiveSemidefinite,
 )
-from loewner.linalg import fix_column_phases
+from loewner import linalg
+from loewner.linalg import _sym, fix_column_phases
 from loewner.sampling import random_hermitian, random_psd, random_unitary, trial_rng
 
 from .conftest import assert_matrix_close, contains_vector, herm
@@ -146,21 +147,64 @@ class TestMatrixSet:
         shifted = s.minus(identity(2))
         assert_matrix_close(shifted[0], np.zeros((2, 2)))
 
+    def test_minus_rejects_other_dimension(self):
+        with pytest.raises(DimensionMismatch):
+            MatrixSet([identity(2)]).minus(identity(3))
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 40])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_one_frozen_stack(self, n, k):
+        rng = trial_rng(31, 10 * n + k)
+        source = [random_hermitian(rng, n) for _ in range(k)]
+        mset = MatrixSet(source)
+        assert mset.stack.shape == (k, n, n)
+        assert not mset.stack.flags.writeable
+        with pytest.raises(ValueError):
+            mset.stack[0, 0, 0] = 1.0
+        for member, original in zip(mset, source):
+            assert np.shares_memory(member.mat, mset.stack)
+            assert not np.shares_memory(member.mat, original.mat)
+            assert np.array_equal(member.mat, original.mat)
+        assert mset[0] is mset[0]
+        w = mset.eigenvalues()
+        assert np.array_equal(w, np.stack([np.linalg.eigvalsh(m.mat) for m in source]))
+        assert mset.min_eigenvalue() == min(m.min_eigenvalue() for m in source)
+        assert mset.max_norm() == max(m.norm() for m in source)
+        assert all(m.norm() == o.norm() for m, o in zip(mset, source))
+
+
+class TestArithmetic:
+    """Sums, differences, negations and real multiples of Hermitian matrices
+    are exactly Hermitian, so they are wrapped without symmetrizing."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 17])
+    def test_no_symmetrizing(self, n, monkeypatch):
+        rng = trial_rng(32, n)
+        a, b = random_hermitian(rng, n), random_hermitian(rng, n)
+        calls = []
+        monkeypatch.setattr(linalg, "_sym", lambda arr: calls.append(1) or _sym(arr))
+        results = [a + b, a - b, -a, 2.5 * a, a * -0.3, a * 0.0]
+        assert calls == []
+        for result in results:
+            assert np.array_equal(result.mat, _sym(result.mat))
+            assert not result.mat.flags.writeable
+        herm(a.mat)
+        assert calls == [1]
+
 
 class TestSpectral:
     def test_reconstruct(self):
         rng = trial_rng(11, 0)
         for _ in range(20):
             m = random_hermitian(rng, 4)
-            eig = spectral(m)
-            v = eig.eigenvectors
-            assert_matrix_close((v * eig.eigenvalues) @ v.conj().T, m, atol=1e-12)
-            assert np.all(np.diff(eig.eigenvalues) >= 0.0)
+            w, v = spectral(m)
+            assert_matrix_close((v * w) @ v.conj().T, m, atol=1e-12)
+            assert np.all(np.diff(w) >= 0.0)
 
     def test_phase_convention(self):
         rng = trial_rng(11, 1)
         m = random_hermitian(rng, 5)
-        v = spectral(m).eigenvectors
+        _, v = spectral(m)
         for j in range(5):
             pivot = v[int(np.argmax(np.abs(v[:, j]))), j]
             assert pivot.imag == pytest.approx(0.0, abs=1e-15)
@@ -168,7 +212,7 @@ class TestSpectral:
 
     def test_phases_idempotent(self):
         rng = trial_rng(11, 2)
-        v = spectral(random_hermitian(rng, 4)).eigenvectors
+        _, v = spectral(random_hermitian(rng, 4))
         assert_matrix_close(fix_column_phases(v), v, atol=1e-15)
 
 

@@ -9,7 +9,6 @@ from loewner import (
     albert_is_psd,
     is_psd,
     loewner_leq,
-    partition_blocks,
     quotient_set,
     schur_complement,
     zero,
@@ -29,31 +28,16 @@ E1_3 = _span([1.0, 0.0, 0.0])
 
 
 class TestPartition:
-    def test_blocks_in_standard_coordinates(self):
-        s = herm([[1.0, 2.0, 3.0], [2.0, 4.0, 5.0], [3.0, 5.0, 6.0]])
-        part = partition_blocks(s, _span([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]))
-        assert_matrix_close(part.s1, [[1.0, 2.0], [2.0, 4.0]])
-        assert_matrix_close(part.s12, [[3.0], [5.0]])
-        assert_matrix_close(part.s2, [[6.0]])
-        assert_matrix_close(part.reassemble(), s, atol=1e-13)
-
-    def test_reassemble_rotated(self):
-        rng = trial_rng(21, 0)
-        s = random_hermitian(rng, 4)
-        h1 = Subspace(random_unitary(rng, 4)[:, :2])
-        part = partition_blocks(s, h1)
-        assert_matrix_close(part.reassemble(), s, atol=1e-12)
-
     def test_rejects_trivial_split(self):
         s = herm(np.eye(2))
         with pytest.raises(TrivialSubspace):
-            partition_blocks(s, Subspace.full(2))
+            schur_complement(s, Subspace.full(2))
         with pytest.raises(TrivialSubspace):
-            partition_blocks(s, Subspace.zero_subspace(2))
+            schur_complement(s, Subspace.zero_subspace(2))
 
     def test_rejects_wrong_ambient(self):
         with pytest.raises(DimensionMismatch):
-            partition_blocks(herm(np.eye(3)), E1)
+            schur_complement(herm(np.eye(3)), E1)
 
 
 class TestAlbert:
