@@ -84,7 +84,6 @@ from .schur import (
     AlbertReport,
     SchurResult,
     albert_is_psd,
-    quotient_set,
     schur_complement,
 )
 
@@ -149,7 +148,6 @@ __all__ = [
     "polar_abs",
     "positive_glb_family",
     "positive_maximal_lb",
-    "quotient_set",
     "range_nullspace",
     "schur_complement",
     "signature_matrix",

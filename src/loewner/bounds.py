@@ -20,7 +20,9 @@ from .linalg import (
     DEFAULT_TOL,
     HermitianMatrix,
     MatrixSet,
+    Subspace,
     Tolerances,
+    _eigh,
     _freeze,
     _order_margin,
     matrix_abs,
@@ -71,27 +73,28 @@ class MaximalityCertificate:
 def certify_maximal(m: HermitianMatrix, mset: MatrixSet, tol: Tolerances = DEFAULT_TOL) -> MaximalityCertificate:
     """Certify whether ``m`` is a maximal lower bound of the set.
 
-    The primal test sums the null spaces of the differences A - M; the dual
-    test intersects their ranges and must find only the zero vector.  Both
-    are evaluated and must agree, which guards the rank decisions.
+    One batched eigendecomposition of the gaps A - M serves every test.  The
+    primal test sums their null spaces; the dual test intersects their ranges
+    and must find only the zero vector.  Both must agree, which guards the
+    rank decisions; the eigenvalues also decide the lower-bound test.
     """
     if m.dim != mset.dim:
         raise DimensionMismatch(f"dimensions differ: {m.dim} vs {mset.dim}")
-    # the gaps A - M are ranked against the family scale, not their own norm:
-    # a gap that is pure rounding noise must count as zero, not full rank
-    scale = max(m.norm(), mset.max_norm())
-    splits = [range_nullspace(member - m, tol, scale=scale) for member in mset]
-    span = subspace_sum([s.nullspace for s in splits], tol)
-    meet = subspace_intersect([s.range for s in splits], tol)
+    w, v = _eigh(mset.stack - m.mat)
+    # the gaps are ranked against the family scale, not their own norm: a
+    # gap that is pure rounding noise must count as zero, not full rank
+    null = np.abs(w) <= tol.rank_rel * max(m.norm(), mset.max_norm())
+    span = subspace_sum([Subspace(vi[:, z]) for vi, z in zip(v, null)], tol)
+    meet = subspace_intersect([Subspace(vi[:, ~z]) for vi, z in zip(v, null)], tol)
     spanning = span.dim == m.dim
     if spanning != (meet.dim == 0):
         raise ConsistencyError(
             "null-space spanning and range-intersection tests disagree "
             f"(span {span.dim} of {m.dim}, intersection {meet.dim})"
         )
-    lower = is_lower_bound(m, mset, tol)
+    lower = bool((w[:, 0] >= -_order_margin(w, tol)).all())
     return MaximalityCertificate(
-        per_member_nullspace_dims=tuple(s.nullspace.dim for s in splits),
+        per_member_nullspace_dims=tuple(int(d) for d in null.sum(axis=1)),
         span_dim=span.dim,
         is_lower_bound=lower,
         is_maximal=lower and spanning,

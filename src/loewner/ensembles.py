@@ -237,7 +237,7 @@ def _no_dominating_perturbation(
     """
     n = m.dim
     g = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
-    steps = np.array([_PERTURBATION_STEPS[k % len(_PERTURBATION_STEPS)] for k in range(count)])
+    steps = np.resize(_PERTURBATION_STEPS, count)
     gap_w, gap_u = _eigh(mset.stack - m.mat)
     # the members' eigenvector matrices side by side, n x (k n)
     columns = np.swapaxes(gap_u, 0, 1).reshape(n, -1)

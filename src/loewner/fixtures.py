@@ -23,6 +23,10 @@ DEFAULT_TRUNCATION = 8
 # truncation is capped: 128 members take 34 MB, 2,000 would take 128 GB.
 MAX_SQUARE_TRUNCATION = 128
 
+# The other families hold N to 2N + 2 members of size 2 x 2, about 570 bytes
+# each: 10,000 takes under 12 MB, 10^9 would take 570 GB.
+MAX_PAIR_TRUNCATION = 10_000
+
 # Golden-ratio fractions drive the low-discrepancy angle sequence of ex3.5i.
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -192,10 +196,9 @@ def fixture(name: str, truncation: int | None = None) -> Fixture:
     n = DEFAULT_TRUNCATION if truncation is None else int(truncation)
     if n < 1:
         raise ValidationError(f"truncation must be at least 1, got {n}")
-    if key == "ex3.2" and n > MAX_SQUARE_TRUNCATION:
+    limit, size = (MAX_SQUARE_TRUNCATION, f"{n} x {n}") if key == "ex3.2" else (MAX_PAIR_TRUNCATION, "2 x 2")
+    if n > limit:
         raise ValidationError(
-            f"{name} builds {n} members of size {n} x {n}; its truncation is limited"
-            f" to {MAX_SQUARE_TRUNCATION}"
-        )
+            f"{name} builds {n} or more members of size {size}; its truncation is limited to {limit}")
     mset, labels, notes = _TRUNCATED[key](n)
     return Fixture(name, n, document_from_set(mset, labels), notes)

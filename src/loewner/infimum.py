@@ -15,7 +15,6 @@ from .errors import (
     InfimumExists,
     NotCommutingFamily,
     NotLowerBound,
-    RangeConditionViolated,
     SchurRangeViolation,
     UsageError,
 )
@@ -37,7 +36,7 @@ from .linalg import (
 )
 from .parallel import ando_limit, parallel_sum_family
 from .sampling import random_invertible, random_psd
-from .schur import _NOISE_FLOOR, quotient_set
+from .schur import _NOISE_FLOOR
 
 __all__ = [
     "InfimumReport",
@@ -239,8 +238,9 @@ def positive_maximal_lb(mset: MatrixSet, tol: Tolerances = DEFAULT_TOL) -> Hermi
     One split per level, iteratively: shift the family so its smallest
     member eigenvalue is zero, split off the eigenvector attaining it, take
     generalized Schur complements of the shifted members over that line,
-    and repeat on the quotient family down to dimension one; then lift the
-    result back level by level.  The output is PSD, a lower bound, and
+    and repeat on the quotient family down to dimension one.  The split
+    lines u_1, ..., u_n are orthonormal in the ambient space, and the bound
+    is U diag(cumsum gamma) U*.  The output is PSD, a lower bound, and
     certified maximal.
     """
     _require_psd_members(mset, tol)
@@ -248,30 +248,51 @@ def positive_maximal_lb(mset: MatrixSet, tol: Tolerances = DEFAULT_TOL) -> Hermi
 
 
 def _positive_mlb(mset: MatrixSet, tol: Tolerances) -> HermitianMatrix:
-    # Only (line, gamma) is kept per level, so memory stays O(n^2); the lift
-    # rebuilds each level's rotation from its line.
-    levels: list[tuple[Subspace, float]] = []
-    while True:
-        w, v = _eigh(mset.stack)
+    # ``a`` holds the members on the span of ``frame``.  A level shifts them
+    # by gamma, takes the line u from the minimizing member and replaces each
+    # shifted member A' by A' - yy*/alpha (y = A'u, alpha = u*A'u), which is
+    # zero on u; the reflector H = I - tau vv* taking u to the first axis
+    # carries that to u's complement as a trailing block, at O(m^2) each.
+    n = mset.dim
+    a, w = mset.stack, mset.eigenvalues()
+    frame = np.eye(n, dtype=np.complex128)
+    lines, gammas = np.empty((n, n), dtype=np.complex128), np.empty(n)
+    for level in range(n - 1):
+        w = np.linalg.eigvalsh(a) if level else w
         k = int(np.argmin(w[:, 0]))
-        gamma = float(w[k, 0])
-        if mset.dim == 1:
-            break
-        shifted = mset.minus(gamma * identity(mset.dim))
-        line = Subspace(fix_column_phases(v[k, :, :1]))
-        try:
-            mset = quotient_set(shifted, line, tol, norms=[float(top) - gamma for top in w[:, -1]])
-        except RangeConditionViolated as exc:
-            raise SchurRangeViolation(f"splitting at the minimizing eigenvector broke down: {exc}") from exc
-        levels.append((line, gamma))
-    bound = HermitianMatrix([[gamma]])
-    for line, gamma in reversed(levels):
-        n = line.ambient_dim
-        rotation = np.hstack([line.basis, line.complement().basis])
-        lifted = np.zeros((n, n), dtype=np.complex128)
-        lifted[1:, 1:] = bound.mat
-        bound = HermitianMatrix(rotation @ lifted @ rotation.conj().T + gamma * np.eye(n))
-    return bound
+        gammas[level] = gamma = w[k, 0]
+        u = _eigh(a[k])[1][:, 0]
+        shifted = a - gamma * np.eye(len(u))
+        y = shifted @ u
+        alpha = (y @ u.conj()).real
+        # the corner splits off above the noise floor of its shifted member,
+        # the cut schur._corner_analysis makes for a one-dimensional corner
+        anchor = w[:, -1] - gamma
+        split = np.abs(alpha) > np.maximum(tol.rank_rel * np.abs(alpha), _NOISE_FLOOR * anchor)
+        pivot = u[0] / abs(u[0]) if u[0] else 1.0
+        v, tau = np.concatenate([[u[0] + pivot], u[1:]]), 1.0 / (1.0 + abs(u[0]))
+        b = y[:, 1:] - tau * (y @ v.conj())[:, None] * v[1:]
+        coupling = np.linalg.norm(b, axis=1)
+        threshold = tol.rank_rel * (1.0 + coupling) + _NOISE_FLOOR * anchor
+        bad = np.flatnonzero(~split & (coupling > threshold))
+        if bad.size:
+            i = bad[0]
+            raise SchurRangeViolation(
+                f"splitting at the minimizing eigenvector broke down: member {i}: coupling block leaves"
+                f" the range of the corner block (residual {coupling[i]:.3e} > {threshold[i]:.3e})"
+            )
+        # H A' H = A' - (vq* + qv*) with p = A'v = y + pivot A'e1; adding the
+        # conjugate transpose keeps the new members exactly Hermitian
+        p = y + pivot * shifted[:, :, 0]
+        q = tau * p - (0.5 * tau * tau) * (p @ v.conj()).real[:, None] * v
+        half = v[1:, None] * q[:, None, 1:].conj()
+        half += (0.5 * split / np.where(split, alpha, 1.0))[:, None, None] * b[:, :, None] * b[:, None, :].conj()
+        a = shifted[:, 1:, 1:] - (half + np.conj(np.swapaxes(half, 1, 2)))
+        lines[:, level] = frame @ u
+        frame = frame[:, 1:] - tau * (frame @ v)[:, None] * v[1:].conj()
+    lines[:, -1] = frame[:, 0]
+    gammas[-1] = a[:, 0, 0].real.min()
+    return HermitianMatrix((lines * np.cumsum(gammas)) @ lines.conj().T)
 
 
 def extend_to_maximal(l: HermitianMatrix, mset: MatrixSet, tol: Tolerances = DEFAULT_TOL) -> HermitianMatrix:

@@ -1,10 +1,10 @@
-"""The three-part block positivity test, generalized Schur complements,
-shorted operators, and member-wise quotient sets."""
+"""The three-part block positivity test, generalized Schur complements and
+shorted operators."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -12,7 +12,6 @@ from .errors import DimensionMismatch, RangeConditionViolated, TrivialSubspace
 from .linalg import (
     DEFAULT_TOL,
     HermitianMatrix,
-    MatrixSet,
     Subspace,
     Tolerances,
     _sym,
@@ -25,7 +24,6 @@ __all__ = [
     "SchurResult",
     "albert_is_psd",
     "schur_complement",
-    "quotient_set",
 ]
 
 
@@ -124,16 +122,6 @@ class SchurResult(NamedTuple):
     shorted: HermitianMatrix
 
 
-def _checked_complement(blocks: tuple, tol: Tolerances, anchor: float) -> HermitianMatrix:
-    residual, threshold, complement = _corner_analysis(blocks, tol, anchor)
-    if residual > threshold:
-        raise RangeConditionViolated(
-            f"coupling block leaves the range of the corner block "
-            f"(residual {residual:.3e} > {threshold:.3e})"
-        )
-    return complement
-
-
 def schur_complement(s: HermitianMatrix, h1: Subspace, tol: Tolerances = DEFAULT_TOL) -> SchurResult:
     """Generalized Schur complement of ``s`` over h1, plus the shorted operator.
 
@@ -143,28 +131,14 @@ def schur_complement(s: HermitianMatrix, h1: Subspace, tol: Tolerances = DEFAULT
     coupling block to stay inside the corner block's range.
     """
     h2 = _split(h1, s.dim)
-    complement = _checked_complement(_blocks(s, h1, h2), tol, s.norm())
+    residual, threshold, complement = _corner_analysis(_blocks(s, h1, h2), tol, s.norm())
+    if residual > threshold:
+        raise RangeConditionViolated(
+            f"coupling block leaves the range of the corner block "
+            f"(residual {residual:.3e} > {threshold:.3e})"
+        )
     shorted = np.zeros((s.dim, s.dim), dtype=np.complex128)
     shorted[h1.dim:, h1.dim:] = complement.mat
     rotation = np.hstack([h1.basis, h2.basis])
     return SchurResult(complement, HermitianMatrix(rotation @ shorted @ rotation.conj().T))
 
-
-def quotient_set(
-    mset: MatrixSet, h1: Subspace, tol: Tolerances = DEFAULT_TOL, norms: Sequence[float] | None = None
-) -> MatrixSet:
-    """Member-wise generalized Schur complements over a shared subspace.
-
-    The complement of h1 is built once for all members.  ``norms``, when
-    given, are the members' spectral norms, for a caller that already has
-    their eigenvalues; they anchor the noise floor of the rank decisions.
-    """
-    h2 = _split(h1, mset.dim)
-    complements = []
-    for i, member in enumerate(mset):
-        anchor = member.norm() if norms is None else norms[i]
-        try:
-            complements.append(_checked_complement(_blocks(member, h1, h2), tol, anchor))
-        except RangeConditionViolated as exc:
-            raise RangeConditionViolated(f"member {i}: {exc}") from exc
-    return MatrixSet(complements)

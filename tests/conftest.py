@@ -2,7 +2,21 @@
 
 import numpy as np
 
-from loewner import DEFAULT_TOL, HermitianMatrix
+from loewner import (
+    DEFAULT_TOL,
+    HermitianMatrix,
+    MatrixSet,
+    MaximalityCertificate,
+    Subspace,
+    identity,
+    is_lower_bound,
+    range_nullspace,
+    subspace_intersect,
+    subspace_sum,
+)
+from loewner.errors import SchurRangeViolation
+from loewner.linalg import fix_column_phases
+from loewner.schur import _blocks, _corner_analysis
 
 
 def herm(entries) -> HermitianMatrix:
@@ -56,3 +70,59 @@ def no_dominating_perturbation_exact(m, mset, rng, count, tol=DEFAULT_TOL) -> bo
         margin = tol.psd_rel * (1.0 + np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1])))
         alive[index] = w[:, 0] >= -margin
     return not bool(alive.any())
+
+
+def positive_mlb_reference(mset, tol=DEFAULT_TOL) -> HermitianMatrix:
+    """Reference positive-mlb recursion: per level a stacked ``eigh``, the
+    phase-fixed minimizing line as a ``Subspace``, each shifted member's
+    generalized Schur complement over it on an SVD-built complement, and a
+    lift that rebuilds every level's rotation."""
+    levels = []
+    while True:
+        w, v = np.linalg.eigh(mset.stack)
+        k = int(np.argmin(w[:, 0]))
+        gamma = float(w[k, 0])
+        if mset.dim == 1:
+            break
+        shifted = mset.minus(gamma * identity(mset.dim))
+        line = Subspace(fix_column_phases(v[k, :, :1]))
+        h2 = line.complement()
+        complements = []
+        for i, member in enumerate(shifted):
+            blocks = _blocks(member, line, h2)
+            residual, threshold, complement = _corner_analysis(blocks, tol, float(w[i, -1]) - gamma)
+            if residual > threshold:
+                raise SchurRangeViolation(
+                    "splitting at the minimizing eigenvector broke down: member "
+                    f"{i}: coupling block leaves the range of the corner block "
+                    f"(residual {residual:.3e} > {threshold:.3e})"
+                )
+            complements.append(complement)
+        mset = MatrixSet(complements)
+        levels.append((line, gamma))
+    bound = HermitianMatrix([[gamma]])
+    for line, gamma in reversed(levels):
+        n = line.ambient_dim
+        rotation = np.hstack([line.basis, line.complement().basis])
+        lifted = np.zeros((n, n), dtype=np.complex128)
+        lifted[1:, 1:] = bound.mat
+        bound = HermitianMatrix(rotation @ lifted @ rotation.conj().T + gamma * np.eye(n))
+    return bound
+
+
+def certify_maximal_reference(m, mset, tol=DEFAULT_TOL) -> MaximalityCertificate:
+    """Reference certificate: a phase-fixed ``range_nullspace`` per gap A - M
+    for the spanning and intersection tests, then ``is_lower_bound``."""
+    scale = max(m.norm(), mset.max_norm())
+    splits = [range_nullspace(member - m, tol, scale=scale) for member in mset]
+    span = subspace_sum([s.nullspace for s in splits], tol)
+    meet = subspace_intersect([s.range for s in splits], tol)
+    spanning = span.dim == m.dim
+    assert spanning == (meet.dim == 0)
+    lower = is_lower_bound(m, mset, tol)
+    return MaximalityCertificate(
+        per_member_nullspace_dims=tuple(s.nullspace.dim for s in splits),
+        span_dim=span.dim,
+        is_lower_bound=lower,
+        is_maximal=lower and spanning,
+    )

@@ -13,6 +13,7 @@ from loewner import (
     is_lower_bound,
     loewner_leq,
     mlb_mt,
+    positive_maximal_lb,
     signature_matrix,
     stott_mx,
     stott_recover_x,
@@ -28,6 +29,7 @@ from loewner.sampling import (
     random_hermitian,
     random_incomparable_pair,
     random_invertible,
+    random_psd,
     random_unitary,
     trial_rng,
 )
@@ -66,6 +68,28 @@ class TestCertificate:
     def test_is_lower_bound_helper(self):
         assert is_lower_bound(zero(2), PAIR)
         assert not is_lower_bound(identity(2) * 3.0, PAIR)
+
+    def test_one_eigh_over_the_gaps(self, monkeypatch):
+        # the null-space split, the range split and the lower-bound verdict
+        # all come from one batched eigh of the gaps A - M
+        rng = trial_rng(42, 0)
+        mset = MatrixSet(random_psd(rng, 6, rank=5) for _ in range(3))
+        m = positive_maximal_lb(mset)
+        m.norm(), mset.max_norm()  # the family scale, computed before counting
+        counts = {"eigh": 0, "eigvalsh": 0}
+        eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
+
+        def counting(kind, fn):
+            def wrapped(arr, *args, **kwargs):
+                counts[kind] += 1
+                assert np.shape(arr) == (3, 6, 6)
+                return fn(arr, *args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(np.linalg, "eigh", counting("eigh", eigh))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", eigvalsh))
+        assert certify_maximal(m, mset).is_maximal
+        assert counts == {"eigh": 1, "eigvalsh": 0}
 
 
 class TestMlbMt:

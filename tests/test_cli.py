@@ -543,6 +543,13 @@ class TestTruncationLimit:
         assert out == ""
         assert "limited to 128" in err
 
+    @pytest.mark.parametrize("name", ["ex3.5i", "ex3.5ii", "ex4.3", "ex4.7", "ex4.8i", "ex4.8ii"])
+    def test_pair_families_are_capped_before_they_are_built(self, name, capsys):
+        code, out, err = run_traced(["fixture", name, "--truncate-n", "1000000000", "--json"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "limited to 10000" in err
+
     def test_families_of_fixed_size_keep_long_truncations(self, capsys):
         code, out, _ = run(["fixture", "ex4.3", "--truncate-n", "200", "--json"], capsys)
         assert code == 0

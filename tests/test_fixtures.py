@@ -11,7 +11,7 @@ from loewner import (
     positive_glb_family,
 )
 from loewner.errors import UnknownFixture, ValidationError
-from loewner.fixtures import MAX_SQUARE_TRUNCATION
+from loewner.fixtures import MAX_PAIR_TRUNCATION, MAX_SQUARE_TRUNCATION
 
 from .conftest import assert_matrix_close
 
@@ -58,6 +58,11 @@ class TestCatalog:
             with pytest.raises(ValidationError, match="limited to 128"):
                 fixture(name, truncation=MAX_SQUARE_TRUNCATION + 1)
         assert len(fixture("ex4.3", truncation=1000).document.matrix_set) == 1001
+
+    def test_pair_family_truncation_limit(self):
+        for name in ("ex3.5i", "ex3.5ii", "ex4.3", "ex4.7", "ex4.8i", "ex4.8ii"):
+            with pytest.raises(ValidationError, match=f"limited to {MAX_PAIR_TRUNCATION}"):
+                fixture(name, truncation=MAX_PAIR_TRUNCATION + 1)
 
     def test_default_truncation(self):
         fx = fixture("ex3.2")

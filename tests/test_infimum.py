@@ -34,6 +34,7 @@ from loewner.errors import (
     NotCommutingFamily,
     NotLowerBound,
     NotPositiveSemidefinite,
+    SchurRangeViolation,
     UsageError,
 )
 from loewner.sampling import (
@@ -45,7 +46,13 @@ from loewner.sampling import (
     trial_rng,
 )
 
-from .conftest import assert_matrix_close, commutant_kron, herm
+from .conftest import (
+    assert_matrix_close,
+    certify_maximal_reference,
+    commutant_kron,
+    herm,
+    positive_mlb_reference,
+)
 
 
 EX_PAIR = MatrixSet([herm([[1.0, 0.0], [0.0, 0.0]]), herm([[1.0, 1.0], [1.0, 2.0]])])
@@ -240,16 +247,18 @@ class TestPositiveMaximalLb:
             positive_maximal_lb(MatrixSet([herm(np.diag([1.0, -1.0]))]))
 
     def test_split_work_per_level(self, monkeypatch):
-        # Per level, one complement SVD for the quotient set and one for the
-        # lift.  The three orthonormality checks (the pivot line and the two
-        # complements) are settled by Frobenius norms, and the coupling
-        # block is a single row, so no SVD-backed matrix 2-norm runs.
-        counts = {"svd": 0, "norm2": 0}
-        svd, norm = np.linalg.svd, np.linalg.norm
+        # Per level one stacked eigvalsh over the members (the first is the
+        # PSD precheck's, reused) and one eigh of the minimizing member; the
+        # Schur complements, the reflector and the lift need no SVD and no
+        # matrix 2-norm.
+        counts = {"svd": 0, "norm2": 0, "eigh": 0, "eigvalsh": 0}
+        svd, norm, eigh, eigvalsh = np.linalg.svd, np.linalg.norm, np.linalg.eigh, np.linalg.eigvalsh
 
-        def counting_svd(*args, **kwargs):
-            counts["svd"] += 1
-            return svd(*args, **kwargs)
+        def counting(kind, fn):
+            def wrapped(*args, **kwargs):
+                counts[kind] += 1
+                return fn(*args, **kwargs)
+            return wrapped
 
         def counting_norm(x, ord=None, *args, **kwargs):
             if ord == 2 and np.ndim(x) == 2:
@@ -258,10 +267,53 @@ class TestPositiveMaximalLb:
 
         n = 10
         mset = MatrixSet(random_psd(trial_rng(56, 0), n) for _ in range(3))
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(np.linalg, "svd", counting("svd", svd))
+        monkeypatch.setattr(np.linalg, "eigh", counting("eigh", eigh))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", eigvalsh))
         monkeypatch.setattr(np.linalg, "norm", counting_norm)
         positive_maximal_lb(mset)
-        assert counts == {"svd": 2 * (n - 1), "norm2": 0}
+        assert counts == {"svd": 0, "norm2": 0, "eigh": n - 1, "eigvalsh": n - 1}
+
+    def test_agrees_with_reference_recursion(self):
+        # every n from 1 to 30, k from 1 to 4 and ranks n - 2 to n, over
+        # complex, real, exactly diagonal and repeated-eigenvalue families
+        rng = trial_rng(57, 0)
+        for n in range(1, 31):
+            size = 1 + n % 4
+            kind = (n // 4) % 4
+            members = []
+            for _ in range(size):
+                rank = int(rng.integers(max(1, n - 2), n + 1))
+                if kind == 0:
+                    members.append(random_psd(rng, n, rank))
+                elif kind == 1:
+                    g = rng.standard_normal((n, rank))
+                    members.append(herm(g @ g.T))
+                else:
+                    d = np.zeros(n)
+                    d[:rank] = rng.uniform(0.5, 2.0, rank) if kind == 2 else rng.integers(1, 3, rank)
+                    d = rng.permutation(d)
+                    u = np.eye(n) if kind == 2 else random_unitary(rng, n)
+                    members.append(herm((u * d) @ u.conj().T))
+            mset = MatrixSet(members)
+            m = positive_maximal_lb(mset)
+            assert_matrix_close(m, positive_mlb_reference(mset), atol=1e-12 * (1.0 + mset.max_norm()))
+            cert = certify_maximal(m, mset)
+            assert cert.is_maximal
+            assert cert == certify_maximal_reference(m, mset)
+
+    def test_range_violation_names_the_member(self):
+        # member 1 is PSD with a corner of 1e-14 on e1, under the noise floor
+        # of its norm, and a coupling of sqrt(5e-15) far above the rank cut
+        eps = 5e-15
+        mset = MatrixSet([
+            herm(np.diag([0.0, 1.0])),
+            herm([[2 * eps, np.sqrt(eps)], [np.sqrt(eps), 1.0 + eps]]),
+        ])
+        with pytest.raises(SchurRangeViolation, match="member 1"):
+            positive_maximal_lb(mset)
+        with pytest.raises(SchurRangeViolation, match="member 1"):
+            positive_mlb_reference(mset)
 
     def test_stack_depth_does_not_grow_with_dimension(self):
         rng = trial_rng(55, 0)

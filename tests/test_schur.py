@@ -1,17 +1,14 @@
-"""Block positivity test, generalized Schur complements, and quotient sets."""
+"""Block positivity test and generalized Schur complements."""
 
 import numpy as np
 import pytest
 
 from loewner import (
-    MatrixSet,
     Subspace,
     albert_is_psd,
     is_psd,
     loewner_leq,
-    quotient_set,
     schur_complement,
-    zero,
 )
 from loewner.errors import DimensionMismatch, RangeConditionViolated, TrivialSubspace
 from loewner.sampling import random_hermitian, random_psd, random_unitary, trial_rng
@@ -139,17 +136,3 @@ class TestSchurComplement:
             candidate = shorted + herm(h2.basis @ bump.mat @ h2.basis.conj().T)
             assert not loewner_leq(candidate, s)
 
-
-class TestQuotientSet:
-    def test_oracle_pair(self):
-        # complements over the second coordinate line: diag(1, 0) gives 1,
-        # [[1, 1], [1, 2]] gives 1 - 1/2
-        mset = MatrixSet([herm([[1.0, 0.0], [0.0, 0.0]]), herm([[1.0, 1.0], [1.0, 2.0]])])
-        reduced = quotient_set(mset, _span([0.0, 1.0]))
-        assert_matrix_close(reduced[0], [[1.0]])
-        assert_matrix_close(reduced[1], [[0.5]])
-
-    def test_member_index_in_error(self):
-        mset = MatrixSet([zero(2), herm([[0.0, 1.0], [1.0, 1.0]])])
-        with pytest.raises(RangeConditionViolated, match="member 1"):
-            quotient_set(mset, E1)
