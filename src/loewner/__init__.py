@@ -70,7 +70,6 @@ from .linalg import (
     spectral,
     sqrt_psd,
     subspace_intersect,
-    subspace_sum,
     zero,
 )
 from .parallel import (
@@ -157,7 +156,6 @@ __all__ = [
     "stott_mx",
     "stott_recover_x",
     "subspace_intersect",
-    "subspace_sum",
     "two_op_positive_glb",
     "zero",
 ]

@@ -29,7 +29,7 @@ from .bounds import (
     stott_mx,
     stott_recover_x,
 )
-from .constrained import constrained_at_vector, maximal_in_lu
+from .constrained import _maximal_from_report, constrained_at_vector
 from .documents import decode_grid, emit_document, parse_document
 from .ensembles import DEFAULT_DIMS, SUITE_NAMES, ensemble_run
 from .errors import (
@@ -45,7 +45,6 @@ from .infimum import (
     commuting_glb,
     extend_to_maximal,
     finite_infimum,
-    pairwise_commuting,
     positive_glb_family,
     positive_maximal_lb,
 )
@@ -188,11 +187,14 @@ def _cmd_maximal_extend(args, tol, doc):
 
 def _cmd_commuting_glb(args, tol, doc):
     mset = doc.matrix_set
-    commuting = pairwise_commuting(mset, tol)
     commutant = commutant_basis(mset, tol)
+    try:
+        glb = commuting_glb(mset, tol)
+        commuting = True
+    except NotCommutingFamily:
+        commuting = False
     notes: list[str] = []
     if commuting:
-        glb = commuting_glb(mset, tol)
         notes.append(
             "for a pairwise commuting family the bound carries the entrywise"
             " minimum of the joint diagonals; a pairwise fold and a joint"
@@ -322,7 +324,7 @@ def _cmd_stott(args, tol, doc):
 def _cmd_constrained(args, tol, doc):
     u = _parse_vector_arg(args.u, "--u")
     report = constrained_at_vector(doc.matrix_set, u, tol)
-    element = maximal_in_lu(doc.matrix_set, u, tol)
+    element = _maximal_from_report(report, tol)
     verdicts = {
         "alpha": report.alpha,
         "attaining_indices": list(report.mu_indices),

@@ -111,14 +111,19 @@ def maximal_in_lu(mset: MatrixSet, u, tol: Tolerances = DEFAULT_TOL) -> Hermitia
     coupling row, and a maximal lower bound of the reduced set on the
     complement of u.
     """
-    report = constrained_at_vector(mset, u, tol)
+    return _maximal_from_report(constrained_at_vector(mset, u, tol), tol)
+
+
+def _maximal_from_report(report: ConstrainedReport, tol: Tolerances) -> HermitianMatrix | None:
+    """``maximal_in_lu`` assembled from an existing reduction at u."""
     if not report.attainers_agree:
         return None
-    if mset.dim == 1:
+    n = report.unit.shape[0]
+    if n == 1:
         return HermitianMatrix([[report.alpha]])
     reduced = report.reduced_set
     inner = extend_to_maximal(reduced.min_eigenvalue() * identity(reduced.dim), reduced, tol)
-    blocks = np.zeros((mset.dim, mset.dim), dtype=np.complex128)
+    blocks = np.zeros((n, n), dtype=np.complex128)
     blocks[0, 0] = report.alpha
     blocks[0, 1:] = report.witness_row
     blocks[1:, 0] = report.witness_row.conj()

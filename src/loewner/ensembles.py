@@ -34,8 +34,9 @@ from .linalg import (
     MatrixSet,
     Subspace,
     Tolerances,
+    _NOISE_FLOOR,
     _eigh,
-    _order_margin,
+    _psd_rows,
     identity,
     loewner_leq,
     polar_abs,
@@ -55,7 +56,7 @@ from .sampling import (
     random_unitary,
     trial_rng,
 )
-from .schur import _NOISE_FLOOR, albert_is_psd, schur_complement
+from .schur import albert_is_psd, schur_complement
 
 __all__ = ["SUITE_NAMES", "DEFAULT_DIMS", "ensemble_run"]
 
@@ -265,7 +266,7 @@ def _no_dominating_perturbation(
         if index.size == 0:
             break
         w = np.linalg.eigvalsh(member.mat[None, :, :] - candidates[index])
-        alive[index] = w[:, 0] >= -_order_margin(w, tol)
+        alive[index] = _psd_rows(w, tol)
     return not bool(alive.any())
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import certify_maximal, is_lower_bound, mlb_mt
+from .bounds import certify_maximal, mlb_mt
 from .errors import (
     ConsistencyError,
     DistinctnessFailure,
@@ -24,8 +24,10 @@ from .linalg import (
     MatrixSet,
     Subspace,
     Tolerances,
+    _NOISE_FLOOR,
     _eigh,
     _frobenius_within,
+    _psd_rows,
     _require_psd_members,
     _sym,
     fix_column_phases,
@@ -34,9 +36,8 @@ from .linalg import (
     matrix_abs,
     range_nullspace,
 )
-from .parallel import ando_limit, parallel_sum_family
+from .parallel import _ando_limit, _require_psd, parallel_sum_family
 from .sampling import random_invertible, random_psd
-from .schur import _NOISE_FLOOR
 
 __all__ = [
     "InfimumReport",
@@ -274,6 +275,10 @@ def _positive_mlb(mset: MatrixSet, tol: Tolerances) -> HermitianMatrix:
         b = y[:, 1:] - tau * (y @ v.conj())[:, None] * v[1:]
         coupling = np.linalg.norm(b, axis=1)
         threshold = tol.rank_rel * (1.0 + coupling) + _NOISE_FLOOR * anchor
+        # A' is PSD, so |b|^2 <= alpha * anchor: a positive corner under the
+        # noise floor whose coupling stays inside twice that bound splits
+        # off all the same; only a coupling beyond it breaks the range test
+        split |= (alpha > 0.0) & (coupling > threshold) & (coupling * coupling <= 2.0 * alpha * anchor)
         bad = np.flatnonzero(~split & (coupling > threshold))
         if bad.size:
             i = bad[0]
@@ -304,9 +309,11 @@ def extend_to_maximal(l: HermitianMatrix, mset: MatrixSet, tol: Tolerances = DEF
     """
     if l.dim != mset.dim:
         raise NotLowerBound(f"dimensions differ: {l.dim} vs {mset.dim}")
-    if not is_lower_bound(l, mset, tol):
+    gaps = mset.minus(l)
+    # the lower-bound verdict and the first level share the gaps' spectrum
+    if not _psd_rows(gaps.eigenvalues(), tol).all():
         raise NotLowerBound("the given matrix is not a lower bound of the set")
-    return l + _positive_mlb(mset.minus(l), tol)
+    return l + _positive_mlb(gaps, tol)
 
 
 # Constructed maximal bounds count as distinct only when separated by at
@@ -407,12 +414,13 @@ class PositiveGlbReport:
 def positive_glb_family(mset: MatrixSet, tol: Tolerances = DEFAULT_TOL) -> PositiveGlbReport:
     """Existence and value of the greatest positive lower bound of a family."""
     s = parallel_sum_family(mset, tol)
+    _require_psd(s, tol, "first argument")
     k = range_nullspace(s, tol).range
-    tilde = MatrixSet(ando_limit(s, member, tol) for member in mset)
+    projector = k.projector()
+    tilde = MatrixSet(_ando_limit(projector, member, tol) for member in mset)
     report = finite_infimum(tilde, tol)
     if report.exists:
         glb = report.infimum
-        projector = k.projector()
         outside = glb.mat - projector @ glb.mat @ projector
         bound = tol.eq_rel * (1.0 + glb.norm())
         if not _frobenius_within(outside, bound):

@@ -42,7 +42,6 @@ __all__ = [
     "pinv",
     "polar_abs",
     "range_nullspace",
-    "subspace_sum",
     "subspace_intersect",
     "compare",
     "loewner_leq",
@@ -76,6 +75,12 @@ class Tolerances:
 
 
 DEFAULT_TOL = Tolerances()
+
+# Rank decisions on a block or a corner are floored at the rounding noise of
+# the matrix it came from: when the split direction is null for that matrix,
+# the block is pure rounding noise, and treating that noise as invertible
+# would inject arbitrarily large errors downstream.
+_NOISE_FLOOR = 64.0 * float(np.finfo(np.float64).eps)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -306,7 +311,7 @@ def sqrt_psd(s: HermitianMatrix, tol: Tolerances = DEFAULT_TOL) -> HermitianMatr
     zero and anything more negative is rejected."""
 
     def root(w):
-        if w[0] < -_order_margin(w, tol):
+        if not _psd_rows(w, tol):
             raise NotPositiveSemidefinite(f"sqrt_psd needs a PSD input; smallest eigenvalue is {w[0]:.3e}")
         return np.sqrt(np.maximum(w, 0.0))
 
@@ -412,24 +417,6 @@ class Subspace:
         return f"Subspace(ambient={self.ambient_dim}, dim={self.dim})"
 
 
-def _same_ambient(subspaces: Sequence[Subspace]) -> int:
-    subs = list(subspaces)
-    if not subs:
-        raise AmbientMismatch("need at least one subspace")
-    n = subs[0].ambient_dim
-    for s in subs[1:]:
-        if s.ambient_dim != n:
-            raise AmbientMismatch(f"ambient dimensions differ: {s.ambient_dim} vs {n}")
-    return n
-
-
-def subspace_sum(subspaces: Sequence[Subspace], tol: Tolerances = DEFAULT_TOL) -> Subspace:
-    """Orthonormal basis of the sum (joint span) of the given subspaces."""
-    n = _same_ambient(subspaces)
-    stacked = np.hstack([s.basis for s in subspaces]) if subspaces else np.zeros((n, 0))
-    return Subspace.from_span(stacked, tol)
-
-
 def _intersect_pair(a: Subspace, b: Subspace, tol: Tolerances) -> Subspace:
     # Principal angles: directions with cosine within rank_rel of 1 are common.
     if a.dim == 0 or b.dim == 0:
@@ -444,9 +431,12 @@ def _intersect_pair(a: Subspace, b: Subspace, tol: Tolerances) -> Subspace:
 
 def subspace_intersect(subspaces: Sequence[Subspace], tol: Tolerances = DEFAULT_TOL) -> Subspace:
     """Intersection of the given subspaces, folded pairwise."""
-    _same_ambient(subspaces)
+    if not subspaces:
+        raise AmbientMismatch("need at least one subspace")
     result = subspaces[0]
     for s in subspaces[1:]:
+        if s.ambient_dim != result.ambient_dim:
+            raise AmbientMismatch(f"ambient dimensions differ: {s.ambient_dim} vs {result.ambient_dim}")
         result = _intersect_pair(result, s, tol)
     return result
 
@@ -456,21 +446,15 @@ class RangeNullspace(NamedTuple):
     nullspace: Subspace
 
 
-def range_nullspace(
-    s: HermitianMatrix, tol: Tolerances = DEFAULT_TOL, scale: float | None = None
-) -> RangeNullspace:
+def range_nullspace(s: HermitianMatrix, tol: Tolerances = DEFAULT_TOL) -> RangeNullspace:
     """Orthonormal bases of range and null space from the eigendecomposition.
 
     Eigenvalues within ``rank_rel`` of zero, relative to the largest
     magnitude, count as zero; the two bases always partition the
-    eigenvector basis, so their dimensions sum to n exactly.  ``scale``
-    anchors the cut to an external magnitude instead, for matrices formed
-    as differences whose own norm may be pure rounding noise.
+    eigenvector basis, so their dimensions sum to n exactly.
     """
     w, v = spectral(s)
-    anchor = max(abs(float(w[0])), abs(float(w[-1]))) if scale is None else float(scale)
-    cut = tol.rank_rel * anchor
-    mask = np.abs(w) > cut
+    mask = np.abs(w) > tol.rank_rel * max(abs(float(w[0])), abs(float(w[-1])))
     return RangeNullspace(Subspace(v[:, mask]), Subspace(v[:, ~mask]))
 
 
@@ -485,6 +469,13 @@ def _order_margin(w: np.ndarray, tol: Tolerances):
     """How far below zero an eigenvalue may lie and count as nonnegative:
     psd_rel * (1 + max |lambda|) over ascending ``w`` along its last axis."""
     return tol.psd_rel * (1.0 + np.maximum(np.abs(w[..., 0]), np.abs(w[..., -1])))
+
+
+def _psd_rows(w: np.ndarray, tol: Tolerances):
+    """Per row of ascending eigenvalues ``w``: whether its smallest eigenvalue
+    is nonnegative within ``_order_margin``, the one order rule for a
+    spectrum."""
+    return w[..., 0] >= -_order_margin(w, tol)
 
 
 def compare(s: HermitianMatrix, t: HermitianMatrix, tol: Tolerances = DEFAULT_TOL) -> Comparability:
@@ -515,13 +506,11 @@ def loewner_leq(s: HermitianMatrix, t: HermitianMatrix, tol: Tolerances = DEFAUL
 
 def is_psd(s: HermitianMatrix, tol: Tolerances = DEFAULT_TOL) -> bool:
     """0 <= s, decided on the cached eigenvalues of ``s``."""
-    w = s._spectrum()
-    return bool(w[0] >= -_order_margin(w, tol))
+    return bool(_psd_rows(s._spectrum(), tol))
 
 
 def _require_psd_members(mset: MatrixSet, tol: Tolerances) -> None:
     """Raise NotPositiveSemidefinite naming the first member that is not PSD."""
-    w = mset.eigenvalues()
-    bad = np.flatnonzero(~(w[:, 0] >= -_order_margin(w, tol)))
+    bad = np.flatnonzero(~_psd_rows(mset.eigenvalues(), tol))
     if bad.size:
         raise NotPositiveSemidefinite(f"member {bad[0]} is not positive semidefinite")

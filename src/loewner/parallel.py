@@ -82,9 +82,13 @@ def ando_limit(a: HermitianMatrix, b: HermitianMatrix, tol: Tolerances = DEFAULT
     if a.dim != b.dim:
         raise DimensionMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
     _require_psd(a, tol, "first argument")
+    return _ando_limit(range_nullspace(a, tol).range.projector(), b, tol)
+
+
+def _ando_limit(p_range_a: np.ndarray, b: HermitianMatrix, tol: Tolerances) -> HermitianMatrix:
+    """[a]b from the projector onto the range of ``a``."""
     _require_psd(b, tol, "second argument")
     broot = sqrt_psd(b, tol)
-    p_range_a = range_nullspace(a, tol).range.projector()
     residual_map = broot.mat - p_range_a @ broot.mat
     # The zero decision is relative to |b^(1/2)|, the largest value the
     # residual map could take, not to the residual's own largest singular

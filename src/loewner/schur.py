@@ -14,6 +14,7 @@ from .linalg import (
     HermitianMatrix,
     Subspace,
     Tolerances,
+    _NOISE_FLOOR,
     _sym,
     is_psd,
     spectral,
@@ -47,14 +48,6 @@ def _blocks(s: HermitianMatrix, h1: Subspace, h2: Subspace) -> tuple[np.ndarray,
     s2 = _sym(u2.conj().T @ s.mat @ u2)
     s12 = u1.conj().T @ s.mat @ u2
     return s1, s12, s2
-
-
-# Rank decisions on the corner block are floored at the machine-noise level
-# of the parent matrix: when the split subspace is a null direction of the
-# parent, the corner and coupling blocks are pure rounding noise, and treating
-# that noise as invertible would inject arbitrarily large errors into the
-# complement.
-_NOISE_FLOOR = 64.0 * float(np.finfo(np.float64).eps)
 
 
 def _spectral_norm(block: np.ndarray) -> float:

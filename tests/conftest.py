@@ -10,9 +10,8 @@ from loewner import (
     Subspace,
     identity,
     is_lower_bound,
-    range_nullspace,
+    spectral,
     subspace_intersect,
-    subspace_sum,
 )
 from loewner.errors import SchurRangeViolation
 from loewner.linalg import fix_column_phases
@@ -27,6 +26,18 @@ def assert_matrix_close(actual, expected, atol=1e-12):
     a = actual.mat if isinstance(actual, HermitianMatrix) else np.asarray(actual)
     e = expected.mat if isinstance(expected, HermitianMatrix) else np.asarray(expected)
     np.testing.assert_allclose(a, e, rtol=0.0, atol=atol)
+
+
+def record_calls(monkeypatch, owner, *names) -> dict:
+    """Patch each named callable of ``owner`` to record the first argument of
+    every call; returns name -> list of those arguments."""
+    calls = {name: [] for name in names}
+    for name in names:
+        def wrapped(arg, *args, _fn=getattr(owner, name), _log=calls[name], **kwargs):
+            _log.append(arg)
+            return _fn(arg, *args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapped)
+    return calls
 
 
 def contains_vector(subspace, v, tol=DEFAULT_TOL) -> bool:
@@ -111,17 +122,24 @@ def positive_mlb_reference(mset, tol=DEFAULT_TOL) -> HermitianMatrix:
 
 
 def certify_maximal_reference(m, mset, tol=DEFAULT_TOL) -> MaximalityCertificate:
-    """Reference certificate: a phase-fixed ``range_nullspace`` per gap A - M
-    for the spanning and intersection tests, then ``is_lower_bound``."""
-    scale = max(m.norm(), mset.max_norm())
-    splits = [range_nullspace(member - m, tol, scale=scale) for member in mset]
-    span = subspace_sum([s.nullspace for s in splits], tol)
-    meet = subspace_intersect([s.range for s in splits], tol)
+    """Reference certificate: a phase-fixed eigendecomposition per gap A - M,
+    cut at ``rank_rel`` times the family scale, for both the null-space
+    spanning and the range intersection tests, which must agree; then
+    ``is_lower_bound``."""
+    cut = tol.rank_rel * max(m.norm(), mset.max_norm())
+    nulls, ranges = [], []
+    for member in mset:
+        w, v = spectral(member - m)
+        keep = np.abs(w) > cut
+        nulls.append(v[:, ~keep])
+        ranges.append(Subspace(v[:, keep]))
+    span = Subspace.from_span(np.hstack(nulls), tol)
+    meet = subspace_intersect(ranges, tol)
     spanning = span.dim == m.dim
     assert spanning == (meet.dim == 0)
     lower = is_lower_bound(m, mset, tol)
     return MaximalityCertificate(
-        per_member_nullspace_dims=tuple(s.nullspace.dim for s in splits),
+        per_member_nullspace_dims=tuple(null.shape[1] for null in nulls),
         span_dim=span.dim,
         is_lower_bound=lower,
         is_maximal=lower and spanning,

@@ -8,6 +8,7 @@ from loewner import (
     HermitianMatrix,
     MatrixSet,
     StottParam,
+    Subspace,
     certify_maximal,
     identity,
     is_lower_bound,
@@ -34,7 +35,7 @@ from loewner.sampling import (
     trial_rng,
 )
 
-from .conftest import assert_matrix_close, herm
+from .conftest import assert_matrix_close, certify_maximal_reference, herm, record_calls
 
 
 PAIR = MatrixSet([herm(np.diag([1.0, 2.0])), herm(np.diag([2.0, 1.0]))])
@@ -70,26 +71,43 @@ class TestCertificate:
         assert not is_lower_bound(identity(2) * 3.0, PAIR)
 
     def test_one_eigh_over_the_gaps(self, monkeypatch):
-        # the null-space split, the range split and the lower-bound verdict
-        # all come from one batched eigh of the gaps A - M
+        # the order verdict and the null-space splits come from one batched
+        # eigh of the gaps A - M, the span from one SVD of the null columns
         rng = trial_rng(42, 0)
         mset = MatrixSet(random_psd(rng, 6, rank=5) for _ in range(3))
         m = positive_maximal_lb(mset)
         m.norm(), mset.max_norm()  # the family scale, computed before counting
-        counts = {"eigh": 0, "eigvalsh": 0}
-        eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
-
-        def counting(kind, fn):
-            def wrapped(arr, *args, **kwargs):
-                counts[kind] += 1
-                assert np.shape(arr) == (3, 6, 6)
-                return fn(arr, *args, **kwargs)
-            return wrapped
-
-        monkeypatch.setattr(np.linalg, "eigh", counting("eigh", eigh))
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", eigvalsh))
+        calls = record_calls(monkeypatch, np.linalg, "eigh", "eigvalsh", "svd")
+        built = record_calls(monkeypatch, Subspace, "__init__")
         assert certify_maximal(m, mset).is_maximal
-        assert counts == {"eigh": 1, "eigvalsh": 0}
+        assert [np.shape(arr) for arr in calls["eigh"]] == [(3, 6, 6)]
+        assert not calls["eigvalsh"]
+        assert len(calls["svd"]) == 1
+        assert len(built["__init__"]) <= 1
+
+    @pytest.mark.parametrize("theta", [1e-3, 1e-5, 1e-7, 1e-9])
+    def test_nearly_parallel_null_spaces_span(self, theta):
+        # projectors onto the complements of x and of y, y at angle theta
+        # from x: the null spaces x and y span the plane, so 0 is maximal
+        x, y = np.array([1.0, 0.0]), np.array([np.cos(theta), np.sin(theta)])
+        mset = MatrixSet([herm(np.eye(2) - np.outer(x, x)), herm(np.eye(2) - np.outer(y, y))])
+        cert = certify_maximal(zero(2), mset)
+        assert cert.is_maximal
+        assert cert.span_dim == 2
+
+    def test_agrees_with_two_route_reference(self):
+        # M_T bounds of seeded pairs and positive maximal lower bounds of
+        # seeded PSD families for n up to 30, and a lower bound below each
+        rng = trial_rng(43, 0)
+        for n in range(2, 31):
+            a, b = random_incomparable_pair(rng, n)
+            family = MatrixSet(random_psd(rng, n, rank=int(rng.integers(n - 1, n + 1))) for _ in range(1 + n % 3))
+            cases = [(mlb_mt(a, b, random_invertible(rng, n)), MatrixSet([a, b])), (positive_maximal_lb(family), family)]
+            for m, mset in cases:
+                for candidate in (m, m - 0.1 * (1.0 + mset.max_norm()) * identity(n)):
+                    cert = certify_maximal(candidate, mset)
+                    assert cert == certify_maximal_reference(candidate, mset)
+                    assert cert.is_maximal is (candidate is m)
 
 
 class TestMlbMt:

@@ -7,9 +7,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from loewner import cli
+from loewner import cli, constrained, infimum
 from loewner.cli import main
 from loewner.errors import ConvergenceFailure
+
+from .conftest import record_calls
 
 
 EX62 = json.dumps(
@@ -353,6 +355,34 @@ class TestCommands:
         assert verdicts["is_maximal"] is False
         assert verdicts["extreme_certified"] is False
 
+    def test_certify_nearly_parallel_null_spaces(self, tmp_path, capsys):
+        # the gaps' null spaces meet at an angle of about 1e-7; they span
+        doc = json.dumps({
+            "dim": 2,
+            "field_tag": "real",
+            "matrices": [[[0.0, 0.0], [0.0, 1.0]], [[1e-14, -1e-7], [-1e-7, 1.0]]],
+        })
+        code, out, _ = run(
+            ["certify", "-i", write_doc(tmp_path, doc), "--candidate", "[[0, 0], [0, 0]]", "--json"], capsys
+        )
+        assert code == 0
+        assert json.loads(out)["verdicts"]["is_maximal"] is True
+
+    def test_positive_mlb_noise_level_corner(self, tmp_path, capsys):
+        # the second member's corner on e1 sits under the noise floor while
+        # its coupling is far above the rank cut
+        eps = 5e-15
+        doc = json.dumps({
+            "dim": 2,
+            "field_tag": "real",
+            "matrices": [[[0.0, 0.0], [0.0, 1.0]], [[2 * eps, eps ** 0.5], [eps ** 0.5, 1.0 + eps]]],
+        })
+        code, out, _ = run(["positive-mlb", "-i", write_doc(tmp_path, doc), "--json"], capsys)
+        assert code == 0
+        verdicts = json.loads(out)["verdicts"]
+        np.testing.assert_allclose(matrix_from_pairs(verdicts["bound"]), np.diag([0.0, 0.5]), atol=1e-12)
+        assert verdicts["certificate"]["is_maximal"] is True
+
     def test_maximal_extend(self, tmp_path, capsys):
         path = write_doc(tmp_path, EX62)
         code, out, _ = run(
@@ -392,6 +422,20 @@ class TestCommands:
         code, _, err = run(["commuting-glb", "-i", path, "--json"], capsys)
         assert code == 2
         assert "commutant" in err
+
+    def test_commuting_glb_decides_commutation_once(self, tmp_path, capsys, monkeypatch):
+        checks = record_calls(monkeypatch, infimum, "_check_commuting")
+        for doc in (COMMUTING_PAIR, EX62):
+            run(["commuting-glb", "-i", write_doc(tmp_path, doc)], capsys)
+        assert len(checks["_check_commuting"]) == 2
+
+    def test_constrained_reduces_once(self, tmp_path, capsys, monkeypatch):
+        reductions = record_calls(monkeypatch, constrained, "constrained_at_vector")
+        monkeypatch.setattr(cli, "constrained_at_vector", constrained.constrained_at_vector)
+        code, out, _ = run(["constrained", "-i", write_doc(tmp_path, COMMUTING_PAIR), "--u", "[1, 0]", "--json"], capsys)
+        assert code == 0
+        assert json.loads(out)["verdicts"]["maximal_element"] is not None
+        assert len(reductions["constrained_at_vector"]) == 1
 
     def test_positive_glb(self, tmp_path, capsys):
         path = write_doc(tmp_path, EX62)

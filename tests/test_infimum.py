@@ -37,6 +37,7 @@ from loewner.errors import (
     SchurRangeViolation,
     UsageError,
 )
+from loewner.infimum import _positive_mlb
 from loewner.sampling import (
     random_commuting_family,
     random_hermitian,
@@ -52,6 +53,7 @@ from .conftest import (
     commutant_kron,
     herm,
     positive_mlb_reference,
+    record_calls,
 )
 
 
@@ -303,17 +305,26 @@ class TestPositiveMaximalLb:
             assert cert == certify_maximal_reference(m, mset)
 
     def test_range_violation_names_the_member(self):
+        # a planted first-level spectrum puts gamma = 0 at member 0, so
+        # member 1, which is not PSD, has a zero corner on e1 and a coupling
+        # of 0.5: it leaves the corner's range
+        mset = MatrixSet([herm(np.diag([0.0, 1.0])), herm([[0.0, 0.5], [0.5, 1.0]])])
+        mset._eigvals = np.array([[0.0, 1.0], [0.5, 1.0]])
+        with pytest.raises(SchurRangeViolation, match="member 1"):
+            _positive_mlb(mset, DEFAULT_TOL)
+
+    def test_noise_level_corner_splits(self):
         # member 1 is PSD with a corner of 1e-14 on e1, under the noise floor
         # of its norm, and a coupling of sqrt(5e-15) far above the rank cut
+        # but within what positivity allows; it splits on its corner
         eps = 5e-15
         mset = MatrixSet([
             herm(np.diag([0.0, 1.0])),
             herm([[2 * eps, np.sqrt(eps)], [np.sqrt(eps), 1.0 + eps]]),
         ])
-        with pytest.raises(SchurRangeViolation, match="member 1"):
-            positive_maximal_lb(mset)
-        with pytest.raises(SchurRangeViolation, match="member 1"):
-            positive_mlb_reference(mset)
+        m = positive_maximal_lb(mset)
+        assert_matrix_close(m, np.diag([0.0, 0.5]), atol=1e-12)
+        assert certify_maximal(m, mset).is_maximal
 
     def test_stack_depth_does_not_grow_with_dimension(self):
         rng = trial_rng(55, 0)
@@ -358,6 +369,16 @@ class TestExtendToMaximal:
     def test_rejects_non_lower_bound(self):
         with pytest.raises(NotLowerBound):
             extend_to_maximal(identity(2) * 5.0, EX_PAIR)
+
+    def test_one_spectrum_of_the_gaps(self, monkeypatch):
+        # the lower-bound verdict and the first level of the recursion share
+        # one batched eigvalsh of the gaps A - L
+        n = 6
+        mset = MatrixSet(random_hermitian(trial_rng(52, 2), n) for _ in range(3))
+        start = (mset.min_eigenvalue() - 1.0) * identity(n)
+        calls = record_calls(monkeypatch, np.linalg, "eigvalsh")
+        extend_to_maximal(start, mset)
+        assert [np.shape(arr) for arr in calls["eigvalsh"]].count((3, n, n)) == 1
 
 
 class TestDistinctMaximals:
@@ -444,6 +465,13 @@ class TestPositiveGlbFamily:
     def test_rejects_indefinite_member(self):
         with pytest.raises(NotPositiveSemidefinite):
             positive_glb_family(MatrixSet([herm(np.diag([1.0, -1.0]))]))
+
+    def test_one_eigh_of_the_parallel_sum(self, monkeypatch):
+        # the range projector of S is built once and serves every [S]A
+        mset = MatrixSet(random_psd(trial_rng(54, 1), 5, rank=4) for _ in range(3))
+        calls = record_calls(monkeypatch, np.linalg, "eigh")
+        report = positive_glb_family(mset)
+        assert sum(np.array_equal(arr, report.s_parallel.mat) for arr in calls["eigh"]) == 1
 
 
 class TestFamilyPsdCheck:

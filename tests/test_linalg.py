@@ -21,7 +21,6 @@ from loewner import (
     spectral,
     sqrt_psd,
     subspace_intersect,
-    subspace_sum,
     zero,
 )
 from loewner.errors import (
@@ -301,7 +300,7 @@ class TestSubspace:
         e = np.eye(3)
         a = Subspace(e[:, :2])
         b = Subspace(e[:, 1:])
-        assert subspace_sum([a, b]).dim == 3
+        assert Subspace.from_span(np.hstack([a.basis, b.basis])).dim == 3
         meet = subspace_intersect([a, b])
         assert meet.dim == 1
         assert contains_vector(meet, e[:, 1])
@@ -336,7 +335,7 @@ class TestSubspace:
 
     def test_ambient_mismatch(self):
         with pytest.raises(AmbientMismatch):
-            subspace_sum([Subspace.full(2), Subspace.full(3)])
+            subspace_intersect([Subspace.full(2), Subspace.full(3)])
 
 
 class TestRangeNullspace:
