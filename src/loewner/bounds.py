@@ -24,7 +24,7 @@ from .linalg import (
     Tolerances,
     _eigh,
     _freeze,
-    _psd_rows,
+    _within,
     matrix_abs,
     range_nullspace,
     spectral,
@@ -49,7 +49,8 @@ def is_lower_bound(l: HermitianMatrix, mset: MatrixSet, tol: Tolerances = DEFAUL
     """True when ``l`` is below every member, decided on all the gaps A - l at once."""
     if l.dim != mset.dim:
         raise DimensionMismatch(f"dimensions differ: {l.dim} vs {mset.dim}")
-    return bool(_psd_rows(np.linalg.eigvalsh(mset.stack - l.mat), tol).all())
+    w = np.linalg.eigvalsh(mset.stack - l.mat)
+    return bool(_within(-w[:, 0].min(), "psd_rel", max(mset.max_norm(), l.norm()), tol))
 
 
 @dataclass(frozen=True)
@@ -78,11 +79,12 @@ def certify_maximal(m: HermitianMatrix, mset: MatrixSet, tol: Tolerances = DEFAU
     if m.dim != mset.dim:
         raise DimensionMismatch(f"dimensions differ: {m.dim} vs {mset.dim}")
     w, v = _eigh(mset.stack - m.mat)
-    # the gaps are ranked against the family scale, not their own norm: a
-    # gap that is pure rounding noise must count as zero, not full rank
-    null = np.abs(w) <= tol.rank_rel * max(m.norm(), mset.max_norm())
+    # the gaps are decided on the family scale, not their own norm: a gap
+    # that is pure rounding noise must count as zero, not full rank
+    scale = max(m.norm(), mset.max_norm())
+    null = _within(np.abs(w), "rank_rel", scale, tol)
     span_dim = Subspace.from_span(np.hstack([vi[:, z] for vi, z in zip(v, null)]), tol).dim
-    lower = bool(_psd_rows(w, tol).all())
+    lower = bool(_within(-w[:, 0].min(), "psd_rel", scale, tol))
     return MaximalityCertificate(
         per_member_nullspace_dims=tuple(int(d) for d in null.sum(axis=1)),
         span_dim=span_dim,
@@ -105,7 +107,7 @@ def mlb_mt(a: HermitianMatrix, b: HermitianMatrix, t, tol: Tolerances = DEFAULT_
     if t_arr.shape != (a.dim, a.dim):
         raise DimensionMismatch(f"transform has shape {t_arr.shape}, expected {(a.dim, a.dim)}")
     sing = np.linalg.svd(t_arr, compute_uv=False)
-    if sing[0] == 0.0 or sing[-1] <= tol.rank_rel * sing[0]:
+    if _within(sing[-1], "rank_rel", sing[0], tol):
         raise SingularTransform("the congruence transform must be invertible")
     t_inv = np.linalg.inv(t_arr)
     core = HermitianMatrix(t_inv.conj().T @ (a - b).mat @ t_inv)
@@ -174,8 +176,8 @@ def stott_recover_x(m: HermitianMatrix, p: int, q: int, tol: Tolerances = DEFAUL
         raise ValueError("both blocks must be nonempty")
     if m.dim != n:
         raise DimensionMismatch(f"matrix has dimension {m.dim}, expected {n}")
-    j = signature_matrix(p, q)
-    cert = certify_maximal(m, MatrixSet([j, zero(n)]), tol)
+    family = MatrixSet([signature_matrix(p, q), zero(n)])
+    cert = certify_maximal(m, family, tol)
     if not cert.is_maximal:
         raise NotMaximalForJZero(
             "the matrix is not a certified maximal lower bound of {J, 0} "
@@ -188,17 +190,17 @@ def stott_recover_x(m: HermitianMatrix, p: int, q: int, tol: Tolerances = DEFAUL
         )
     v1 = null.basis[:p, :]
     v2 = null.basis[p:, :]
-    sing = np.linalg.svd(v1, compute_uv=False)
-    if sing.size == 0 or sing[-1] <= tol.rank_rel * max(float(sing[0]), 1.0):
+    # v1, the angular operator and I - K*K are dimensionless: scale 1
+    if _within(np.linalg.svd(v1, compute_uv=False)[-1], "rank_rel", 1.0, tol):
         raise AngularExtractionFailed("null space is not a graph over the positive block")
     k = v2 @ np.linalg.inv(v1)
     c = HermitianMatrix(np.eye(p) - k.conj().T @ k)
     w, v = spectral(c)
-    if w[0] <= tol.rank_rel * max(1.0, float(w[-1])):
+    if _within(w[0], "rank_rel", 1.0, tol):
         raise AngularExtractionFailed("angular operator is not a strict contraction")
     inv_root = (v * (1.0 / np.sqrt(w))) @ v.conj().T
     param = StottParam(p, q, -(inv_root @ k.conj().T))
     rebuilt = stott_mx(param, tol).mx
-    if (rebuilt - m).norm() > tol.eq_rel * (1.0 + m.norm()):
+    if not _within((rebuilt - m).mat, "eq_rel", max(family.max_norm(), m.norm()), tol):
         raise ConsistencyError("recovered parameter does not reproduce the input bound")
     return param

@@ -129,7 +129,7 @@ def _cmd_check_order(args, tol, doc):
     }
     notes = (
         "S <= T in the Loewner order exactly when T - S is positive semidefinite;"
-        " eigenvalues above -psd_rel * (1 + |T - S|) count as nonnegative.",
+        " eigenvalues above -psd_rel * max(|S|, |T|) count as nonnegative.",
     )
     return verdicts, notes, {}
 
@@ -538,7 +538,7 @@ def main(argv=None) -> int:
             raise UsageError(str(exc)) from exc
         started = time.perf_counter()
         result = _execute(args.spec, args, tol)
-    except LoewnerError as exc:
+    except (LoewnerError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, UsageError):
             return 1

@@ -24,6 +24,7 @@ from .linalg import (
     Tolerances,
     _freeze,
     _sym,
+    _within,
     identity,
 )
 
@@ -66,17 +67,17 @@ def constrained_at_vector(mset: MatrixSet, u, tol: Tolerances = DEFAULT_TOL) -> 
     if vec.shape[0] != mset.dim:
         raise DimensionMismatch(f"vector has length {vec.shape[0]}, expected {mset.dim}")
     length = float(np.linalg.norm(vec))
-    if abs(length - 1.0) > tol.eq_rel:
+    if not _within(abs(length - 1.0), "eq_rel", 1.0, tol):  # dimensionless
         raise NotUnitVector(f"|u| = {length:.12g} is not 1 within tolerance")
     unit = vec / length
 
-    scale = 1.0 + mset.max_norm()
+    scale = mset.max_norm()
     values = [float(np.real(np.vdot(unit, member.mat @ unit))) for member in mset]
     alpha = min(values)
-    mu = tuple(i for i, v in enumerate(values) if v <= alpha + tol.eq_rel * scale)
+    mu = tuple(i for i, v in enumerate(values) if _within(v - alpha, "eq_rel", scale, tol))
     images = [mset[i].mat @ unit for i in mu]
     agree = all(
-        float(np.linalg.norm(images[i] - images[j])) <= tol.eq_rel * scale
+        _within(images[i] - images[j], "eq_rel", scale, tol)
         for i in range(len(mu))
         for j in range(i + 1, len(mu))
     )

@@ -34,9 +34,11 @@ from .linalg import (
     MatrixSet,
     Subspace,
     Tolerances,
+    _DISTINCT_REL,
     _NOISE_FLOOR,
     _eigh,
-    _psd_rows,
+    _top,
+    _within,
     identity,
     loewner_leq,
     polar_abs,
@@ -93,7 +95,7 @@ def _anti_lattice(trials: int, dims: tuple[int, int], seed: int, tol: Tolerances
             for j in range(i + 1, 3)
         ]
         min_separation = min(min_separation, min(gaps))
-        if all(gap > 1e-6 for gap in gaps):
+        if all(gap > _DISTINCT_REL for gap in gaps):
             triples_ok += 1
         if all(certify_maximal(m, mset, tol).is_maximal for m in bounds):
             certified += 1
@@ -231,8 +233,8 @@ def _no_dominating_perturbation(
     A bound rejects most candidates first.  For each member A and each
     eigenpair (w_j, u_j) of A - m, the Rayleigh quotient gives
     lambda_min(A - m - s P) <= w_j - s |G* u_j|^2, and s >= step / |G|_F^2
-    since |P| <= tr P = |G|_F^2.  The exact test's margin is at most
-    psd_rel * (1 + |A - m| + step), so a candidate whose bound lies below
+    since |P| <= tr P = |G|_F^2.  The exact test's margin is psd_rel times
+    the scale of the family and m, so a candidate whose bound lies below
     minus that, widened by a rounding slack, fails the exact test too.  Only
     the survivors are built and decided by batched eigenvalues.
     """
@@ -247,11 +249,11 @@ def _no_dominating_perturbation(
     frobenius = (np.abs(g) ** 2).sum(axis=(1, 2))
     shrink = steps / np.where(frobenius > 0.0, frobenius, 1.0)
     bounds = (gap_w[None, :, :] - shrink[:, None, None] * forms).min(axis=2)
-    gap_norms = np.abs(gap_w[:, [0, -1]]).max(axis=1)
+    scale = max(mset.max_norm(), m.norm())
     # n times the noise floor covers the rounding of the eigenpairs, of the
     # forms and of the exact route's eigenvalues, each a few n * eps * |A - m|
-    slack = (tol.psd_rel + _NOISE_FLOOR * n) * (1.0 + gap_norms[None, :] + steps[:, None])
-    survivors = np.flatnonzero(~(bounds < -slack).any(axis=1))
+    slack = _NOISE_FLOOR * n * (_top(gap_w)[None, :] + steps[:, None])
+    survivors = np.flatnonzero(_within((-bounds - slack).max(axis=1), "psd_rel", scale, tol))
     if survivors.size == 0:
         return True
     g, steps = g[survivors], steps[survivors]
@@ -266,7 +268,7 @@ def _no_dominating_perturbation(
         if index.size == 0:
             break
         w = np.linalg.eigvalsh(member.mat[None, :, :] - candidates[index])
-        alive[index] = _psd_rows(w, tol)
+        alive[index] = _within(-w[:, 0], "psd_rel", scale, tol)
     return not bool(alive.any())
 
 

@@ -24,15 +24,17 @@ from .linalg import (
     MatrixSet,
     Subspace,
     Tolerances,
+    _CLUSTER_REL,
+    _DISTINCT_REL,
     _NOISE_FLOOR,
+    _TWO_ROUTE_REL,
     _eigh,
-    _frobenius_within,
-    _psd_rows,
     _require_psd_members,
     _sym,
+    _top,
+    _within,
     fix_column_phases,
     identity,
-    loewner_leq,
     matrix_abs,
     range_nullspace,
 )
@@ -71,8 +73,13 @@ class InfimumReport:
 
 def finite_infimum(mset: MatrixSet, tol: Tolerances = DEFAULT_TOL) -> InfimumReport:
     """Scan for a member below all others; first such member wins."""
+    return _finite_infimum(mset, tol, mset.max_norm())
+
+
+def _finite_infimum(mset: MatrixSet, tol: Tolerances, scale: float) -> InfimumReport:
+    """``finite_infimum`` on the scale of the problem the family came from."""
     for i, candidate in enumerate(mset):
-        if all(loewner_leq(candidate, member, tol) for member in mset):
+        if all(_within(-np.linalg.eigvalsh(m.mat - candidate.mat)[0], "psd_rel", scale, tol) for m in mset):
             return InfimumReport(True, candidate, i)
     return InfimumReport(False, None, None)
 
@@ -87,24 +94,17 @@ def pairwise_commuting(mset: MatrixSet, tol: Tolerances = DEFAULT_TOL) -> bool:
 
 
 def _check_commuting(mset: MatrixSet, tol: Tolerances) -> None:
+    # commutators of the members over their norms are dimensionless and cannot overflow;
+    # dividing the real view keeps a subnormal norm from overflowing a complex division
+    norms = _top(mset.eigenvalues())
+    unit = (mset.stack.view(np.float64) / np.where(norms > 0.0, norms, 1.0)[:, None, None]).view(np.complex128)
     for i in range(len(mset)):
         for j in range(i + 1, len(mset)):
-            a, b = mset[i].mat, mset[j].mat
-            commutator = a @ b - b @ a
-            bound = tol.eq_rel * (1.0 + mset[i].norm() * mset[j].norm())
-            if _frobenius_within(commutator, bound):
-                continue
-            gap = float(np.linalg.norm(commutator, 2))
-            if gap > bound:
+            commutator = unit[i] @ unit[j] - unit[j] @ unit[i]
+            if not _within(commutator, "eq_rel", 1.0, tol):
                 raise NotCommutingFamily(
-                    f"members {i} and {j} do not commute (commutator norm {gap:.3e})"
+                    f"members {i} and {j} do not commute (relative commutator norm {np.linalg.norm(commutator, 2):.3e})"
                 )
-
-
-# Eigenvalues closer than this (relative to the family scale) are kept in one
-# cluster and left for later members to refine; splitting near-degenerate
-# pairs is what destabilizes a joint eigenbasis, merging them never does.
-_CLUSTER_REL = 1e-5
 
 
 def simultaneous_eigenbasis(mset: MatrixSet) -> np.ndarray:
@@ -118,7 +118,7 @@ def simultaneous_eigenbasis(mset: MatrixSet) -> np.ndarray:
     n = mset.dim
     basis = np.eye(n, dtype=np.complex128)
     clusters: list[list[int]] = [list(range(n))]
-    width = _CLUSTER_REL * (1.0 + mset.max_norm())
+    scale = mset.max_norm()
     for member in mset:
         refined: list[list[int]] = []
         for idx in clusters:
@@ -128,15 +128,15 @@ def simultaneous_eigenbasis(mset: MatrixSet) -> np.ndarray:
             cols = basis[:, idx]
             w, v = np.linalg.eigh(_sym(cols.conj().T @ member.mat @ cols))
             basis[:, idx] = cols @ v
-            refined.extend(idx[a:b] for a, b in _cluster_bounds(w, width))
+            refined.extend(idx[a:b] for a, b in _cluster_bounds(w, scale))
         clusters = refined
     return fix_column_phases(basis)
 
 
-def _cluster_bounds(w: np.ndarray, width: float) -> list[tuple[int, int]]:
+def _cluster_bounds(w: np.ndarray, scale: float) -> list[tuple[int, int]]:
     """(start, stop) of the runs of ascending ``w`` whose consecutive gaps
-    stay within ``width``."""
-    edges = [0, *(np.flatnonzero(np.diff(w) > width) + 1).tolist(), len(w)]
+    stay within the clustering width on ``scale``."""
+    edges = [0, *(np.flatnonzero(~_within(np.diff(w), _CLUSTER_REL, scale)) + 1).tolist(), len(w)]
     return list(zip(edges[:-1], edges[1:]))
 
 
@@ -160,11 +160,6 @@ def _joint_diagonals(mset: MatrixSet, basis: np.ndarray) -> np.ndarray:
     return np.real(np.diagonal(basis.conj().T @ mset.stack @ basis, axis1=1, axis2=2))
 
 
-# Two independent routes to the same matrix must agree this tightly,
-# relative to the family scale.
-_TWO_ROUTE_REL = 1e-10
-
-
 def commuting_glb(mset: MatrixSet, tol: Tolerances = DEFAULT_TOL) -> HermitianMatrix:
     """Greatest lower bound among matrices commuting with every member.
 
@@ -174,11 +169,9 @@ def commuting_glb(mset: MatrixSet, tol: Tolerances = DEFAULT_TOL) -> HermitianMa
     are both evaluated and must agree; the fold is returned.
     """
     folded, joint = commuting_glb_two_routes(mset, tol)
-    scale = 1.0 + mset.max_norm()
-    gap = (folded - joint).norm()
-    if gap > _TWO_ROUTE_REL * scale:
+    if not _within((folded - joint).mat, _TWO_ROUTE_REL, mset.max_norm()):
         raise ConsistencyError(
-            f"pairwise fold and joint diagonalization disagree by {gap:.3e}"
+            f"pairwise fold and joint diagonalization disagree by {(folded - joint).norm():.3e}"
         )
     return folded
 
@@ -212,9 +205,9 @@ def commutant_basis(mset: MatrixSet, tol: Tolerances = DEFAULT_TOL) -> list[np.n
     spectra = mset.eigenvalues()
     weights = 1.0 + (np.arange(len(mset)) * _GOLDEN_FRACTION) % 1.0
     w, v = _eigh(sum(t * member.mat for t, member in zip(weights, mset)))
-    width = _CLUSTER_REL * sum(t * max(abs(s[0]), abs(s[-1])) for t, s in zip(weights, spectra))
+    norms = _top(spectra)
     # (row, column) of every unknown entry of the diagonal blocks
-    pairs = [np.mgrid[a:b, a:b].reshape(2, -1) for a, b in _cluster_bounds(w, width)]
+    pairs = [np.mgrid[a:b, a:b].reshape(2, -1) for a, b in _cluster_bounds(w, weights @ norms)]
     r, c = np.hstack(pairs)
     j = np.arange(r.size)
     system = np.zeros((len(mset), n, n, r.size), dtype=np.complex128)
@@ -224,10 +217,9 @@ def commutant_basis(mset: MatrixSet, tol: Tolerances = DEFAULT_TOL) -> list[np.n
         op[:, c, j] = b[:, r]
         op[r, :, j] -= b[c, :]
     _, sing, vh = np.linalg.svd(system.reshape(-1, r.size), full_matrices=False)
-    bound = float(np.sqrt(sum((s[-1] - s[0]) ** 2 for s in spectra)))
-    scale = max(max(abs(s[0]), abs(s[-1])) for s in spectra)
-    cut = max(tol.rank_rel * (bound if bound > 0 else 1.0), _NOISE_FLOOR * scale)
-    null = vh[int(np.sum(sing > cut)):].conj()
+    bound = float(np.sqrt(np.sum((spectra[:, -1] - spectra[:, 0]) ** 2)))
+    zero = _within(sing, "rank_rel", bound, tol) | _within(sing, _NOISE_FLOOR, norms.max())
+    null = vh[int(np.sum(~zero)):].conj()
     blocks = np.zeros((null.shape[0], n, n), dtype=np.complex128)
     blocks[:, r, c] = null
     return list(v @ blocks @ v.conj().T)
@@ -256,6 +248,7 @@ def _positive_mlb(mset: MatrixSet, tol: Tolerances) -> HermitianMatrix:
     # carries that to u's complement as a trailing block, at O(m^2) each.
     n = mset.dim
     a, w = mset.stack, mset.eigenvalues()
+    scale = float(_top(w).max())
     frame = np.eye(n, dtype=np.complex128)
     lines, gammas = np.empty((n, n), dtype=np.complex128), np.empty(n)
     for level in range(n - 1):
@@ -269,22 +262,24 @@ def _positive_mlb(mset: MatrixSet, tol: Tolerances) -> HermitianMatrix:
         # the corner splits off above the noise floor of its shifted member,
         # the cut schur._corner_analysis makes for a one-dimensional corner
         anchor = w[:, -1] - gamma
-        split = np.abs(alpha) > np.maximum(tol.rank_rel * np.abs(alpha), _NOISE_FLOOR * anchor)
+        split = ~_within(np.abs(alpha), _NOISE_FLOOR, anchor)
         pivot = u[0] / abs(u[0]) if u[0] else 1.0
         v, tau = np.concatenate([[u[0] + pivot], u[1:]]), 1.0 / (1.0 + abs(u[0]))
         b = y[:, 1:] - tau * (y @ v.conj())[:, None] * v[1:]
         coupling = np.linalg.norm(b, axis=1)
-        threshold = tol.rank_rel * (1.0 + coupling) + _NOISE_FLOOR * anchor
+        # the range test is a rank decision on the family's scale, floored at
+        # the noise of the shifted member, as in schur._corner_analysis
+        leaves = ~(_within(coupling, "rank_rel", scale, tol) | _within(coupling, _NOISE_FLOOR, anchor))
         # A' is PSD, so |b|^2 <= alpha * anchor: a positive corner under the
         # noise floor whose coupling stays inside twice that bound splits
         # off all the same; only a coupling beyond it breaks the range test
-        split |= (alpha > 0.0) & (coupling > threshold) & (coupling * coupling <= 2.0 * alpha * anchor)
-        bad = np.flatnonzero(~split & (coupling > threshold))
+        split |= (alpha > 0.0) & leaves & (coupling * coupling <= 2.0 * alpha * anchor)
+        bad = np.flatnonzero(~split & leaves)
         if bad.size:
             i = bad[0]
             raise SchurRangeViolation(
                 f"splitting at the minimizing eigenvector broke down: member {i}: coupling block leaves"
-                f" the range of the corner block (residual {coupling[i]:.3e} > {threshold[i]:.3e})"
+                f" the range of the corner block (residual {coupling[i]:.3e} on scale {scale:.3e})"
             )
         # H A' H = A' - (vq* + qv*) with p = A'v = y + pivot A'e1; adding the
         # conjugate transpose keeps the new members exactly Hermitian
@@ -311,14 +306,10 @@ def extend_to_maximal(l: HermitianMatrix, mset: MatrixSet, tol: Tolerances = DEF
         raise NotLowerBound(f"dimensions differ: {l.dim} vs {mset.dim}")
     gaps = mset.minus(l)
     # the lower-bound verdict and the first level share the gaps' spectrum
-    if not _psd_rows(gaps.eigenvalues(), tol).all():
+    if not _within(-gaps.eigenvalues()[:, 0].min(), "psd_rel", max(mset.max_norm(), l.norm()), tol):
         raise NotLowerBound("the given matrix is not a lower bound of the set")
     return l + _positive_mlb(gaps, tol)
 
-
-# Constructed maximal bounds count as distinct only when separated by at
-# least this much, relative to the family scale.
-_DISTINCT_REL = 1e-6
 
 _MAX_ROUTE_TRIES = 24
 
@@ -345,8 +336,7 @@ def distinct_maximals(
     seed_key = [int(s) for s in (seed if isinstance(seed, tuple) else (seed,))]
     rng = np.random.default_rng(np.random.SeedSequence(seed_key))
     n = mset.dim
-    scale = 1.0 + mset.max_norm()
-    separation = max(tol.eq_rel, _DISTINCT_REL) * scale
+    scale = mset.max_norm()
     floor = mset.min_eigenvalue() * identity(n)
 
     def certified(candidate: HermitianMatrix) -> HermitianMatrix:
@@ -356,7 +346,8 @@ def distinct_maximals(
         return candidate
 
     def separated(candidate: HermitianMatrix, chosen: list[HermitianMatrix]) -> bool:
-        return all((candidate - other).norm() > separation for other in chosen)
+        gaps = [(candidate - other).mat for other in chosen]
+        return not any(_within(gap, rel, scale, tol) for gap in gaps for rel in ("eq_rel", _DISTINCT_REL))
 
     if len(mset) == 2:
         first = mlb_mt(mset[0], mset[1], np.eye(n), tol)
@@ -369,7 +360,7 @@ def distinct_maximals(
             candidate = mlb_mt(mset[0], mset[1], random_invertible(rng, n), tol)
         else:
             jitter = random_psd(rng, n)
-            jitter = (0.25 * scale / (1.0 + jitter.norm())) * jitter
+            jitter = (0.25 * scale / jitter.norm()) * jitter
             candidate = extend_to_maximal(floor - jitter, mset, tol)
         if separated(candidate, out):
             out.append(certified(candidate))
@@ -414,19 +405,17 @@ class PositiveGlbReport:
 def positive_glb_family(mset: MatrixSet, tol: Tolerances = DEFAULT_TOL) -> PositiveGlbReport:
     """Existence and value of the greatest positive lower bound of a family."""
     s = parallel_sum_family(mset, tol)
-    _require_psd(s, tol, "first argument")
+    # S, [S]A and their infimum are decided on the family's scale, not their own
+    scale = mset.max_norm()
+    _require_psd(s, tol, "first argument", scale)
     k = range_nullspace(s, tol).range
     projector = k.projector()
-    tilde = MatrixSet(_ando_limit(projector, member, tol) for member in mset)
-    report = finite_infimum(tilde, tol)
+    tilde = MatrixSet(_ando_limit(projector, member, tol, scale) for member in mset)
+    report = _finite_infimum(tilde, tol, scale)
     if report.exists:
-        glb = report.infimum
-        outside = glb.mat - projector @ glb.mat @ projector
-        bound = tol.eq_rel * (1.0 + glb.norm())
-        if not _frobenius_within(outside, bound):
-            leak = float(np.linalg.norm(outside, 2))
-            if leak > bound:
-                raise ConsistencyError(
-                    f"the bound leaks outside the common range subspace by {leak:.3e}"
-                )
+        outside = report.infimum.mat - projector @ report.infimum.mat @ projector
+        if not _within(outside, "eq_rel", scale, tol):
+            raise ConsistencyError(
+                f"the bound leaks outside the common range subspace by {np.linalg.norm(outside, 2):.3e}"
+            )
     return PositiveGlbReport(k, s, tilde, report.exists, report.infimum, report.minimizing_index)

@@ -81,6 +81,18 @@ DEFAULT_TOL = Tolerances()
 # the block is pure rounding noise, and treating that noise as invertible
 # would inject arbitrarily large errors downstream.
 _NOISE_FLOOR = 64.0 * float(np.finfo(np.float64).eps)
+# Eigenvalues closer than this, relative to the family scale, are kept in one
+# cluster and left for later members to refine; splitting near-degenerate
+# pairs is what destabilizes a joint eigenbasis, merging them never does.
+_CLUSTER_REL = 1e-5
+# Two independent routes to the same matrix must agree this tightly,
+# relative to the family scale.
+_TWO_ROUTE_REL = 1e-10
+# Constructed maximal bounds count as distinct only when separated by at
+# least this much (and by eq_rel), relative to the family scale.
+_DISTINCT_REL = 1e-6
+# A basis is orthonormal when its Gram matrix is this close to the identity.
+_ORTHONORMAL_REL = 1e-6
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -92,15 +104,40 @@ def _sym(arr: np.ndarray) -> np.ndarray:
     return (arr + arr.conj().T) / 2.0
 
 
-def _frobenius_within(arr: np.ndarray, bound: float) -> bool:
-    """True when the Frobenius norm of ``arr`` is at most a finite ``bound``.
+def _top(w: np.ndarray):
+    """Largest magnitude of ascending eigenvalues ``w`` along the last axis."""
+    return np.maximum(np.abs(w[..., 0]), np.abs(w[..., -1]))
 
-    The Frobenius norm bounds the spectral norm from above, so True settles
-    ``|arr| <= bound`` without an SVD; False settles nothing, and the caller
-    decides with the spectral norm.  The BLAS dot product overflows to inf
-    without a floating-point warning.
+
+def _frobenius(x: np.ndarray) -> float:
+    """Frobenius norm, retaken over the largest entry if the squares could under- or overflow."""
+    f = math.sqrt(np.vdot(x, x).real)
+    if 1e-150 < f < 1e150:
+        return f
+    mod = np.abs(x)
+    top = float(mod.max(initial=0.0))
+    return top * math.sqrt(np.vdot(mod / top, mod / top)) if 0.0 < top < math.inf else top
+
+
+def _within(value, rel, scale, tol: Tolerances = DEFAULT_TOL):
+    """The one decision rule: whether ``value`` is at most ``rel * scale``.
+
+    ``rel`` is ``"psd_rel"`` for order (minus an eigenvalue), ``"rank_rel"``
+    for rank (a singular value) or ``"eq_rel"`` for equality (a residual),
+    read from ``tol``, or one of the fixed thresholds above.  ``scale`` is
+    that of the problem the value came from: the largest spectral norm of
+    its family and of any candidate or shift, or 1 for a dimensionless
+    value.  Real values compare elementwise; a complex array by its spectral
+    norm, which is computed only when its Frobenius norm |x|_F, with
+    |x|_F / sqrt(rank) <= |x| <= |x|_F, cannot decide.
     """
-    return math.isfinite(bound) and math.sqrt(np.vdot(arr, arr).real) <= bound
+    bound = (getattr(tol, rel) if isinstance(rel, str) else rel) * scale
+    if not (isinstance(value, np.ndarray) and value.dtype.kind == "c"):
+        return value <= bound
+    f = _frobenius(value)
+    if f <= bound or f / math.sqrt(value.size // max(value.shape)) > bound:
+        return f <= bound
+    return float(np.linalg.norm(value, 2)) <= bound
 
 
 class HermitianMatrix:
@@ -134,8 +171,7 @@ class HermitianMatrix:
 
     def norm(self) -> float:
         """Spectral norm, i.e. the largest eigenvalue magnitude."""
-        w = self._spectrum()
-        return float(max(abs(w[0]), abs(w[-1])))
+        return float(_top(self._spectrum()))
 
     def min_eigenvalue(self) -> float:
         return float(self._spectrum()[0])
@@ -185,12 +221,11 @@ def zero(n: int) -> HermitianMatrix:
 def hermitize(raw, tol: Tolerances = DEFAULT_TOL) -> HermitianMatrix:
     """Validate that ``raw`` is Hermitian within tolerance and wrap it.
 
-    The Hermitian defect must satisfy ``|raw - raw*| <= eq_rel * (1 + |raw|)``
-    in spectral norm; anything beyond that is rejected rather than silently
+    The Hermitian defect must satisfy ``|raw - raw*| <= eq_rel * |raw|`` in
+    spectral norm; anything beyond that is rejected rather than silently
     symmetrized away.  So is a non-finite entry, or one whose sum or
     difference with its mirror entry overflows, since symmetrizing it would
-    silently give inf or NaN.  Frobenius norms accept most inputs; the
-    spectral norms decide the rest.
+    silently give inf or NaN, and a matrix whose spectral norm overflows.
     """
     arr = np.asarray(raw, dtype=np.complex128)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -199,23 +234,20 @@ def hermitize(raw, tol: Tolerances = DEFAULT_TOL) -> HermitianMatrix:
         raise NonSquare("matrix dimension must be at least 1")
     with np.errstate(over="ignore", invalid="ignore"):
         skew = arr - arr.conj().T
-        bad = ~np.isfinite(arr + arr.conj().T)
-        bad |= ~np.isfinite(skew)
-        # |raw|_F / sqrt(n) <= |raw|, so this bound is at most the exact one
-        bound = tol.eq_rel * (1.0 + float(np.linalg.norm(arr)) / math.sqrt(arr.shape[0]))
+        bad = ~np.isfinite(arr + arr.conj().T) | ~np.isfinite(skew)
     if bad.any():
         r, c = np.argwhere(bad)[0]
         raise ValidationError(f"entry [{r}][{c}] is not finite or overflows with its mirror entry")
-    if _frobenius_within(skew, bound):
-        return HermitianMatrix(arr)
-    defect = float(np.linalg.norm(skew, 2))
-    scale = 1.0 + float(np.linalg.norm(arr, 2))
-    if not math.isfinite(scale):
-        raise ValidationError("the spectral norm overflows")
-    if defect > tol.eq_rel * scale:
-        raise NotHermitianWithinTolerance(
-            f"Hermitian defect {defect:.3e} exceeds {tol.eq_rel * scale:.3e}"
-        )
+    # |raw|_F / sqrt(n) <= |raw|, which is computed only when that cannot decide
+    low = _frobenius(arr) / math.sqrt(arr.shape[0])
+    if not (math.isfinite(low) and _within(skew, "eq_rel", low, tol)):
+        scale = float(np.linalg.norm(arr, 2))
+        if not math.isfinite(scale):
+            raise ValidationError("the spectral norm overflows")
+        if not _within(skew, "eq_rel", scale, tol):
+            raise NotHermitianWithinTolerance(
+                f"Hermitian defect {np.linalg.norm(skew, 2):.3e} exceeds eq_rel times |raw| = {scale:.3e}"
+            )
     return HermitianMatrix(arr)
 
 
@@ -259,7 +291,7 @@ class MatrixSet:
         return self._eigvals
 
     def max_norm(self) -> float:
-        return float(np.abs(self.eigenvalues()[:, [0, -1]]).max())
+        return float(_top(self.eigenvalues()).max())
 
     def min_eigenvalue(self) -> float:
         return float(self.eigenvalues()[:, 0].min())
@@ -311,7 +343,7 @@ def sqrt_psd(s: HermitianMatrix, tol: Tolerances = DEFAULT_TOL) -> HermitianMatr
     zero and anything more negative is rejected."""
 
     def root(w):
-        if not _psd_rows(w, tol):
+        if not _within(-w[0], "psd_rel", _top(w), tol):
             raise NotPositiveSemidefinite(f"sqrt_psd needs a PSD input; smallest eigenvalue is {w[0]:.3e}")
         return np.sqrt(np.maximum(w, 0.0))
 
@@ -323,15 +355,16 @@ def matrix_abs(s: HermitianMatrix) -> HermitianMatrix:
 
 
 def pinv(s: HermitianMatrix, tol: Tolerances = DEFAULT_TOL) -> HermitianMatrix:
-    """Pseudo-inverse that zeroes eigenvalues within ``rank_rel`` of zero
-    (relative to the largest magnitude) before inverting, so numerically
-    rank-deficient inputs do not blow up."""
+    """Pseudo-inverse that zeroes eigenvalues within ``rank_rel`` of zero,
+    on the scale of ``s``, before inverting, so numerically rank-deficient
+    inputs do not blow up."""
+    return _map_eigenvalues(s, lambda w: _inverse(w, tol, _top(w)))
 
-    def inverse(w):
-        small = np.abs(w) <= tol.rank_rel * max(abs(float(w[0])), abs(float(w[-1])))
-        return np.where(small, 0.0, 1.0 / np.where(small, 1.0, w))
 
-    return _map_eigenvalues(s, inverse)
+def _inverse(w: np.ndarray, tol: Tolerances, scale) -> np.ndarray:
+    """1 / w, with the eigenvalues within ``rank_rel`` of zero on ``scale`` sent to 0."""
+    small = _within(np.abs(w), "rank_rel", scale, tol)
+    return np.where(small, 0.0, 1.0 / np.where(small, 1.0, w))
 
 
 def polar_abs(t: np.ndarray) -> np.ndarray:
@@ -361,10 +394,8 @@ class Subspace:
         n, k = arr.shape
         if n < 1 or k > n:
             raise ValueError(f"invalid basis shape {arr.shape}")
-        if k:
-            defect = arr.conj().T @ arr - np.eye(k)
-            if not _frobenius_within(defect, 1e-6) and float(np.linalg.norm(defect, 2)) > 1e-6:
-                raise ValueError("basis columns are not orthonormal")
+        if k and not _within(arr.conj().T @ arr - np.eye(k), _ORTHONORMAL_REL, 1.0):
+            raise ValueError("basis columns are not orthonormal")
         self.basis = _freeze(np.array(arr))
 
     @classmethod
@@ -385,10 +416,7 @@ class Subspace:
         if m == 0:
             return cls.zero_subspace(n)
         u, sing, _ = np.linalg.svd(arr, full_matrices=False)
-        if sing.size == 0 or sing[0] == 0.0:
-            return cls.zero_subspace(n)
-        rank = int(np.sum(sing > tol.rank_rel * sing[0]))
-        return cls(u[:, :rank])
+        return cls(u[:, ~_within(sing, "rank_rel", sing[0], tol)])
 
     @property
     def ambient_dim(self) -> int:
@@ -423,7 +451,7 @@ def _intersect_pair(a: Subspace, b: Subspace, tol: Tolerances) -> Subspace:
         return Subspace.zero_subspace(a.ambient_dim)
     g = a.basis.conj().T @ b.basis
     u, sing, _ = np.linalg.svd(g, full_matrices=False)
-    keep = sing >= 1.0 - tol.rank_rel
+    keep = _within(1.0 - sing, "rank_rel", 1.0, tol)
     if not bool(keep.any()):
         return Subspace.zero_subspace(a.ambient_dim)
     return Subspace.from_span(a.basis @ u[:, keep], tol)
@@ -454,7 +482,7 @@ def range_nullspace(s: HermitianMatrix, tol: Tolerances = DEFAULT_TOL) -> RangeN
     eigenvector basis, so their dimensions sum to n exactly.
     """
     w, v = spectral(s)
-    mask = np.abs(w) > tol.rank_rel * max(abs(float(w[0])), abs(float(w[-1])))
+    mask = ~_within(np.abs(w), "rank_rel", _top(w), tol)
     return RangeNullspace(Subspace(v[:, mask]), Subspace(v[:, ~mask]))
 
 
@@ -465,39 +493,31 @@ class Comparability(enum.Enum):
     INCOMPARABLE = "incomparable"
 
 
-def _order_margin(w: np.ndarray, tol: Tolerances):
-    """How far below zero an eigenvalue may lie and count as nonnegative:
-    psd_rel * (1 + max |lambda|) over ascending ``w`` along its last axis."""
-    return tol.psd_rel * (1.0 + np.maximum(np.abs(w[..., 0]), np.abs(w[..., -1])))
-
-
-def _psd_rows(w: np.ndarray, tol: Tolerances):
-    """Per row of ascending eigenvalues ``w``: whether its smallest eigenvalue
-    is nonnegative within ``_order_margin``, the one order rule for a
-    spectrum."""
-    return w[..., 0] >= -_order_margin(w, tol)
+_VERDICTS = {(True, True): Comparability.EQUAL, (True, False): Comparability.LESS_EQUAL,
+             (False, True): Comparability.GREATER_EQUAL, (False, False): Comparability.INCOMPARABLE}
 
 
 def compare(s: HermitianMatrix, t: HermitianMatrix, tol: Tolerances = DEFAULT_TOL) -> Comparability:
     """Two-sided Loewner comparison of ``s`` and ``t``.
 
     ``s <= t`` holds when the smallest eigenvalue of ``t - s`` is no less
-    than ``-psd_rel * (1 + |t - s|)``; the reverse direction mirrors that,
+    than ``-psd_rel * max(|s|, |t|)``; the reverse direction mirrors that,
     and both together mean equality at tolerance.
     """
     if s.dim != t.dim:
         raise DimensionMismatch(f"dimensions differ: {s.dim} vs {t.dim}")
     w = np.linalg.eigvalsh(t.mat - s.mat)
-    margin = _order_margin(w, tol)
-    leq = w[0] >= -margin
-    geq = w[-1] <= margin
-    if leq and geq:
-        return Comparability.EQUAL
-    if leq:
-        return Comparability.LESS_EQUAL
-    if geq:
-        return Comparability.GREATER_EQUAL
-    return Comparability.INCOMPARABLE
+    # |x|_F / sqrt(n) <= |x| <= |x|_F: |s| and |t| are computed only if the verdicts there differ
+    upper = max(_frobenius(s.mat), _frobenius(t.mat))
+    verdict = _verdict(w, upper, tol)
+    if verdict is not _verdict(w, upper / math.sqrt(s.dim), tol):
+        verdict = _verdict(w, max(s.norm(), t.norm()), tol)
+    return verdict
+
+
+def _verdict(w: np.ndarray, scale: float, tol: Tolerances) -> Comparability:
+    """``compare`` from the ascending spectrum ``w`` of t - s, decided on ``scale``."""
+    return _VERDICTS[bool(_within(-w[0], "psd_rel", scale, tol)), bool(_within(w[-1], "psd_rel", scale, tol))]
 
 
 def loewner_leq(s: HermitianMatrix, t: HermitianMatrix, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -505,12 +525,12 @@ def loewner_leq(s: HermitianMatrix, t: HermitianMatrix, tol: Tolerances = DEFAUL
 
 
 def is_psd(s: HermitianMatrix, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """0 <= s, decided on the cached eigenvalues of ``s``."""
-    return bool(_psd_rows(s._spectrum(), tol))
+    """0 <= s, decided on the cached eigenvalues of ``s`` and on its norm."""
+    return bool(_within(-s.min_eigenvalue(), "psd_rel", s.norm(), tol))
 
 
 def _require_psd_members(mset: MatrixSet, tol: Tolerances) -> None:
     """Raise NotPositiveSemidefinite naming the first member that is not PSD."""
-    bad = np.flatnonzero(~_psd_rows(mset.eigenvalues(), tol))
+    bad = np.flatnonzero(~_within(-mset.eigenvalues()[:, 0], "psd_rel", mset.max_norm(), tol))
     if bad.size:
         raise NotPositiveSemidefinite(f"member {bad[0]} is not positive semidefinite")

@@ -15,13 +15,13 @@ from .linalg import (
     MatrixSet,
     Subspace,
     Tolerances,
+    _inverse,
+    _map_eigenvalues,
     _require_psd_members,
-    compare,
-    is_psd,
-    pinv,
+    _verdict,
+    _within,
     range_nullspace,
     spectral,
-    sqrt_psd,
 )
 
 __all__ = [
@@ -33,8 +33,8 @@ __all__ = [
 ]
 
 
-def _require_psd(m: HermitianMatrix, tol: Tolerances, what: str) -> None:
-    if not is_psd(m, tol):
+def _require_psd(m: HermitianMatrix, tol: Tolerances, what: str, scale: float) -> None:
+    if not _within(-m.min_eigenvalue(), "psd_rel", scale, tol):
         raise NotPositiveSemidefinite(f"{what} must be positive semidefinite")
 
 
@@ -43,30 +43,24 @@ def parallel_sum(a: HermitianMatrix, b: HermitianMatrix, tol: Tolerances = DEFAU
 
     The result is PSD, bounded by both arguments, and its range is the
     intersection of the ranges of the arguments; downstream code relies on
-    that range identity.  Eigenvalues of the product below ``rank_rel``
-    relative to the inputs' scale are rounded to exact zero: when the
-    ranges meet only at the origin the product is pure rounding noise, and
-    ranking it against its own largest eigenvalue would hand a zero matrix
-    a full-dimensional range.
+    that range identity.  Eigenvalues of a + b and of the product below
+    ``rank_rel`` on the inputs' scale count as zero, the product's rounded
+    to exact zero: when the ranges meet only at the origin the product is
+    pure rounding noise, and ranking it against its own largest eigenvalue
+    would hand a zero matrix a full-dimensional range.
     """
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
-    _require_psd(a, tol, "first argument")
-    _require_psd(b, tol, "second argument")
-    inverse = pinv(a + b, tol)
-    raw = HermitianMatrix(a.mat @ inverse.mat @ b.mat)
-    w, v = spectral(raw)
-    cut = tol.rank_rel * max(a.norm(), b.norm())
-    values = np.where(np.abs(w) > cut, w, 0.0)
-    return HermitianMatrix((v * values) @ v.conj().T)
+    return parallel_sum_family(MatrixSet([a, b]), tol)
 
 
 def parallel_sum_family(mset: MatrixSet, tol: Tolerances = DEFAULT_TOL) -> HermitianMatrix:
-    """Left fold of the parallel sum over a family; a singleton folds to itself."""
+    """Left fold of the parallel sum over a family on its scale; a singleton folds to itself."""
     _require_psd_members(mset, tol)
+    scale = mset.max_norm()
     result = mset[0]
     for member in mset.members[1:]:
-        result = parallel_sum(result, member, tol)
+        inverse = _map_eigenvalues(result + member, lambda w: _inverse(w, tol, scale))
+        w, v = spectral(HermitianMatrix(result.mat @ inverse.mat @ member.mat))
+        result = HermitianMatrix((v * np.where(_within(np.abs(w), "rank_rel", scale, tol), 0.0, w)) @ v.conj().T)
     return result
 
 
@@ -81,21 +75,19 @@ def ando_limit(a: HermitianMatrix, b: HermitianMatrix, tol: Tolerances = DEFAULT
     """
     if a.dim != b.dim:
         raise DimensionMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
-    _require_psd(a, tol, "first argument")
-    return _ando_limit(range_nullspace(a, tol).range.projector(), b, tol)
+    _require_psd(a, tol, "first argument", a.norm())
+    _require_psd(b, tol, "second argument", b.norm())
+    return _ando_limit(range_nullspace(a, tol).range.projector(), b, tol, b.norm())
 
 
-def _ando_limit(p_range_a: np.ndarray, b: HermitianMatrix, tol: Tolerances) -> HermitianMatrix:
-    """[a]b from the projector onto the range of ``a``."""
-    _require_psd(b, tol, "second argument")
-    broot = sqrt_psd(b, tol)
+def _ando_limit(p_range_a: np.ndarray, b: HermitianMatrix, tol: Tolerances, scale: float) -> HermitianMatrix:
+    """[a]b from the projector onto the range of ``a``, for b PSD on ``scale``."""
+    broot = _map_eigenvalues(b, lambda w: np.sqrt(np.maximum(w, 0.0)))
     residual_map = broot.mat - p_range_a @ broot.mat
-    # The zero decision is relative to |b^(1/2)|, the largest value the
-    # residual map could take, not to the residual's own largest singular
-    # value; a pure-noise residual must produce the full null space.
-    scale = broot.norm()
+    # The zero decision is on sqrt(scale), the largest value the residual map could take, not
+    # on its own largest singular value: a pure-noise residual must give the full null space.
     _, sing, vh = np.linalg.svd(residual_map)
-    rank = int(np.sum(sing > tol.rank_rel * scale))
+    rank = int(np.sum(~_within(sing, "rank_rel", np.sqrt(scale), tol)))
     v = Subspace(vh[rank:].conj().T)
     return HermitianMatrix(broot.mat @ v.projector() @ broot.mat)
 
@@ -119,7 +111,7 @@ def two_op_positive_glb(a: HermitianMatrix, b: HermitianMatrix, tol: Tolerances 
     """Greatest positive lower bound of two PSD matrices, when it exists."""
     ab = ando_limit(a, b, tol)
     ba = ando_limit(b, a, tol)
-    verdict = compare(ab, ba, tol)
+    verdict = _verdict(np.linalg.eigvalsh(ba.mat - ab.mat), max(a.norm(), b.norm()), tol)
     if verdict in (Comparability.LESS_EQUAL, Comparability.EQUAL):
         return TwoOpGlbResult(True, ab, ab, ba, verdict)
     if verdict is Comparability.GREATER_EQUAL:

@@ -16,7 +16,8 @@ from .linalg import (
     Tolerances,
     _NOISE_FLOOR,
     _sym,
-    is_psd,
+    _top,
+    _within,
     spectral,
 )
 
@@ -50,33 +51,24 @@ def _blocks(s: HermitianMatrix, h1: Subspace, h2: Subspace) -> tuple[np.ndarray,
     return s1, s12, s2
 
 
-def _spectral_norm(block: np.ndarray) -> float:
-    """Largest singular value.  A single row or column is its own singular
-    vector, so its Euclidean norm is exact and needs no SVD."""
-    if 1 in block.shape:
-        return float(np.linalg.norm(block.ravel()))
-    return float(np.linalg.norm(block, 2))
-
-
-def _corner_analysis(blocks: tuple, tol: Tolerances, anchor: float) -> tuple[float, float, HermitianMatrix]:
-    """Range-condition residual, its threshold, and the complement block.
+def _corner_analysis(blocks: tuple, tol: Tolerances, anchor: float) -> tuple[bool, np.ndarray, HermitianMatrix]:
+    """Whether the coupling stays in the corner's range, the part of it
+    outside that range, and the complement block.
 
     A single eigendecomposition of the corner block drives both decisions, so
     the directions the range test treats as null are exactly the directions
-    the inversion drops.  Range inclusion is a rank decision, so the threshold
-    uses ``rank_rel``; ``anchor`` is the parent matrix's scale.
+    the inversion drops.  The corner is cut on its own norm, range inclusion
+    on ``anchor``, the parent's scale, both floored at the parent's noise.
     """
     s1, s12, s2 = blocks
     w, v = spectral(HermitianMatrix(s1))
-    own = max(abs(float(w[0])), abs(float(w[-1])))
-    cut = max(tol.rank_rel * own, _NOISE_FLOOR * anchor)
-    mask = np.abs(w) > cut
+    mask = ~(_within(np.abs(w), "rank_rel", _top(w), tol) | _within(np.abs(w), _NOISE_FLOOR, anchor))
     vr = v[:, mask]
-    residual = _spectral_norm(s12 - vr @ (vr.conj().T @ s12))
-    threshold = tol.rank_rel * (1.0 + _spectral_norm(s12)) + _NOISE_FLOOR * anchor
+    residual = s12 - vr @ (vr.conj().T @ s12)
+    inside = _within(residual, "rank_rel", anchor, tol) or _within(residual, _NOISE_FLOOR, anchor)
     inv_w = np.where(mask, 1.0 / np.where(mask, w, 1.0), 0.0)
     correction = s12.conj().T @ ((v * inv_w) @ v.conj().T) @ s12
-    return residual, threshold, HermitianMatrix(s2 - correction)
+    return inside, residual, HermitianMatrix(s2 - correction)
 
 
 @dataclass(frozen=True)
@@ -100,12 +92,13 @@ def albert_is_psd(s: HermitianMatrix, h1: Subspace, tol: Tolerances = DEFAULT_TO
     complement is PSD.
     """
     blocks = _blocks(s, h1, _split(h1, s.dim))
-    if not is_psd(HermitianMatrix(blocks[0]), tol):
+    # the corner and the complement are decided on the scale of s
+    if not _within(-np.linalg.eigvalsh(blocks[0])[0], "psd_rel", s.norm(), tol):
         return AlbertReport(False, "(i)")
-    residual, threshold, complement = _corner_analysis(blocks, tol, s.norm())
-    if residual > threshold:
+    inside, _, complement = _corner_analysis(blocks, tol, s.norm())
+    if not inside:
         return AlbertReport(False, "(ii)")
-    if not is_psd(complement, tol):
+    if not _within(-complement.min_eigenvalue(), "psd_rel", s.norm(), tol):
         return AlbertReport(False, "(iii)")
     return AlbertReport(True, None)
 
@@ -124,11 +117,11 @@ def schur_complement(s: HermitianMatrix, h1: Subspace, tol: Tolerances = DEFAULT
     coupling block to stay inside the corner block's range.
     """
     h2 = _split(h1, s.dim)
-    residual, threshold, complement = _corner_analysis(_blocks(s, h1, h2), tol, s.norm())
-    if residual > threshold:
+    inside, residual, complement = _corner_analysis(_blocks(s, h1, h2), tol, s.norm())
+    if not inside:
         raise RangeConditionViolated(
             f"coupling block leaves the range of the corner block "
-            f"(residual {residual:.3e} > {threshold:.3e})"
+            f"(residual {np.linalg.norm(residual, 2):.3e} on scale {s.norm():.3e})"
         )
     shorted = np.zeros((s.dim, s.dim), dtype=np.complex128)
     shorted[h1.dim:, h1.dim:] = complement.mat

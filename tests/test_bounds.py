@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from loewner import (
+    DEFAULT_TOL,
     HermitianMatrix,
     MatrixSet,
     StottParam,
@@ -12,7 +13,6 @@ from loewner import (
     certify_maximal,
     identity,
     is_lower_bound,
-    loewner_leq,
     mlb_mt,
     positive_maximal_lb,
     signature_matrix,
@@ -262,7 +262,8 @@ class TestNormalizePair:
 
 class TestStackedLowerBound:
     """The one batched eigenvalue call of ``is_lower_bound`` decides as the
-    member-by-member fold of ``loewner_leq`` does, at the order margin too."""
+    member-by-member fold of the order rule on the scale of the family and
+    the candidate does, on both sides of the order margin too."""
 
     def test_agrees_with_member_fold(self):
         verdicts = []
@@ -272,10 +273,11 @@ class TestStackedLowerBound:
             mset = MatrixSet([random_hermitian(rng, n) for _ in range(int(rng.integers(1, 5)))])
             s = mset.max_norm()
             for base in (mset.min_eigenvalue() * identity(n), mset[0]):
-                for delta in (-1e-3, -1e-9 * s, 0.0, 1e-9 * s, 1e-3):
+                for delta in (-1e-3, -2e-9 * s, -0.5e-9 * s, 0.0, 0.5e-9 * s, 2e-9 * s, 1e-3):
                     lower = base - delta * identity(n)
+                    margin = DEFAULT_TOL.psd_rel * max(s, lower.norm())
                     stacked = is_lower_bound(lower, mset)
-                    assert stacked == all(loewner_leq(lower, m) for m in mset)
+                    assert stacked == all(np.linalg.eigvalsh((m - lower).mat)[0] >= -margin for m in mset)
                     verdicts.append(stacked)
         assert True in verdicts and False in verdicts
 

@@ -1,11 +1,15 @@
 """Command-line interface: exit codes, report shape, byte stability."""
 
+import contextlib
 import io
 import json
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loewner import cli, constrained, infimum
 from loewner.cli import main
@@ -668,3 +672,88 @@ class TestEnsembleCommand:
     def test_unknown_suite_rejected_by_parser(self, capsys):
         code, _, _ = run(["ensemble", "--suite", "nonsense", "--trials", "1"], capsys)
         assert code == 1
+
+
+# Entries of every kind a document or an inline argument may carry: finite,
+# non-finite, subnormal, huge and out-of-range numbers, [re, im] pairs of
+# any length, and values of the wrong type.
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, 1e-300, 1e300, 1.7e308]),
+    st.integers(-(10**400), 10**400),
+)
+_ENTRIES = st.one_of(_NUMBERS, st.lists(_NUMBERS, max_size=3), st.sampled_from([None, True, "1", {}]))
+_GRIDS = st.one_of(
+    st.lists(st.lists(_ENTRIES, max_size=4), max_size=4),
+    st.lists(_ENTRIES, max_size=4),
+    _ENTRIES,
+)
+
+
+@st.composite
+def _hermitian_grid(draw, dim, tag=None):
+    """A well-formed Hermitian grid at an extreme or zero magnitude."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    scale = draw(st.sampled_from([0.0, 1e-320, 1e-160, 1e-12, 1.0, 1e12, 1e154, 1e300]))
+    g = scale * (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    h = (g + g.conj().T) / 2.0
+    if (tag or draw(st.sampled_from(["real", "complex"]))) == "real":
+        return h.real.tolist()
+    return np.stack([h.real, h.imag], axis=-1).tolist()
+
+
+@st.composite
+def _documents(draw):
+    """Document text: well-formed families at extreme magnitudes, documents
+    with ragged, non-finite or mis-tagged entries, and broken JSON."""
+    kind = draw(st.sampled_from(["family", "family", "fuzzed", "text"]))
+    if kind == "text":
+        return draw(st.sampled_from(["", "{", "[]", "null", "NaN", '{"dim": 1}']))
+    dim = draw(st.integers(1, 3))
+    if kind == "family":
+        tag = draw(st.sampled_from(["real", "complex"]))
+        return json.dumps({"dim": dim, "field_tag": tag,
+                           "matrices": draw(st.lists(_hermitian_grid(dim, tag), min_size=1, max_size=3))})
+    if draw(st.booleans()):
+        dim = draw(st.sampled_from([0, -1, True, "2", 2.5]))
+    doc = {"dim": dim, "field_tag": draw(st.sampled_from(["real", "complex", "quaternion"])),
+           "matrices": draw(st.lists(_GRIDS, max_size=3))}
+    if draw(st.booleans()):
+        doc["labels"] = draw(st.lists(st.text(max_size=2), max_size=3))
+    return json.dumps(doc)
+
+
+_INLINE = st.one_of(
+    st.integers(1, 3).flatmap(_hermitian_grid).map(json.dumps),
+    st.builds(json.dumps, _GRIDS),
+    st.sampled_from(["", "[", "[[1]]", "[1, 0]", "@/nonexistent/file.json", "@-"]),
+)
+# argv before the flags; a trailing option takes the inline argument
+_COMMANDS = st.sampled_from([
+    ["check-order"], ["infimum"], ["commuting-glb"], ["positive-mlb"], ["positive-glb"], ["parallel-sum"],
+    ["ando"], ["mlb-mt"], ["mlb-mt", "--transform"], ["certify", "--candidate"], ["maximal-extend", "--lower"],
+    ["constrained", "--u"], ["stott", "--p", "1", "--q", "1", "--x"], ["stott", "--p", "1", "--q", "1", "--matrix"],
+    ["fixture", "ex6.2"], ["no-such-command"],
+])
+_FLAGS = st.one_of(st.just([]), st.just(["--json"]), st.sampled_from([
+    ["--bogus"], ["--tol-psd", "-1"], ["--tol-rank", "nan"], ["--tol-eq", "inf"], ["--tol-psd", "x"],
+    ["--tol-rank", "0"], ["--p", "0"], ["--truncate-n", "-3"], ["--seed", "1"],
+]))
+
+
+class TestFuzz:
+    """Whatever the document, the inline arguments or the flags, ``main``
+    returns one of the documented exit codes and raises nothing."""
+
+    @settings(max_examples=60)
+    @given(_COMMANDS, _documents(), _INLINE, _FLAGS)
+    def test_exit_code_is_documented(self, command, document, inline, flags):
+        argv = [*command, inline] if command[-1].startswith("--") else list(command)
+        argv[1:1] = flags
+        saved, sys.stdin = sys.stdin, io.StringIO(document)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+        finally:
+            sys.stdin = saved
+        assert code in (0, 1, 2, 3)

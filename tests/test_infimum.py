@@ -20,7 +20,6 @@ from loewner import (
     fixture,
     identity,
     is_lower_bound,
-    is_psd,
     loewner_leq,
     pairwise_commuting,
     parallel_sum_family,
@@ -52,6 +51,7 @@ from .conftest import (
     certify_maximal_reference,
     commutant_kron,
     herm,
+    is_psd_on,
     positive_mlb_reference,
     record_calls,
 )
@@ -458,7 +458,7 @@ class TestPositiveGlbFamily:
             if not report.exists:
                 continue
             hits += 1
-            assert is_psd(report.glb)
+            assert is_psd_on(report.glb, mset.max_norm())
             assert is_lower_bound(report.glb, mset)
         assert hits > 0
 
@@ -475,8 +475,9 @@ class TestPositiveGlbFamily:
 
 
 class TestFamilyPsdCheck:
-    """The check on cached spectra names the member the loop over ``is_psd``
-    named first, in each of the three routines that require a PSD family."""
+    """The check on cached spectra names the member a loop over the members,
+    each decided on the family scale, names first, in each of the three
+    routines that require a PSD family."""
 
     @pytest.mark.parametrize("routine", [positive_maximal_lb, positive_glb_family, parallel_sum_family])
     def test_names_first_failing_member(self, routine):
@@ -484,11 +485,12 @@ class TestFamilyPsdCheck:
             rng = trial_rng(62, t)
             n = int(rng.integers(1, 6))
             members = [random_psd(rng, n, rank=int(rng.integers(0, n + 1))) for _ in range(4)]
+            scale = max(m.norm() for m in members)
             # push some members below zero, a few of them barely past the margin
             for i in rng.choice(4, size=int(rng.integers(1, 4)), replace=False):
-                scale = 1.0 + members[i].norm()
                 depth = [1e-3, 2e-9 * scale][int(rng.integers(0, 2))]
                 members[i] = members[i] - (members[i].min_eigenvalue() + depth) * identity(n)
-            first = next(i for i, m in enumerate(members) if not is_psd(m))
+            scale = max(m.norm() for m in members)
+            first = next(i for i, m in enumerate(members) if not is_psd_on(m, scale))
             with pytest.raises(NotPositiveSemidefinite, match=rf"^member {first} is not positive semidefinite$"):
                 routine(MatrixSet(members))

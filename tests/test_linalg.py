@@ -120,10 +120,11 @@ class TestHermitize:
         return raw
 
     def test_spectral_norm_decides_past_the_frobenius_bound(self):
-        # the bound is eq_rel * (1 + |raw|) = 2e-8 in both norms here
-        assert hermitize(self._two_skew_blocks(1.5e-8)).dim == 4
-        with pytest.raises(NotHermitianWithinTolerance, match="defect 2.500e-08"):
-            hermitize(self._two_skew_blocks(2.5e-8))
+        # the bound is eq_rel * |raw| = 1e-8 here, and the Frobenius bounds
+        # on the defect and on |raw| leave 0.75e-8 and 1.25e-8 undecided
+        assert hermitize(self._two_skew_blocks(0.75e-8)).dim == 4
+        with pytest.raises(NotHermitianWithinTolerance, match="defect 1.250e-08"):
+            hermitize(self._two_skew_blocks(1.25e-8))
 
 
 class TestMatrixSet:

@@ -19,7 +19,7 @@ from loewner import (
 from loewner.errors import DimensionMismatch, NotPositiveSemidefinite
 from loewner.sampling import random_psd, trial_rng
 
-from .conftest import assert_matrix_close, herm
+from .conftest import assert_matrix_close, herm, is_psd_on
 
 
 class TestParallelSum:
@@ -116,7 +116,7 @@ class TestAndoLimit:
             a = random_psd(rng, n, rank=int(rng.integers(1, n + 1)))
             b = random_psd(rng, n, rank=int(rng.integers(1, n + 1)))
             part = ando_limit(a, b)
-            assert is_psd(part)
+            assert is_psd_on(part, max(a.norm(), b.norm()))
             assert loewner_leq(part, b)
             p = range_nullspace(a).range.projector()
             leak = float(np.linalg.norm(part.mat - p @ part.mat @ p, 2))
