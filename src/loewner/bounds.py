@@ -15,6 +15,7 @@ from .errors import (
     DimensionMismatch,
     NotMaximalForJZero,
     SingularTransform,
+    ValidationError,
 )
 from .linalg import (
     DEFAULT_TOL,
@@ -101,8 +102,7 @@ def mlb_mt(a: HermitianMatrix, b: HermitianMatrix, t, tol: Tolerances = DEFAULT_
     M_T depends on T only through |T|, commutes with congruences, and shifts
     along with the pair.
     """
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
+    a._require_same_dim(b)
     t_arr = np.asarray(t, dtype=np.complex128)
     if t_arr.shape != (a.dim, a.dim):
         raise DimensionMismatch(f"transform has shape {t_arr.shape}, expected {(a.dim, a.dim)}")
@@ -155,6 +155,10 @@ def stott_mx(param: StottParam, tol: Tolerances = DEFAULT_TOL) -> StottPair:
     """
     x = np.asarray(param.x, dtype=np.complex128)
     p, q = param.p, param.q
+    # tr S(X) = p + 2 |X|_F^2 bounds every entry of S(X), and symmetrizing S(X) doubles an entry
+    with np.errstate(over="ignore"):
+        if not np.isfinite(2.0 * (p + 2.0 * np.vdot(x, x).real)):
+            raise ValidationError("I + XX* overflows: X is out of range")
     gram = HermitianMatrix(np.eye(p) + x @ x.conj().T)
     root = sqrt_psd(gram, tol).mat
     top = np.hstack([gram.mat, root @ x])

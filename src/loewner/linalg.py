@@ -427,8 +427,6 @@ class Subspace:
         return self.basis.shape[1]
 
     def projector(self) -> np.ndarray:
-        if self.dim == 0:
-            return np.zeros((self.ambient_dim, self.ambient_dim), dtype=np.complex128)
         return self.basis @ self.basis.conj().T
 
     def complement(self) -> "Subspace":
@@ -446,7 +444,6 @@ class Subspace:
 
 
 def _intersect_pair(a: Subspace, b: Subspace, tol: Tolerances) -> Subspace:
-    # Principal angles: directions with cosine within rank_rel of 1 are common.
     if a.dim == 0 or b.dim == 0:
         return Subspace.zero_subspace(a.ambient_dim)
     g = a.basis.conj().T @ b.basis
@@ -458,7 +455,15 @@ def _intersect_pair(a: Subspace, b: Subspace, tol: Tolerances) -> Subspace:
 
 
 def subspace_intersect(subspaces: Sequence[Subspace], tol: Tolerances = DEFAULT_TOL) -> Subspace:
-    """Intersection of the given subspaces, folded pairwise."""
+    """Intersection of the given subspaces, folded pairwise.
+
+    Directions whose principal-angle cosine is within ``rank_rel`` of 1
+    count as common: a 1 - cos(theta) cut, so lines 1e-5 apart meet.  It
+    stays because the parallel sum's (A + B)^+ cut is such a rule too and
+    the two must change together; compressing the fold onto an explicitly
+    decided intersection raised its error about 300-fold at condition 1e8,
+    against exact answers on commuting three-member families.
+    """
     if not subspaces:
         raise AmbientMismatch("need at least one subspace")
     result = subspaces[0]

@@ -7,13 +7,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPositiveSemidefinite
+from .errors import NotPositiveSemidefinite
 from .linalg import (
     DEFAULT_TOL,
     Comparability,
     HermitianMatrix,
     MatrixSet,
-    Subspace,
+    RangeNullspace,
     Tolerances,
     _inverse,
     _map_eigenvalues,
@@ -21,8 +21,9 @@ from .linalg import (
     _verdict,
     _within,
     range_nullspace,
-    spectral,
+    zero,
 )
+from .schur import _blocks, _corner_analysis, _shorted
 
 __all__ = [
     "parallel_sum",
@@ -43,11 +44,8 @@ def parallel_sum(a: HermitianMatrix, b: HermitianMatrix, tol: Tolerances = DEFAU
 
     The result is PSD, bounded by both arguments, and its range is the
     intersection of the ranges of the arguments; downstream code relies on
-    that range identity.  Eigenvalues of a + b and of the product below
-    ``rank_rel`` on the inputs' scale count as zero, the product's rounded
-    to exact zero: when the ranges meet only at the origin the product is
-    pure rounding noise, and ranking it against its own largest eigenvalue
-    would hand a zero matrix a full-dimensional range.
+    that range identity.  Eigenvalues of a + b below ``rank_rel`` on the
+    inputs' scale count as zero, and so do the product's (``_rounded``).
     """
     return parallel_sum_family(MatrixSet([a, b]), tol)
 
@@ -59,37 +57,37 @@ def parallel_sum_family(mset: MatrixSet, tol: Tolerances = DEFAULT_TOL) -> Hermi
     result = mset[0]
     for member in mset.members[1:]:
         inverse = _map_eigenvalues(result + member, lambda w: _inverse(w, tol, scale))
-        w, v = spectral(HermitianMatrix(result.mat @ inverse.mat @ member.mat))
-        result = HermitianMatrix((v * np.where(_within(np.abs(w), "rank_rel", scale, tol), 0.0, w)) @ v.conj().T)
+        result = _rounded(HermitianMatrix(result.mat @ inverse.mat @ member.mat), tol, scale)
     return result
+
+
+def _rounded(s: HermitianMatrix, tol: Tolerances, scale: float) -> HermitianMatrix:
+    """``s`` with its eigenvalues within ``rank_rel`` of zero on ``scale`` rounded to exact
+    zero: ranked on its own norm, a vanished result's rounding noise would get a full range."""
+    return _map_eigenvalues(s, lambda w: np.where(_within(np.abs(w), "rank_rel", scale, tol), 0.0, w))
 
 
 def ando_limit(a: HermitianMatrix, b: HermitianMatrix, tol: Tolerances = DEFAULT_TOL) -> HermitianMatrix:
     """The limit [a]b of the decreasing sequence b : (n a) as n grows.
 
-    In finite dimension the limit collapses to ``b^(1/2) P b^(1/2)`` where P
-    projects onto the vectors whose image under ``b^(1/2)`` lies in the range
-    of ``a``.  [a]b is the largest PSD matrix below b whose square root's
-    range lies inside the range of ``a^(1/2)``; when the range of ``b^(1/2)``
-    is already inside, [a]b equals b.
+    In finite dimension [a]b is the shorted operator of b to the range of
+    ``a``, the largest PSD matrix below b with range inside R(a): b's
+    generalized Schur complement over the null space of ``a``, by ``schur``.
     """
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
+    a._require_same_dim(b)
     _require_psd(a, tol, "first argument", a.norm())
     _require_psd(b, tol, "second argument", b.norm())
-    return _ando_limit(range_nullspace(a, tol).range.projector(), b, tol, b.norm())
+    return _ando_limit(range_nullspace(a, tol), b, tol, b.norm())
 
 
-def _ando_limit(p_range_a: np.ndarray, b: HermitianMatrix, tol: Tolerances, scale: float) -> HermitianMatrix:
-    """[a]b from the projector onto the range of ``a``, for b PSD on ``scale``."""
-    broot = _map_eigenvalues(b, lambda w: np.sqrt(np.maximum(w, 0.0)))
-    residual_map = broot.mat - p_range_a @ broot.mat
-    # The zero decision is on sqrt(scale), the largest value the residual map could take, not
-    # on its own largest singular value: a pure-noise residual must give the full null space.
-    _, sing, vh = np.linalg.svd(residual_map)
-    rank = int(np.sum(~_within(sing, "rank_rel", np.sqrt(scale), tol)))
-    v = Subspace(vh[rank:].conj().T)
-    return HermitianMatrix(broot.mat @ v.projector() @ broot.mat)
+def _ando_limit(split: RangeNullspace, b: HermitianMatrix, tol: Tolerances, scale: float) -> HermitianMatrix:
+    """[a]b from the (range, null space) split of ``a``, for b PSD on ``scale``.
+    The coupling block of a PSD b lies in its corner's range by theorem, so
+    the range verdict is not consulted: it could only be a false alarm."""
+    if split.nullspace.dim == 0 or split.range.dim == 0:  # a is invertible or zero
+        return b if split.range.dim else zero(b.dim)
+    _, _, complement = _corner_analysis(_blocks(b, split.nullspace, split.range), tol, scale)
+    return _shorted(_rounded(complement, tol, scale), split.range)
 
 
 @dataclass(frozen=True)
@@ -112,8 +110,5 @@ def two_op_positive_glb(a: HermitianMatrix, b: HermitianMatrix, tol: Tolerances 
     ab = ando_limit(a, b, tol)
     ba = ando_limit(b, a, tol)
     verdict = _verdict(np.linalg.eigvalsh(ba.mat - ab.mat), max(a.norm(), b.norm()), tol)
-    if verdict in (Comparability.LESS_EQUAL, Comparability.EQUAL):
-        return TwoOpGlbResult(True, ab, ab, ba, verdict)
-    if verdict is Comparability.GREATER_EQUAL:
-        return TwoOpGlbResult(True, ba, ab, ba, verdict)
-    return TwoOpGlbResult(False, None, ab, ba, verdict)
+    glb = {Comparability.LESS_EQUAL: ab, Comparability.EQUAL: ab, Comparability.GREATER_EQUAL: ba}.get(verdict)
+    return TwoOpGlbResult(glb is not None, glb, ab, ba, verdict)

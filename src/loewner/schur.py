@@ -123,8 +123,10 @@ def schur_complement(s: HermitianMatrix, h1: Subspace, tol: Tolerances = DEFAULT
             f"coupling block leaves the range of the corner block "
             f"(residual {np.linalg.norm(residual, 2):.3e} on scale {s.norm():.3e})"
         )
-    shorted = np.zeros((s.dim, s.dim), dtype=np.complex128)
-    shorted[h1.dim:, h1.dim:] = complement.mat
-    rotation = np.hstack([h1.basis, h2.basis])
-    return SchurResult(complement, HermitianMatrix(rotation @ shorted @ rotation.conj().T))
+    return SchurResult(complement, _shorted(complement, h2))
+
+
+def _shorted(complement: HermitianMatrix, h2: Subspace) -> HermitianMatrix:
+    """The complement on h2 embedded into the full space as ``U2 complement U2*``."""
+    return HermitianMatrix(h2.basis @ complement.mat @ h2.basis.conj().T)
 

@@ -11,7 +11,9 @@ from loewner import (
     Subspace,
     identity,
     is_lower_bound,
+    range_nullspace,
     spectral,
+    sqrt_psd,
     subspace_intersect,
 )
 from loewner.errors import SchurRangeViolation
@@ -155,3 +157,18 @@ def certify_maximal_reference(m, mset, tol=DEFAULT_TOL) -> MaximalityCertificate
         is_lower_bound=lower,
         is_maximal=lower and spanning,
     )
+
+
+def ando_limit_reference(a, b, tol=DEFAULT_TOL) -> HermitianMatrix:
+    """Reference [a]b by the square-root route: ``b^(1/2) P b^(1/2)``, with P
+    the projector onto the vectors whose image under ``b^(1/2)`` lies in the
+    range of ``a``, the residual map's rank cut at ``rank_rel`` times
+    sqrt(|b|).  The square root amplifies b's rounding noise, so the route
+    is accurate only on well-conditioned pairs; at condition 1e7 and beyond
+    it can be off by the whole of b."""
+    broot = sqrt_psd(b, tol).mat
+    residual_map = broot - range_nullspace(a, tol).range.projector() @ broot
+    _, sing, vh = np.linalg.svd(residual_map)
+    rank = int(np.sum(sing > tol.rank_rel * np.sqrt(b.norm())))
+    v = Subspace(vh[rank:].conj().T)
+    return HermitianMatrix(broot @ v.projector() @ broot)

@@ -5,6 +5,7 @@ import io
 import json
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -491,6 +492,17 @@ class TestCommands:
         code, _, err = run(["stott", "--p", "0", "--q", "1", "--x", "[[1]]"], capsys)
         assert code == 1
         assert "at least 1" in err
+
+    @pytest.mark.parametrize("x", ["[[1.26e299]]", "[[1e154]]", "[[1e200, 1], [1, 1]]"])
+    def test_stott_overflowing_x_is_exit_2_without_warnings(self, capsys, x):
+        p = len(json.loads(x))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(["stott", "--p", str(p), "--q", str(p), "--x", x, "--json"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: I + XX* overflows") and err.count("\n") == 1
+        assert caught == []
 
     def test_stott_rejects_non_maximal_matrix(self, capsys):
         code, _, _ = run(

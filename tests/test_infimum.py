@@ -467,7 +467,7 @@ class TestPositiveGlbFamily:
             positive_glb_family(MatrixSet([herm(np.diag([1.0, -1.0]))]))
 
     def test_one_eigh_of_the_parallel_sum(self, monkeypatch):
-        # the range projector of S is built once and serves every [S]A
+        # the range split of S is computed once and serves every [S]A
         mset = MatrixSet(random_psd(trial_rng(54, 1), 5, rank=4) for _ in range(3))
         calls = record_calls(monkeypatch, np.linalg, "eigh")
         report = positive_glb_family(mset)

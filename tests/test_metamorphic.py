@@ -1,8 +1,9 @@
 """Metamorphic checks of the decision rule.
 
 Every question the package decides is homogeneous: rescaling the family by
-c > 0 rescales every bound by c, a unitary congruence moves every bound
-along, and permuting the members permutes the per-member answers.  So the
+c > 0 rescales every bound by c, as in [cA](cB) = c[A]B, a unitary
+congruence moves every bound along, as in [U*AU](U*BU) = U*([A]B)U, and
+permuting the members permutes the per-member answers.  So the
 verdicts must be invariant, and the certified bounds equivariant, under
 rescaling by 10^(+-1, +-6, +-12, +-100), a random unitary congruence, a
 permutation of the members and the embedding of real input as complex.
@@ -24,6 +25,7 @@ from loewner import (
     Comparability,
     HermitianMatrix,
     MatrixSet,
+    ando_limit,
     certify_maximal,
     commuting_glb,
     compare,
@@ -33,6 +35,7 @@ from loewner import (
     pairwise_commuting,
     positive_glb_family,
     positive_maximal_lb,
+    two_op_positive_glb,
 )
 from loewner.cli import main
 from loewner.documents import MatrixSetDocument, emit_document
@@ -199,12 +202,22 @@ class TestPositiveGlbFamily:
         mset = MatrixSet(members)
         report = positive_glb_family(mset)
         assert report.exists or not effect
-        for family, forward, _ in variants(mset, rng, c):
+        # the first two members as a pair: [A]B and the pair bound move along too
+        part = ando_limit(mset[0], mset[1])
+        pair = two_op_positive_glb(mset[0], mset[1])
+        for family, forward, order in variants(mset, rng, c):
             moved = positive_glb_family(family)
             assert moved.exists == report.exists
             assert moved.k_subspace.dim == report.k_subspace.dim
             if report.exists:
                 assert_close(moved.glb, forward(report.glb), family_scale(family))
+            a, b = family[order.index(0)], family[order.index(1)]
+            assert_close(ando_limit(a, b), forward(part), family_scale(family))
+            moved_pair = two_op_positive_glb(a, b)
+            assert moved_pair.comparability is pair.comparability
+            assert moved_pair.exists == pair.exists
+            if pair.exists:
+                assert_close(moved_pair.glb, forward(pair.glb), family_scale(family))
 
 
 class TestDistinctMaximals:
