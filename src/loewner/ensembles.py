@@ -41,6 +41,7 @@ from .linalg import (
     _within,
     identity,
     loewner_leq,
+    pinv,
     polar_abs,
     range_nullspace,
     subspace_intersect,
@@ -58,7 +59,7 @@ from .sampling import (
     random_unitary,
     trial_rng,
 )
-from .schur import albert_is_psd, schur_complement
+from .schur import albert_is_psd
 
 __all__ = ["SUITE_NAMES", "DEFAULT_DIMS", "ensemble_run"]
 
@@ -402,8 +403,8 @@ def _effect_projection(trials: int, dims: tuple[int, int], seed: int, tol: Toler
         family = positive_glb_family(MatrixSet([a, proj]), tol)
         if family.exists:
             existing += 1
-            away = range_nullspace(proj, tol).range.complement()
-            shorted = schur_complement(a, away, tol).shorted
+            # Anderson-Trapp: an invertible a shorted to R(P) is (P a^-1 P)^+, no Schur complement
+            shorted = pinv(HermitianMatrix(proj.mat @ pinv(a, tol).mat @ proj.mat), tol)
             max_shorted_gap = max(
                 max_shorted_gap, (family.glb - shorted).norm() / (1.0 + a.norm())
             )

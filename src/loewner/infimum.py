@@ -405,7 +405,7 @@ class PositiveGlbReport:
 def positive_glb_family(mset: MatrixSet, tol: Tolerances = DEFAULT_TOL) -> PositiveGlbReport:
     """Existence and value of the greatest positive lower bound of a family."""
     s = parallel_sum_family(mset, tol)
-    # S, [S]A and their infimum are decided on the family's scale, not their own
+    # [S]A and their infimum are decided on the family's scale, not their own
     scale = mset.max_norm()
     # every [S]A is built on the range K of S, so the infimum, one of them, lies on K
     split = range_nullspace(s, tol)

@@ -427,6 +427,8 @@ class Subspace:
         return self.basis.shape[1]
 
     def projector(self) -> np.ndarray:
+        if self.dim == 0:
+            return np.zeros((self.ambient_dim, self.ambient_dim), dtype=np.complex128)
         return self.basis @ self.basis.conj().T
 
     def complement(self) -> "Subspace":

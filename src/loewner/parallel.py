@@ -62,9 +62,9 @@ def parallel_sum_family(mset: MatrixSet, tol: Tolerances = DEFAULT_TOL) -> Hermi
 
 
 def _rounded(s: HermitianMatrix, tol: Tolerances, scale: float) -> HermitianMatrix:
-    """``s`` with its eigenvalues within ``rank_rel`` of zero on ``scale`` rounded to exact
-    zero: ranked on its own norm, a vanished result's rounding noise would get a full range."""
-    return _map_eigenvalues(s, lambda w: np.where(_within(np.abs(w), "rank_rel", scale, tol), 0.0, w))
+    """``s``, PSD by theorem, with its eigenvalues at most ``rank_rel`` on ``scale`` (negative ones
+    too) rounded to exact zero: on its own norm, a vanished result's noise would get a full range."""
+    return _map_eigenvalues(s, lambda w: np.where(_within(w, "rank_rel", scale, tol), 0.0, w))
 
 
 def ando_limit(a: HermitianMatrix, b: HermitianMatrix, tol: Tolerances = DEFAULT_TOL) -> HermitianMatrix:
@@ -86,7 +86,7 @@ def _ando_limit(split: RangeNullspace, b: HermitianMatrix, tol: Tolerances, scal
     the range verdict is not consulted: it could only be a false alarm."""
     if split.nullspace.dim == 0 or split.range.dim == 0:  # a is invertible or zero
         return b if split.range.dim else zero(b.dim)
-    _, _, complement = _corner_analysis(_blocks(b, split.nullspace, split.range), tol, scale)
+    _, _, complement = _corner_analysis(_blocks(b, split.nullspace, split.range), tol, scale, psd=True)
     return _shorted(_rounded(complement, tol, scale), split.range)
 
 
@@ -110,5 +110,8 @@ def two_op_positive_glb(a: HermitianMatrix, b: HermitianMatrix, tol: Tolerances 
     ab = ando_limit(a, b, tol)
     ba = ando_limit(b, a, tol)
     verdict = _verdict(np.linalg.eigvalsh(ba.mat - ab.mat), max(a.norm(), b.norm()), tol)
-    glb = {Comparability.LESS_EQUAL: ab, Comparability.EQUAL: ab, Comparability.GREATER_EQUAL: ba}.get(verdict)
-    return TwoOpGlbResult(glb is not None, glb, ab, ba, verdict)
+    if verdict in (Comparability.LESS_EQUAL, Comparability.EQUAL):
+        return TwoOpGlbResult(True, ab, ab, ba, verdict)
+    if verdict is Comparability.GREATER_EQUAL:
+        return TwoOpGlbResult(True, ba, ab, ba, verdict)
+    return TwoOpGlbResult(False, None, ab, ba, verdict)

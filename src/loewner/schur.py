@@ -51,7 +51,9 @@ def _blocks(s: HermitianMatrix, h1: Subspace, h2: Subspace) -> tuple[np.ndarray,
     return s1, s12, s2
 
 
-def _corner_analysis(blocks: tuple, tol: Tolerances, anchor: float) -> tuple[bool, np.ndarray, HermitianMatrix]:
+def _corner_analysis(
+    blocks: tuple, tol: Tolerances, anchor: float, psd: bool = False
+) -> tuple[bool, np.ndarray, HermitianMatrix]:
     """Whether the coupling stays in the corner's range, the part of it
     outside that range, and the complement block.
 
@@ -59,6 +61,10 @@ def _corner_analysis(blocks: tuple, tol: Tolerances, anchor: float) -> tuple[boo
     the directions the range test treats as null are exactly the directions
     the inversion drops.  The corner is cut on its own norm, range inclusion
     on ``anchor``, the parent's scale, both floored at the parent's noise.
+
+    With ``psd`` the parent is PSD within its margin, and a corner eigenvalue
+    negative past the cut is inverted as the cut: the coupling along it then
+    takes its direction out of the complement, which stays below s2.
     """
     s1, s12, s2 = blocks
     w, v = spectral(HermitianMatrix(s1))
@@ -66,8 +72,11 @@ def _corner_analysis(blocks: tuple, tol: Tolerances, anchor: float) -> tuple[boo
     vr = v[:, mask]
     residual = s12 - vr @ (vr.conj().T @ s12)
     inside = _within(residual, "rank_rel", anchor, tol) or _within(residual, _NOISE_FLOOR, anchor)
+    if psd:
+        w = np.maximum(w, max(tol.rank_rel * _top(w), _NOISE_FLOOR * anchor))
     inv_w = np.where(mask, 1.0 / np.where(mask, w, 1.0), 0.0)
-    correction = s12.conj().T @ ((v * inv_w) @ v.conj().T) @ s12
+    y = v.conj().T @ s12  # in the corner's eigenbasis each 1/w scales its own row only, so none cancels
+    correction = y.conj().T @ (inv_w[:, None] * y)
     return inside, residual, HermitianMatrix(s2 - correction)
 
 

@@ -168,6 +168,52 @@ class TestAndoLimit:
         expected = u @ np.diag(np.where(np.array(da) > 0.0, db, 0.0)) @ u.conj().T
         assert np.linalg.norm(ando_limit(a, b).mat - expected, 2) <= 1e-8 * b.norm()
 
+    @pytest.mark.parametrize(
+        "b",
+        [
+            # smallest eigenvalue -9e-10, inside the PSD margin: the Schur
+            # complement 1 - |b12|^2 / b11 is -899
+            [[1e-12, 3e-5], [3e-5, 1.0]],
+            # a negative corner inside the PSD margin: inverted as it stands
+            # it would give a complement of 1.2, above b
+            [[-5e-10, 1e-5], [1e-5, 1.0]],
+        ],
+    )
+    def test_tiny_corner_inside_the_psd_margin(self, b):
+        b = herm(b)
+        part = ando_limit(herm(np.diag([0.0, 1.0])), b)
+        assert is_psd(part)
+        assert loewner_leq(part, b)
+        assert part.norm() <= 1e-9 * b.norm()
+
+    def test_rank_one_b_off_the_range_of_a(self):
+        # [a]b = 0 exactly, but b's corner 1e-12 carries rounding of about
+        # 2e-16, so the complement is of either sign at about 1e-4 |b|
+        v = np.array([1e-6, 1.0])
+        for s in range(8):
+            u = random_unitary(trial_rng(0, s), 2)
+            a = herm(u @ np.diag([0.0, 1.0]) @ u.conj().T)
+            b = herm(u @ np.outer(v, v) @ u.conj().T)
+            part = ando_limit(a, b)
+            assert is_psd(part)
+            assert loewner_leq(part, b)
+            assert part.norm() <= 1e-3 * b.norm()
+
+    def test_negative_corner_beside_an_ordinary_one(self):
+        # the corner's negative eigenvalue takes its coupled range direction
+        # out of [a]b; the ordinary one leaves 1 - 0.5^2 on the other
+        a = herm(np.diag([0.0, 0.0, 1.0, 1.0]))
+        for s in range(10):
+            q = random_unitary(trial_rng(1, s), 2)
+            m = np.eye(4, dtype=complex)
+            m[:2, :2] = q @ np.diag([1.0, -5e-10]) @ q.conj().T
+            m[:2, 2:] = q @ np.diag([0.5, 1e-5])
+            m[2:, :2] = m[:2, 2:].conj().T
+            b = herm(m)
+            part = ando_limit(a, b)
+            assert loewner_leq(part, b)
+            assert_matrix_close(part, np.diag([0.0, 0.0, 0.75, 0.0]), atol=1e-10)
+
     def test_absorption_gate_holds_off_its_own_seed(self):
         # at seed 12345, trial 147's b has rank one and eigenvalues of
         # rounding size that a square root would amplify past the rank cut
