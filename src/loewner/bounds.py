@@ -48,8 +48,7 @@ __all__ = [
 
 def is_lower_bound(l: HermitianMatrix, mset: MatrixSet, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True when ``l`` is below every member, decided on all the gaps A - l at once."""
-    if l.dim != mset.dim:
-        raise DimensionMismatch(f"dimensions differ: {l.dim} vs {mset.dim}")
+    l._require_same_dim(mset)
     w = np.linalg.eigvalsh(mset.stack - l.mat)
     return bool(_within(-w[:, 0].min(), "psd_rel", max(mset.max_norm(), l.norm()), tol))
 
@@ -77,8 +76,7 @@ def certify_maximal(m: HermitianMatrix, mset: MatrixSet, tol: Tolerances = DEFAU
     decides both: its eigenvalues the order, and one rank-revealing SVD of
     the null-space eigenvectors of every gap, side by side, the span.
     """
-    if m.dim != mset.dim:
-        raise DimensionMismatch(f"dimensions differ: {m.dim} vs {mset.dim}")
+    m._require_same_dim(mset)
     w, v = _eigh(mset.stack - m.mat)
     # the gaps are decided on the family scale, not their own norm: a gap
     # that is pure rounding noise must count as zero, not full rank

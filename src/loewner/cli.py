@@ -50,6 +50,7 @@ from .infimum import (
 )
 from .linalg import (
     DEFAULT_TOL,
+    Comparability,
     HermitianMatrix,
     MatrixSet,
     Tolerances,
@@ -124,8 +125,8 @@ def _cmd_check_order(args, tol, doc):
     verdict = compare(s, t, tol)
     verdicts = {
         "comparability": verdict.value,
-        "first_below_second": loewner_leq(s, t, tol),
-        "second_below_first": loewner_leq(t, s, tol),
+        "first_below_second": verdict in (Comparability.LESS_EQUAL, Comparability.EQUAL),
+        "second_below_first": verdict in (Comparability.GREATER_EQUAL, Comparability.EQUAL),
     }
     notes = (
         "S <= T in the Loewner order exactly when T - S is positive semidefinite;"

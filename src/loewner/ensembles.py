@@ -416,28 +416,19 @@ def _effect_projection(trials: int, dims: tuple[int, int], seed: int, tol: Toler
 
 
 _SUITES = {
-    "anti-lattice": _anti_lattice,
-    "stott-roundtrip": _stott_roundtrip,
-    "mt-family": _mt_family,
-    "commuting-tworoute": _commuting_tworoute,
-    "positive-mlb": _positive_mlb,
-    "albert-vs-spectral": _albert_vs_spectral,
-    "parallel-ando": _parallel_ando,
-    "effect-projection": _effect_projection,
+    "anti-lattice": (_anti_lattice, (2, 5)),
+    "stott-roundtrip": (_stott_roundtrip, (1, 4)),
+    "mt-family": (_mt_family, (2, 6)),
+    "commuting-tworoute": (_commuting_tworoute, (2, 6)),
+    "positive-mlb": (_positive_mlb, (2, 6)),
+    "albert-vs-spectral": (_albert_vs_spectral, (2, 6)),
+    "parallel-ando": (_parallel_ando, (2, 6)),
+    "effect-projection": (_effect_projection, (2, 6)),
 }
 
 SUITE_NAMES = tuple(sorted(_SUITES))
 
-DEFAULT_DIMS = {
-    "anti-lattice": (2, 5),
-    "stott-roundtrip": (1, 4),
-    "mt-family": (2, 6),
-    "commuting-tworoute": (2, 6),
-    "positive-mlb": (2, 6),
-    "albert-vs-spectral": (2, 6),
-    "parallel-ando": (2, 6),
-    "effect-projection": (2, 6),
-}
+DEFAULT_DIMS = {name: dims for name, (_, dims) in _SUITES.items()}
 
 
 def ensemble_run(
@@ -452,11 +443,11 @@ def ensemble_run(
         raise UnknownSuite(f"unknown suite {suite!r}; available: {', '.join(SUITE_NAMES)}")
     if trials < 1:
         raise ValidationError(f"trials must be at least 1, got {trials}")
-    if dims is None:
-        dims = DEFAULT_DIMS[suite]
+    run, default = _SUITES[suite]
+    dims = default if dims is None else dims
     lo, hi = int(dims[0]), int(dims[1])
     if lo < 1 or hi < lo:
         raise ValidationError(f"invalid dimension range {dims}")
     if hi > MAX_SUITE_DIM:
         raise ValidationError(f"dimension {hi} exceeds the suites' limit of {MAX_SUITE_DIM}")
-    return _SUITES[suite](trials, (lo, hi), int(seed), tol)
+    return run(trials, (lo, hi), int(seed), tol)

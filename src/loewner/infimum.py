@@ -78,9 +78,23 @@ def finite_infimum(mset: MatrixSet, tol: Tolerances = DEFAULT_TOL) -> InfimumRep
 
 def _finite_infimum(mset: MatrixSet, tol: Tolerances, scale: float) -> InfimumReport:
     """``finite_infimum`` on the scale of the problem the family came from."""
-    for i, candidate in enumerate(mset):
-        if all(_within(-np.linalg.eigvalsh(m.mat - candidate.mat)[0], "psd_rel", scale, tol) for m in mset):
-            return InfimumReport(True, candidate, i)
+    # A_j - A_i >= -e I, e = psd_rel * scale, bounds each diagonal entry of
+    # A_j - A_i below by -e, so only members whose diagonal is within e of
+    # the family's least diagonal, widened by a rounding slack on a Frobenius
+    # bound, can be the infimum; an overflowed bound keeps every member
+    diagonals = np.real(np.diagonal(mset.stack, axis1=1, axis2=2))
+    slack = 2.0 * mset.dim**2 * _NOISE_FLOOR * float(np.abs(mset.stack).max())
+    ceiling = diagonals.min(axis=0) + (tol.psd_rel * scale + slack)
+    for i in np.flatnonzero(~(diagonals > ceiling).any(axis=1)):
+        # gaps in index order, in batches doubling from one: an early refutation stays cheap
+        stop = 0
+        while stop < len(mset):
+            w = np.linalg.eigvalsh(mset.stack[stop:2 * stop + 1] - mset.stack[i])
+            if not _within(-w[:, 0].min(), "psd_rel", scale, tol):
+                break
+            stop = 2 * stop + 1
+        else:
+            return InfimumReport(True, mset[i], int(i))
     return InfimumReport(False, None, None)
 
 
@@ -210,13 +224,17 @@ def commutant_basis(mset: MatrixSet, tol: Tolerances = DEFAULT_TOL) -> list[np.n
     pairs = [np.mgrid[a:b, a:b].reshape(2, -1) for a, b in _cluster_bounds(w, weights @ norms)]
     r, c = np.hstack(pairs)
     j = np.arange(r.size)
-    system = np.zeros((len(mset), n, n, r.size), dtype=np.complex128)
-    for op, member in zip(system, mset):
+    # each member's block folds into one R factor, which has the stacked
+    # system's singular values and right vectors in O(n^2 m) memory
+    factor = np.zeros((0, r.size), dtype=np.complex128)
+    for member in mset:
         b = v.conj().T @ member.mat @ v
         # column j holds B E - E B for the matrix unit E at (r[j], c[j])
+        op = np.zeros((n, n, r.size), dtype=np.complex128)
         op[:, c, j] = b[:, r]
         op[r, :, j] -= b[c, :]
-    _, sing, vh = np.linalg.svd(system.reshape(-1, r.size), full_matrices=False)
+        factor = np.linalg.qr(np.vstack([factor, op.reshape(-1, r.size)]), mode="r")
+    _, sing, vh = np.linalg.svd(factor)
     bound = float(np.sqrt(np.sum((spectra[:, -1] - spectra[:, 0]) ** 2)))
     zero = _within(sing, "rank_rel", bound, tol) | _within(sing, _NOISE_FLOOR, norms.max())
     null = vh[int(np.sum(~zero)):].conj()
@@ -236,18 +254,17 @@ def positive_maximal_lb(mset: MatrixSet, tol: Tolerances = DEFAULT_TOL) -> Hermi
     is U diag(cumsum gamma) U*.  The output is PSD, a lower bound, and
     certified maximal.
     """
-    _require_psd_members(mset, tol)
-    return _positive_mlb(mset, tol)
+    _require_psd_members(mset.eigenvalues()[:, 0], mset.max_norm(), tol)
+    return _positive_mlb(mset.stack, mset.eigenvalues(), tol)
 
 
-def _positive_mlb(mset: MatrixSet, tol: Tolerances) -> HermitianMatrix:
+def _positive_mlb(a: np.ndarray, w: np.ndarray, tol: Tolerances) -> HermitianMatrix:
     # ``a`` holds the members on the span of ``frame``.  A level shifts them
     # by gamma, takes the line u from the minimizing member and replaces each
     # shifted member A' by A' - yy*/alpha (y = A'u, alpha = u*A'u), which is
     # zero on u; the reflector H = I - tau vv* taking u to the first axis
     # carries that to u's complement as a trailing block, at O(m^2) each.
-    n = mset.dim
-    a, w = mset.stack, mset.eigenvalues()
+    n = a.shape[1]
     scale = float(_top(w).max())
     frame = np.eye(n, dtype=np.complex128)
     lines, gammas = np.empty((n, n), dtype=np.complex128), np.empty(n)
@@ -302,13 +319,13 @@ def extend_to_maximal(l: HermitianMatrix, mset: MatrixSet, tol: Tolerances = DEF
     lower bound of the shifted family; adding L back gives a maximal lower
     bound dominating L.  A maximal L is its own extension.
     """
-    if l.dim != mset.dim:
-        raise NotLowerBound(f"dimensions differ: {l.dim} vs {mset.dim}")
-    gaps = mset.minus(l)
+    l._require_same_dim(mset)
+    gaps = mset.stack - l.mat
     # the lower-bound verdict and the first level share the gaps' spectrum
-    if not _within(-gaps.eigenvalues()[:, 0].min(), "psd_rel", max(mset.max_norm(), l.norm()), tol):
+    w = np.linalg.eigvalsh(gaps)
+    if not _within(-w[:, 0].min(), "psd_rel", max(mset.max_norm(), l.norm()), tol):
         raise NotLowerBound("the given matrix is not a lower bound of the set")
-    return l + _positive_mlb(gaps, tol)
+    return l + _positive_mlb(gaps, w, tol)
 
 
 _MAX_ROUTE_TRIES = 24

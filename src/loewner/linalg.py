@@ -176,7 +176,7 @@ class HermitianMatrix:
     def min_eigenvalue(self) -> float:
         return float(self._spectrum()[0])
 
-    def _require_same_dim(self, other: "HermitianMatrix") -> None:
+    def _require_same_dim(self, other: "HermitianMatrix | MatrixSet") -> None:
         if self.dim != other.dim:
             raise DimensionMismatch(f"dimensions differ: {self.dim} vs {other.dim}")
 
@@ -295,9 +295,6 @@ class MatrixSet:
 
     def min_eigenvalue(self) -> float:
         return float(self.eigenvalues()[:, 0].min())
-
-    def minus(self, shift: HermitianMatrix) -> "MatrixSet":
-        return MatrixSet(m - shift for m in self.members)
 
     def __repr__(self) -> str:
         return f"MatrixSet(size={len(self)}, dim={self.dim})"
@@ -511,8 +508,7 @@ def compare(s: HermitianMatrix, t: HermitianMatrix, tol: Tolerances = DEFAULT_TO
     than ``-psd_rel * max(|s|, |t|)``; the reverse direction mirrors that,
     and both together mean equality at tolerance.
     """
-    if s.dim != t.dim:
-        raise DimensionMismatch(f"dimensions differ: {s.dim} vs {t.dim}")
+    s._require_same_dim(t)
     w = np.linalg.eigvalsh(t.mat - s.mat)
     # |x|_F / sqrt(n) <= |x| <= |x|_F: |s| and |t| are computed only if the verdicts there differ
     upper = max(_frobenius(s.mat), _frobenius(t.mat))
@@ -536,8 +532,9 @@ def is_psd(s: HermitianMatrix, tol: Tolerances = DEFAULT_TOL) -> bool:
     return bool(_within(-s.min_eigenvalue(), "psd_rel", s.norm(), tol))
 
 
-def _require_psd_members(mset: MatrixSet, tol: Tolerances) -> None:
-    """Raise NotPositiveSemidefinite naming the first member that is not PSD."""
-    bad = np.flatnonzero(~_within(-mset.eigenvalues()[:, 0], "psd_rel", mset.max_norm(), tol))
+def _require_psd_members(lowest: np.ndarray, scale: float, tol: Tolerances) -> None:
+    """Raise NotPositiveSemidefinite naming the first member that is not PSD on
+    ``scale``, from the members' smallest eigenvalues ``lowest``."""
+    bad = np.flatnonzero(~_within(-np.asarray(lowest), "psd_rel", scale, tol))
     if bad.size:
         raise NotPositiveSemidefinite(f"member {bad[0]} is not positive semidefinite")

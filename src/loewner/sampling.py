@@ -32,8 +32,8 @@ def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def random_hermitian(rng: np.random.Generator, n: int, scale: float = 1.0) -> HermitianMatrix:
-    return HermitianMatrix(scale * _complex_gaussian(rng, (n, n)))
+def random_hermitian(rng: np.random.Generator, n: int) -> HermitianMatrix:
+    return HermitianMatrix(_complex_gaussian(rng, (n, n)))
 
 
 def random_psd(rng: np.random.Generator, n: int, rank: int | None = None) -> HermitianMatrix:
@@ -66,13 +66,13 @@ def random_contraction(rng: np.random.Generator, n: int) -> HermitianMatrix:
     return HermitianMatrix((u * rng.uniform(0.0, 1.0, n)) @ u.conj().T)
 
 
-def random_invertible(rng: np.random.Generator, n: int, floor: float = 0.1) -> np.ndarray:
-    """Invertible matrix with singular values floored at ``floor`` times the
-    largest, keeping the condition number bounded."""
+def random_invertible(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Invertible matrix with singular values floored at 0.1 times the
+    largest, keeping the condition number at most 10."""
     u, sing, vh = np.linalg.svd(_complex_gaussian(rng, (n, n)))
     if sing[0] == 0.0:
         return np.eye(n, dtype=np.complex128)
-    sing = np.maximum(sing, floor * sing[0])
+    sing = np.maximum(sing, 0.1 * sing[0])
     return (u * sing) @ vh
 
 
@@ -84,13 +84,11 @@ def random_commuting_family(rng: np.random.Generator, n: int, size: int) -> Matr
     )
 
 
-def random_incomparable_pair(
-    rng: np.random.Generator, n: int, max_tries: int = 64
-) -> tuple[HermitianMatrix, HermitianMatrix]:
-    """Pair of random Hermitian matrices rejected until incomparable."""
+def random_incomparable_pair(rng: np.random.Generator, n: int) -> tuple[HermitianMatrix, HermitianMatrix]:
+    """Pair of random Hermitian matrices, redrawn up to 64 times until incomparable."""
     if n < 2:
         raise ValueError("incomparable pairs need dimension at least 2")
-    for _ in range(max_tries):
+    for _ in range(64):
         a = random_hermitian(rng, n)
         b = random_hermitian(rng, n)
         if compare(a, b) is Comparability.INCOMPARABLE:

@@ -96,6 +96,17 @@ def no_dominating_perturbation_exact(m, mset, rng, count, tol=DEFAULT_TOL) -> bo
     return not bool(alive.any())
 
 
+def finite_infimum_reference(mset, tol=DEFAULT_TOL, scale=None) -> tuple:
+    """Reference infimum scan: (exists, index) of the first member whose gap
+    to every member, one ``eigvalsh`` each, is PSD on ``scale`` (by default
+    the family's)."""
+    scale = mset.max_norm() if scale is None else scale
+    for i, candidate in enumerate(mset):
+        if all(_within(-np.linalg.eigvalsh(m.mat - candidate.mat)[0], "psd_rel", scale, tol) for m in mset):
+            return True, i
+    return False, None
+
+
 def positive_mlb_reference(mset, tol=DEFAULT_TOL) -> HermitianMatrix:
     """Reference positive-mlb recursion: per level a stacked ``eigh``, the
     phase-fixed minimizing line as a ``Subspace``, each shifted member's
@@ -108,7 +119,7 @@ def positive_mlb_reference(mset, tol=DEFAULT_TOL) -> HermitianMatrix:
         gamma = float(w[k, 0])
         if mset.dim == 1:
             break
-        shifted = mset.minus(gamma * identity(mset.dim))
+        shifted = MatrixSet(member - gamma * identity(mset.dim) for member in mset)
         line = Subspace(fix_column_phases(v[k, :, :1]))
         h2 = line.complement()
         complements = []

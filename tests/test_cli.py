@@ -323,6 +323,30 @@ class TestReports:
 
 
 class TestCommands:
+    def test_check_order_takes_one_spectrum_of_the_gap(self, tmp_path, capsys, monkeypatch):
+        path = write_doc(tmp_path, EX62)
+        calls = record_calls(monkeypatch, np.linalg, "eigvalsh")
+        code, _, _ = run(["check-order", "-i", path, "--json"], capsys)
+        assert code == 0
+        gap = np.array([[0.0, 1.0], [1.0, 2.0]])
+        assert sum(np.array_equal(np.abs(arr), gap) for arr in calls["eigvalsh"]) == 1
+
+    @pytest.mark.parametrize("command", ["ando", "positive-glb"])
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_pair_psd_check_on_the_pair_scale(self, tmp_path, capsys, command, swap):
+        # diag(1e-3, -5e-12) is PSD within the margin of the pair's scale 1
+        members = [[[1e-3, 0.0], [0.0, -5e-12]], [[1.0, 0.0], [0.0, 1.0]]]
+        doc = {"dim": 2, "field_tag": "real", "matrices": members[::-1] if swap else members}
+        code, out, _ = run([command, "-i", write_doc(tmp_path, json.dumps(doc)), "--json"], capsys)
+        assert code == 0
+        assert json.loads(out)["verdicts"]["exists"] is True
+
+    def test_ando_names_the_member_that_is_not_psd(self, tmp_path, capsys):
+        doc = {"dim": 2, "field_tag": "real", "matrices": [[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, -1e-3]]]}
+        code, _, err = run(["ando", "-i", write_doc(tmp_path, json.dumps(doc))], capsys)
+        assert code == 2
+        assert "member 1 is not positive semidefinite" in err
+
     def test_infimum_of_comparable_chain(self, tmp_path, capsys):
         chain = json.dumps(
             {

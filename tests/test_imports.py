@@ -1,5 +1,6 @@
 """Every name a package module imports is used there or re-exported through
-the module's ``__all__``."""
+the module's ``__all__``, and every private module-level function or class
+is referenced somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -34,3 +35,36 @@ def test_no_unused_imports(path):
 def test_finds_an_unused_import():
     source = "import os\nimport a.b\nfrom x import y, z as w\n__all__ = ['y']\nprint(a)\n"
     assert unused_imports(source) == ["os", "w"]
+
+
+def unreferenced_helpers(sources: dict[str, str]) -> list[str]:
+    """``module.name`` of each module-level ``_private`` function or class
+    that no module of ``sources`` (name -> source) refers to."""
+    defined, referenced = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defined += [
+            f"{module}.{node.name}" for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+            and not node.name.startswith("__")
+        ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    return sorted(name for name in defined if name.split(".", 1)[1] not in referenced)
+
+
+def test_no_unreferenced_private_helpers():
+    assert unreferenced_helpers({path.stem: path.read_text() for path in MODULES}) == []
+
+
+def test_finds_an_unreferenced_helper():
+    sources = {
+        "a": "def _used(): pass\ndef _dead(): pass\nclass _Gone: pass\ndef __dunder__(): pass\n",
+        "b": "from .a import _used\n",
+    }
+    assert unreferenced_helpers(sources) == ["a._Gone", "a._dead"]

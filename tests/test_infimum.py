@@ -29,6 +29,7 @@ from loewner import (
     zero,
 )
 from loewner.errors import (
+    DimensionMismatch,
     InfimumExists,
     NotCommutingFamily,
     NotLowerBound,
@@ -36,7 +37,7 @@ from loewner.errors import (
     SchurRangeViolation,
     UsageError,
 )
-from loewner.infimum import _positive_mlb
+from loewner.infimum import _finite_infimum, _positive_mlb
 from loewner.sampling import (
     random_commuting_family,
     random_hermitian,
@@ -50,6 +51,7 @@ from .conftest import (
     assert_matrix_close,
     certify_maximal_reference,
     commutant_kron,
+    finite_infimum_reference,
     herm,
     is_psd_on,
     positive_mlb_reference,
@@ -82,6 +84,46 @@ class TestFiniteInfimum:
         report = finite_infimum(MatrixSet([herm([[5.0]])]))
         assert report.exists
         assert report.minimizing_index == 0
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e-9, 1.0, 1e9])
+    def test_matches_reference_scan(self, scale):
+        # random families, families with an infimum, duplicates, and members
+        # apart by margin-sized shifts, at scales the diagonal cut must follow
+        for t in range(120):
+            rng = trial_rng(56, t)
+            n, k = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+            base = random_hermitian(rng, n)
+            if t % 4 == 0:
+                members = [random_hermitian(rng, n) for _ in range(k)]
+            elif t % 4 == 1:
+                members = [base + random_psd(rng, n, int(rng.integers(0, n + 1))) for _ in range(k)]
+            elif t % 4 == 2:
+                members = [base] * k + [base + random_psd(rng, n, 1)]
+            else:
+                shift = [1e-9, 0.5e-9, 2e-9, 1e-12][t % 16 // 4] * base.norm()
+                members = [base + (shift * (j % 3 - 1)) * herm(np.diag(rng.uniform(0.0, 1.0, n))) for j in range(k)]
+            mset = MatrixSet(scale * m for m in members)
+            report = finite_infimum(mset)
+            assert (report.exists, report.minimizing_index) == finite_infimum_reference(mset)
+
+    @pytest.mark.parametrize("name", ["ex3.2", "ex4.3", "ex4.7", "ex4.8i", "ex4.8ii"])
+    def test_fixtures_and_tilde_sets_match_reference_scan(self, name):
+        mset = fixture(name, 40).document.matrix_set
+        report = finite_infimum(mset)
+        assert (report.exists, report.minimizing_index) == finite_infimum_reference(mset)
+        if mset.min_eigenvalue() >= 0.0:
+            tilde = positive_glb_family(mset).tilde_set
+            report = _finite_infimum(tilde, DEFAULT_TOL, mset.max_norm())
+            assert (report.exists, report.minimizing_index) == finite_infimum_reference(tilde, scale=mset.max_norm())
+
+    def test_one_stacked_scan_for_a_family_of_many(self, monkeypatch):
+        # the diagonal cut leaves one candidate of the 2002 members, and its
+        # gaps take one eigvalsh per doubling batch, not one per member
+        mset = fixture("ex4.8ii", 1000).document.matrix_set
+        mset.eigenvalues()
+        calls = record_calls(monkeypatch, np.linalg, "eigvalsh")
+        assert not finite_infimum(mset).exists
+        assert len(calls["eigvalsh"]) <= 12
 
 
 class TestCommuting:
@@ -219,6 +261,19 @@ class TestCommutantOracle:
         assert len(basis) > 30
         assert peak < 32e6
 
+    def test_peak_memory_of_many_members(self):
+        # ex3.2 at N = 48 has 48 members of size 48: their stacked block
+        # system needs 167 MiB, one member's block at a time 7 MiB
+        family = fixture("ex3.2", 48).document.matrix_set
+        tracemalloc.start()
+        try:
+            basis = commutant_basis(family)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(basis) == 48
+        assert peak < 16e6
+
 
 class TestPositiveMaximalLb:
     def test_oracle(self):
@@ -309,9 +364,8 @@ class TestPositiveMaximalLb:
         # member 1, which is not PSD, has a zero corner on e1 and a coupling
         # of 0.5: it leaves the corner's range
         mset = MatrixSet([herm(np.diag([0.0, 1.0])), herm([[0.0, 0.5], [0.5, 1.0]])])
-        mset._eigvals = np.array([[0.0, 1.0], [0.5, 1.0]])
         with pytest.raises(SchurRangeViolation, match="member 1"):
-            _positive_mlb(mset, DEFAULT_TOL)
+            _positive_mlb(mset.stack, np.array([[0.0, 1.0], [0.5, 1.0]]), DEFAULT_TOL)
 
     def test_noise_level_corner_splits(self):
         # member 1 is PSD with a corner of 1e-14 on e1, under the noise floor
@@ -369,6 +423,10 @@ class TestExtendToMaximal:
     def test_rejects_non_lower_bound(self):
         with pytest.raises(NotLowerBound):
             extend_to_maximal(identity(2) * 5.0, EX_PAIR)
+
+    def test_rejects_other_dimension(self):
+        with pytest.raises(DimensionMismatch, match="^dimensions differ: 3 vs 2$"):
+            extend_to_maximal(identity(3), EX_PAIR)
 
     def test_one_spectrum_of_the_gaps(self, monkeypatch):
         # the lower-bound verdict and the first level of the recursion share

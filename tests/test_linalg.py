@@ -144,12 +144,6 @@ class TestMatrixSet:
         assert s.dim == 2
         assert s.max_norm() == pytest.approx(1.0)
         assert_matrix_close(s[1], np.zeros((2, 2)))
-        shifted = s.minus(identity(2))
-        assert_matrix_close(shifted[0], np.zeros((2, 2)))
-
-    def test_minus_rejects_other_dimension(self):
-        with pytest.raises(DimensionMismatch):
-            MatrixSet([identity(2)]).minus(identity(3))
 
     @pytest.mark.parametrize("n", [1, 2, 5, 40])
     @pytest.mark.parametrize("k", [1, 3])

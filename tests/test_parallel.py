@@ -7,10 +7,12 @@ from loewner import (
     Comparability,
     MatrixSet,
     ando_limit,
+    identity,
     is_psd,
     loewner_leq,
     parallel_sum,
     parallel_sum_family,
+    positive_glb_family,
     range_nullspace,
     subspace_intersect,
     two_op_positive_glb,
@@ -268,3 +270,29 @@ class TestTwoOpPositiveGlb:
                 if loewner_leq(c, a) and loewner_leq(c, b):
                     assert loewner_leq(c, result.glb)
         assert hits > 0
+
+
+class TestPairPsdCheck:
+    """The pair routines check their members as the family routines do: on
+    max(|A|, |B|), naming the first member that is not PSD."""
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_accepts_what_the_family_route_accepts(self, swap):
+        # diag(1e-3, -5e-12) is PSD within the margin of the pair's scale 1,
+        # though not within that of its own norm 1e-3
+        a, b = herm(np.diag([1e-3, -5e-12])), identity(2)
+        if swap:
+            a, b = b, a
+        result = two_op_positive_glb(a, b)
+        family = positive_glb_family(MatrixSet([a, b]))
+        assert result.exists and family.exists
+        assert_matrix_close(result.glb, family.glb, atol=1e-9)
+        assert_matrix_close(ando_limit(a, b), result.ando_ab, atol=0.0)
+
+    @pytest.mark.parametrize("bad", [0, 1])
+    def test_names_the_failing_member(self, bad):
+        pair = [identity(2), identity(2)]
+        pair[bad] = herm(np.diag([1.0, -1e-6]))
+        for routine in (ando_limit, two_op_positive_glb):
+            with pytest.raises(NotPositiveSemidefinite, match=rf"^member {bad} is not positive semidefinite$"):
+                routine(*pair)
