@@ -21,8 +21,8 @@ from .linalg import (
     DEFAULT_TOL,
     HermitianMatrix,
     MatrixSet,
-    Subspace,
     Tolerances,
+    _deciding_scale,
     _eigh,
     _freeze,
     _within,
@@ -73,17 +73,31 @@ def certify_maximal(m: HermitianMatrix, mset: MatrixSet, tol: Tolerances = DEFAU
 
     M is maximal exactly when it is a lower bound and the null spaces of the
     gaps A - M span the space.  One batched eigendecomposition of the gaps
-    decides both: its eigenvalues the order, and one rank-revealing SVD of
-    the null-space eigenvectors of every gap, side by side, the span.
+    decides both: its eigenvalues the order, and the singular values of the
+    null-space eigenvectors of every gap, side by side, the span.  The scale
+    is max(|M|, |A|), with |M| computed only when its Frobenius bracket
+    cannot decide.
     """
     m._require_same_dim(mset)
     w, v = _eigh(mset.stack - m.mat)
     # the gaps are decided on the family scale, not their own norm: a gap
     # that is pure rounding noise must count as zero, not full rank
-    scale = max(m.norm(), mset.max_norm())
-    null = _within(np.abs(w), "rank_rel", scale, tol)
-    span_dim = Subspace.from_span(np.hstack([vi[:, z] for vi, z in zip(v, null)]), tol).dim
-    lower = bool(_within(-w[:, 0].min(), "psd_rel", scale, tol))
+    magnitudes = np.abs(w)
+
+    def decide(scale):
+        # the null masks only grow with the scale, so equal counts mean equal masks
+        null = _within(magnitudes, "rank_rel", scale, tol)
+        return bool(_within(-w[:, 0].min(), "psd_rel", scale, tol)), int(null.sum())
+
+    scale = _deciding_scale(decide, (m,), mset.max_norm())
+    lower, _ = decide(scale)
+    null = _within(magnitudes, "rank_rel", scale, tol)
+    # every gap's null columns side by side
+    columns = np.swapaxes(v, 1, 2)[null].T
+    span_dim = 0
+    if columns.size:
+        sing = np.linalg.svd(columns, compute_uv=False)
+        span_dim = int(np.count_nonzero(~_within(sing, "rank_rel", sing[0], tol)))
     return MaximalityCertificate(
         per_member_nullspace_dims=tuple(int(d) for d in null.sum(axis=1)),
         span_dim=span_dim,

@@ -245,9 +245,13 @@ def _no_dominating_perturbation(
     gap_w, gap_u = _eigh(mset.stack - m.mat)
     # the members' eigenvector matrices side by side, n x (k n)
     columns = np.swapaxes(gap_u, 0, 1).reshape(n, -1)
-    forms = np.abs(np.conj(np.swapaxes(g, 1, 2)) @ columns) ** 2
-    forms = forms.sum(axis=1).reshape(count, len(mset), n)
-    frobenius = (np.abs(g) ** 2).sum(axis=(1, 2))
+    # |G* u|^2 = |u* G|^2 for every column and draw from one product U* [G_1 ... G_count];
+    # it and |G|_F^2 are sums of squares of the real and imaginary parts
+    products = columns.conj().T @ np.swapaxes(g, 0, 1).reshape(n, -1)
+    parts = products.view(np.float64).reshape(-1, count, 2 * n)
+    forms = np.einsum("ckx,ckx->kc", parts, parts).reshape(count, len(mset), n)
+    flat = g.view(np.float64).reshape(count, -1)
+    frobenius = np.einsum("kx,kx->k", flat, flat)
     shrink = steps / np.where(frobenius > 0.0, frobenius, 1.0)
     bounds = (gap_w[None, :, :] - shrink[:, None, None] * forms).min(axis=2)
     scale = max(mset.max_norm(), m.norm())

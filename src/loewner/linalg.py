@@ -304,14 +304,17 @@ def fix_column_phases(vectors: np.ndarray) -> np.ndarray:
     """Rephase each column so its largest-modulus entry is real positive.
 
     Ties in modulus are broken by the lowest row index (argmax convention),
-    which makes eigenbases deterministic across runs.
+    which makes eigenbases deterministic across runs.  Every nonzero column
+    is multiplied by conj(p) / |p| for its pivot p in one step; zero columns
+    are left as they are.
     """
     out = np.array(vectors, dtype=np.complex128)
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        pivot = col[int(np.argmax(np.abs(col)))]
-        if abs(pivot) > 0.0:
-            out[:, j] = col * (pivot.conjugate() / abs(pivot))
+    pivots = out[np.argmax(np.abs(out), axis=0), np.arange(out.shape[1])]
+    # np.hypot rounds |p| as abs() of one complex scalar does, which np.abs of an
+    # array need not: the phases, and the outputs built on them, stay byte-stable
+    moduli = np.hypot(pivots.real, pivots.imag)
+    nonzero = moduli > 0.0
+    out[:, nonzero] *= pivots[nonzero].conj() / moduli[nonzero]
     return out
 
 
@@ -510,12 +513,19 @@ def compare(s: HermitianMatrix, t: HermitianMatrix, tol: Tolerances = DEFAULT_TO
     """
     s._require_same_dim(t)
     w = np.linalg.eigvalsh(t.mat - s.mat)
-    # |x|_F / sqrt(n) <= |x| <= |x|_F: |s| and |t| are computed only if the verdicts there differ
-    upper = max(_frobenius(s.mat), _frobenius(t.mat))
-    verdict = _verdict(w, upper, tol)
-    if verdict is not _verdict(w, upper / math.sqrt(s.dim), tol):
-        verdict = _verdict(w, max(s.norm(), t.norm()), tol)
-    return verdict
+    return _verdict(w, _deciding_scale(lambda scale: _verdict(w, scale, tol), (s, t)), tol)
+
+
+def _deciding_scale(decide, hermitians, floor: float = 0.0) -> float:
+    """max(``floor``, the spectral norms of ``hermitians``), or a scale on which
+    ``decide``, monotone in the scale, answers the same.  Since |x|_F / sqrt(n)
+    <= |x| <= |x|_F, ``decide`` is taken at both ends of that bracket first,
+    and the norms, one eigvalsh each unless cached, only if the two differ."""
+    upper = max(_frobenius(h.mat) for h in hermitians)
+    high = max(upper, floor)
+    if decide(high) == decide(max(upper / math.sqrt(hermitians[0].dim), floor)):
+        return high
+    return max(floor, *(h.norm() for h in hermitians))
 
 
 def _verdict(w: np.ndarray, scale: float, tol: Tolerances) -> Comparability:

@@ -145,6 +145,18 @@ def positive_mlb_reference(mset, tol=DEFAULT_TOL) -> HermitianMatrix:
     return bound
 
 
+def fix_column_phases_reference(vectors) -> np.ndarray:
+    """Reference phase fix, one column at a time: each column times
+    conj(p) / |p| for its first largest-modulus entry p, zero columns kept."""
+    out = np.array(vectors, dtype=np.complex128)
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        pivot = col[int(np.argmax(np.abs(col)))]
+        if abs(pivot) > 0.0:
+            out[:, j] = col * (pivot.conjugate() / abs(pivot))
+    return out
+
+
 def certify_maximal_reference(m, mset, tol=DEFAULT_TOL) -> MaximalityCertificate:
     """Reference certificate: a phase-fixed eigendecomposition per gap A - M,
     cut at ``rank_rel`` times the family scale, for both the null-space

@@ -72,18 +72,42 @@ class TestCertificate:
 
     def test_one_eigh_over_the_gaps(self, monkeypatch):
         # the order verdict and the null-space splits come from one batched
-        # eigh of the gaps A - M, the span from one SVD of the null columns
+        # eigh of the gaps A - M, the span from the singular values alone of
+        # the null columns; |M| is not computed when its Frobenius bracket decides
         rng = trial_rng(42, 0)
         mset = MatrixSet(random_psd(rng, 6, rank=5) for _ in range(3))
-        m = positive_maximal_lb(mset)
-        m.norm(), mset.max_norm()  # the family scale, computed before counting
-        calls = record_calls(monkeypatch, np.linalg, "eigh", "eigvalsh", "svd")
+        m = HermitianMatrix(positive_maximal_lb(mset).mat)  # no cached spectrum
+        mset.max_norm()  # the family's spectra, computed before counting
+        calls = record_calls(monkeypatch, np.linalg, "eigh", "eigvalsh")
+        svd_options = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda a, **kwargs: svd_options.append(kwargs) or svd(a, **kwargs))
         built = record_calls(monkeypatch, Subspace, "__init__")
         assert certify_maximal(m, mset).is_maximal
         assert [np.shape(arr) for arr in calls["eigh"]] == [(3, 6, 6)]
         assert not calls["eigvalsh"]
-        assert len(calls["svd"]) == 1
-        assert len(built["__init__"]) <= 1
+        assert svd_options == [{"compute_uv": False}]
+        assert not built["__init__"]
+
+    @pytest.mark.parametrize("planted, null_dim", [(0.9e-8, 1), (1.5e-8, 0), (-1.5e-7, 0)])
+    def test_norm_of_m_decides_between_the_bracket_ends(self, monkeypatch, planted, null_dim):
+        # |M| = 100 lies between |M|_F / sqrt(n) = 86.6 and |M|_F = 173.2,
+        # over a family of norm 1: the planted gap eigenvalue lies between
+        # the rank (or order) thresholds at the two ends of that bracket, so
+        # only |M|, one eigvalsh of M, decides it
+        u = random_unitary(trial_rng(44, 0), 4)
+
+        def frame(diagonal):
+            return HermitianMatrix((u * np.asarray(diagonal)) @ u.conj().T)
+        m = frame([-100.0, -100.0, -100.0, 0.0])
+        mset = MatrixSet([frame([1.0, 1.0, 1.0, planted]), frame([1.0, 1.0, 1.0, 1.0])])
+        mset.max_norm()
+        calls = record_calls(monkeypatch, np.linalg, "eigvalsh")
+        cert = certify_maximal(m, mset)
+        assert len(calls["eigvalsh"]) == 1 and np.array_equal(calls["eigvalsh"][0], m.mat)
+        assert cert.per_member_nullspace_dims == (null_dim, 0)
+        assert cert.is_lower_bound is (planted > 0.0)
+        assert cert == certify_maximal_reference(m, mset)
 
     @pytest.mark.parametrize("theta", [1e-3, 1e-5, 1e-7, 1e-9])
     def test_nearly_parallel_null_spaces_span(self, theta):
@@ -104,7 +128,9 @@ class TestCertificate:
             family = MatrixSet(random_psd(rng, n, rank=int(rng.integers(n - 1, n + 1))) for _ in range(1 + n % 3))
             cases = [(mlb_mt(a, b, random_invertible(rng, n)), MatrixSet([a, b])), (positive_maximal_lb(family), family)]
             for m, mset in cases:
-                for candidate in (m, m - 0.1 * (1.0 + mset.max_norm()) * identity(n)):
+                # a lower bound below m, and one whose norm exceeds the family's
+                shifts = (0.1 * (1.0 + mset.max_norm()), 10.0 * mset.max_norm())
+                for candidate in (m, *(m - shift * identity(n) for shift in shifts)):
                     cert = certify_maximal(candidate, mset)
                     assert cert == certify_maximal_reference(candidate, mset)
                     assert cert.is_maximal is (candidate is m)

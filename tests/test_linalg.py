@@ -34,7 +34,7 @@ from loewner import linalg
 from loewner.linalg import _sym, fix_column_phases
 from loewner.sampling import random_hermitian, random_psd, random_unitary, trial_rng
 
-from .conftest import assert_matrix_close, contains_vector, herm
+from .conftest import assert_matrix_close, contains_vector, fix_column_phases_reference, herm
 
 
 class TestTolerances:
@@ -208,6 +208,28 @@ class TestSpectral:
         rng = trial_rng(11, 2)
         _, v = spectral(random_hermitian(rng, 4))
         assert_matrix_close(fix_column_phases(v), v, atol=1e-15)
+
+    def test_phase_fix_matches_column_loop(self):
+        # byte for byte the column-at-a-time fix, on eigenbases and on
+        # bases with zero columns, tied moduli, real entries and -0.0
+        rng = trial_rng(11, 3)
+        for n in range(2, 61):
+            _, v = np.linalg.eigh(random_hermitian(rng, n).mat)
+            _, real = np.linalg.eigh(random_hermitian(rng, n).mat.real)
+            zeroed = v.copy()
+            zeroed[:, ::3] = 0.0
+            tied = rng.choice(np.array([1.0, -1.0, 1j, -1j, 0.0]), size=(n, n))
+            signed = np.where(rng.random((n, n)) < 0.5, -0.0, 1.0) * np.where(rng.random((n, n)) < 0.5, 1.0, -1j)
+            signed[:, 0] = -0.0
+            for basis in (v, real, zeroed, tied, signed, real[:, : n // 2]):
+                assert fix_column_phases(basis).tobytes() == fix_column_phases_reference(basis).tobytes(), n
+
+    def test_phase_fix_of_one_row(self):
+        # a 1 x k basis: every entry becomes its modulus, here 1
+        row = np.exp(1j * np.linspace(-3.0, 3.0, 7))[None, :]
+        fixed = fix_column_phases(row)
+        assert np.all(fixed.real > 0.0)
+        np.testing.assert_allclose(fixed, 1.0, rtol=0.0, atol=4 * np.finfo(float).eps)
 
 
 class TestMatrixFunctions:
