@@ -54,6 +54,7 @@ from .linalg import (
     HermitianMatrix,
     MatrixSet,
     Tolerances,
+    _range_null,
     compare,
     hermitize,
     identity,
@@ -351,11 +352,13 @@ def _cmd_constrained(args, tol, doc):
 
 def _cmd_parallel_sum(args, tol, doc):
     total = parallel_sum_family(doc.matrix_set, tol)
-    ranges = [range_nullspace(m, tol).range for m in doc.matrix_set]
+    # the members and their sum are split on the scale the sum is built on
+    scale = doc.matrix_set.max_norm()
+    ranges = [_range_null(m, tol, scale).range for m in doc.matrix_set]
     meet = subspace_intersect(ranges, tol)
     verdicts = {
         "parallel_sum": encode_array(total),
-        "rank": range_nullspace(total, tol).range.dim,
+        "rank": _range_null(total, tol, scale).range.dim,
         "common_range_dim": meet.dim,
         "below_every_member": is_lower_bound(total, doc.matrix_set, tol),
     }

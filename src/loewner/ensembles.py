@@ -37,13 +37,13 @@ from .linalg import (
     _DISTINCT_REL,
     _NOISE_FLOOR,
     _eigh,
+    _range_null,
     _top,
     _within,
     identity,
     loewner_leq,
     pinv,
     polar_abs,
-    range_nullspace,
     subspace_intersect,
     zero,
 )
@@ -360,12 +360,13 @@ def _parallel_ando(trials: int, dims: tuple[int, int], seed: int, tol: Tolerance
         n = _draw_dim(rng, dims)
         a = random_psd(rng, n, int(rng.integers(1, n + 1)))
         b = random_psd(rng, n, int(rng.integers(1, n + 1)))
-        scale = 1.0 + max(a.norm(), b.norm())
+        pair_scale = max(a.norm(), b.norm())
+        scale = 1.0 + pair_scale
         para = parallel_sum(a, b, tol)
         meet = subspace_intersect(
-            [range_nullspace(a, tol).range, range_nullspace(b, tol).range], tol
+            [_range_null(a, tol, pair_scale).range, _range_null(b, tol, pair_scale).range], tol
         )
-        if range_nullspace(para, tol).range.dim == meet.dim:
+        if _range_null(para, tol, pair_scale).range.dim == meet.dim:
             rank_matches += 1
         if loewner_leq(para, a, tol) and loewner_leq(para, b, tol):
             bounded_by_both += 1

@@ -29,6 +29,7 @@ from .linalg import (
     _NOISE_FLOOR,
     _TWO_ROUTE_REL,
     _eigh,
+    _range_null,
     _require_psd_members,
     _sym,
     _top,
@@ -36,7 +37,6 @@ from .linalg import (
     fix_column_phases,
     identity,
     matrix_abs,
-    range_nullspace,
 )
 from .parallel import _ando_limit, parallel_sum_family
 from .sampling import random_invertible, random_psd
@@ -422,10 +422,10 @@ class PositiveGlbReport:
 def positive_glb_family(mset: MatrixSet, tol: Tolerances = DEFAULT_TOL) -> PositiveGlbReport:
     """Existence and value of the greatest positive lower bound of a family."""
     s = parallel_sum_family(mset, tol)
-    # [S]A and their infimum are decided on the family's scale, not their own
+    # S's split, [S]A and their infimum are decided on the family's scale, not their own
     scale = mset.max_norm()
     # every [S]A is built on the range K of S, so the infimum, one of them, lies on K
-    split = range_nullspace(s, tol)
+    split = _range_null(s, tol, scale)
     tilde = MatrixSet(_ando_limit(split, member, tol, scale) for member in mset)
     report = _finite_infimum(tilde, tol, scale)
     return PositiveGlbReport(split.range, s, tilde, report.exists, report.infimum, report.minimizing_index)

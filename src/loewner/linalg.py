@@ -451,9 +451,8 @@ def _intersect_pair(a: Subspace, b: Subspace, tol: Tolerances) -> Subspace:
     g = a.basis.conj().T @ b.basis
     u, sing, _ = np.linalg.svd(g, full_matrices=False)
     keep = _within(1.0 - sing, "rank_rel", 1.0, tol)
-    if not bool(keep.any()):
-        return Subspace.zero_subspace(a.ambient_dim)
-    return Subspace.from_span(a.basis @ u[:, keep], tol)
+    # orthonormal columns of u carry a's orthonormal basis to orthonormal columns
+    return Subspace(a.basis @ u[:, keep])
 
 
 def subspace_intersect(subspaces: Sequence[Subspace], tol: Tolerances = DEFAULT_TOL) -> Subspace:
@@ -482,14 +481,18 @@ class RangeNullspace(NamedTuple):
 
 
 def range_nullspace(s: HermitianMatrix, tol: Tolerances = DEFAULT_TOL) -> RangeNullspace:
-    """Orthonormal bases of range and null space from the eigendecomposition.
+    """``_range_null`` of a lone matrix, on its own norm; a member of a pair or family,
+    or a matrix built from one, is split on that problem's scale instead."""
+    return _range_null(s, tol, None)
 
-    Eigenvalues within ``rank_rel`` of zero, relative to the largest
-    magnitude, count as zero; the two bases always partition the
-    eigenvector basis, so their dimensions sum to n exactly.
-    """
+
+def _range_null(s: HermitianMatrix, tol: Tolerances, scale: float | None) -> RangeNullspace:
+    """Orthonormal bases of range and null space from the eigendecomposition:
+    eigenvalues within ``rank_rel`` of zero on ``scale``, or when it is None on
+    |s| read off the same ``eigh``, count as zero.  The two bases partition the
+    eigenvector basis, so their dimensions sum to n exactly."""
     w, v = spectral(s)
-    mask = ~_within(np.abs(w), "rank_rel", _top(w), tol)
+    mask = ~_within(np.abs(w), "rank_rel", _top(w) if scale is None else scale, tol)
     return RangeNullspace(Subspace(v[:, mask]), Subspace(v[:, ~mask]))
 
 

@@ -16,10 +16,10 @@ from .linalg import (
     Tolerances,
     _inverse,
     _map_eigenvalues,
+    _range_null,
     _require_psd_members,
     _verdict,
     _within,
-    range_nullspace,
     zero,
 )
 from .schur import _blocks, _corner_analysis, _shorted
@@ -67,21 +67,24 @@ def ando_limit(a: HermitianMatrix, b: HermitianMatrix, tol: Tolerances = DEFAULT
     In finite dimension [a]b is the shorted operator of b to the range of
     ``a``, the largest PSD matrix below b with range inside R(a): b's
     generalized Schur complement over the null space of ``a``, by ``schur``.
-    The pair is checked PSD, as members 0 and 1, and decided on max(|a|, |b|).
+    The pair is checked PSD, as members 0 and 1, and split and decided on max(|a|, |b|).
     """
     a._require_same_dim(b)
     scale = max(a.norm(), b.norm())
     _require_psd_members([a.min_eigenvalue(), b.min_eigenvalue()], scale, tol)
-    return _ando_limit(range_nullspace(a, tol), b, tol, scale)
+    return _ando_limit(_range_null(a, tol, scale), b, tol, scale)
 
 
 def _ando_limit(split: RangeNullspace, b: HermitianMatrix, tol: Tolerances, scale: float) -> HermitianMatrix:
-    """[a]b from the (range, null space) split of ``a``, for b PSD on ``scale``.
+    """[a]b from the (range, null space) split of ``a``, for b PSD on ``scale``, with its
+    eigenvalues at most ``rank_rel`` on ``scale`` rounded to exact zero, b's too when a is invertible.
     The range verdict is not consulted, yet a corner direction of b cut at ``rank_rel``
     has its coupling dropped, not subtracted, so b - [a]b can have a negative
     eigenvalue of up to about sqrt(rank_rel) * scale, past the order margin."""
-    if split.nullspace.dim == 0 or split.range.dim == 0:  # a is invertible or zero
-        return b if split.range.dim else zero(b.dim)
+    if split.range.dim == 0:  # a is zero
+        return zero(b.dim)
+    if split.nullspace.dim == 0:  # a is invertible; b rounds only if its spectrum reaches the cut
+        return _rounded(b, tol, scale) if _within(b.min_eigenvalue(), "rank_rel", scale, tol) else b
     _, _, complement = _corner_analysis(_blocks(b, split.nullspace, split.range), tol, scale, psd=True)
     return _shorted(_rounded(complement, tol, scale), split.range)
 

@@ -341,6 +341,21 @@ class TestCommands:
         assert code == 0
         assert json.loads(out)["verdicts"]["exists"] is True
 
+    @pytest.mark.parametrize("small", [[1e-3, 1e-12], [1e-3, -5e-12], [1e-12, 1e-12]])
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_pair_routes_split_on_the_pair_scale(self, tmp_path, capsys, small, swap):
+        # the small eigenvalues fall under the rank cut of the pair's scale 1
+        members = [np.diag(small).tolist(), np.eye(2).tolist()]
+        doc = {"dim": 2, "field_tag": "real", "matrices": members[::-1] if swap else members}
+        path = write_doc(tmp_path, json.dumps(doc))
+        verdicts = {}
+        for command in ("parallel-sum", "ando", "positive-glb"):
+            code, out, _ = run([command, "-i", path, "--json"], capsys)
+            assert code == 0
+            verdicts[command] = json.loads(out)["verdicts"]
+        assert verdicts["parallel-sum"]["rank"] == verdicts["parallel-sum"]["common_range_dim"]
+        assert verdicts["ando"]["glb"] == verdicts["positive-glb"]["glb"]
+
     def test_ando_names_the_member_that_is_not_psd(self, tmp_path, capsys):
         doc = {"dim": 2, "field_tag": "real", "matrices": [[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, -1e-3]]]}
         code, _, err = run(["ando", "-i", write_doc(tmp_path, json.dumps(doc))], capsys)

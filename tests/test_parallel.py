@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from loewner import (
+    DEFAULT_TOL,
     Comparability,
     MatrixSet,
     ando_limit,
@@ -18,6 +19,8 @@ from loewner import (
     two_op_positive_glb,
     zero,
 )
+from loewner.cli import _cmd_parallel_sum
+from loewner.documents import document_from_set
 from loewner.ensembles import ensemble_run
 from loewner.errors import DimensionMismatch, NotPositiveSemidefinite
 from loewner.sampling import random_psd, random_unitary, trial_rng
@@ -296,3 +299,63 @@ class TestPairPsdCheck:
         for routine in (ando_limit, two_op_positive_glb):
             with pytest.raises(NotPositiveSemidefinite, match=rf"^member {bad} is not positive semidefinite$"):
                 routine(*pair)
+
+
+# members whose small eigenvalues fall under the rank cut of the pair's scale 1,
+# though not under that of their own norm: exactly PSD, PSD within the pair's
+# margin, and a multiple of the identity
+PLANTED = {
+    "diag(1e-3,1e-12)": np.diag([1e-3, 1e-12]),
+    "diag(1e-3,-5e-12)": np.diag([1e-3, -5e-12]),
+    "1e-12*I": 1e-12 * np.eye(2),
+}
+
+
+def _rank_verdicts(mset):
+    """``loewner parallel-sum``'s rank and common range dimension of ``mset``."""
+    verdicts, _, _ = _cmd_parallel_sum(None, DEFAULT_TOL, document_from_set(mset))
+    return verdicts["rank"], verdicts["common_range_dim"]
+
+
+class TestSplitOnTheProblemScale:
+    """Pair and family members and their parallel sum are split into range and
+    null space on the scale of their pair or family, so the pair route, the
+    family route and the parallel sum's rank identity give one answer."""
+
+    @pytest.mark.parametrize("name", PLANTED)
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_planted_pairs_agree(self, name, swap):
+        pair = [herm(PLANTED[name]), identity(2)]
+        if swap:
+            pair.reverse()
+        mset = MatrixSet(pair)
+        rank, common = _rank_verdicts(mset)
+        assert rank == common
+        result = two_op_positive_glb(*pair)
+        family = positive_glb_family(mset)
+        assert family.k_subspace.dim == rank
+        assert np.array_equal(result.ando_ab.mat, family.tilde_set[1].mat)
+        assert np.array_equal(result.glb.mat, family.glb.mat)
+
+    def test_invertible_a_rounds_b_at_the_cut(self):
+        # [a]b = b for invertible a, with b's -5e-12 rounded as every part's is
+        part = ando_limit(identity(2), herm(np.diag([1e-3, -5e-12])))
+        assert np.array_equal(part.mat, np.diag([1e-3, 0.0]))
+
+    def test_one_member_scaled_down(self):
+        # one member of each pair scaled by 10^-k, in both orders; at k = 9 and 10
+        # a's eigenvalues, and S's, straddle the cut, so those are not asserted
+        disagreements = []
+        for k in (0, 3, 12, 14):
+            for t in range(60):
+                rng = trial_rng(900 + k, t)
+                n = int(rng.integers(2, 7))
+                a = random_psd(rng, n, int(rng.integers(1, n + 1))) * 10.0**-k
+                b = random_psd(rng, n, int(rng.integers(1, n + 1)))
+                for order, pair in enumerate(((a, b), (b, a))):
+                    mset = MatrixSet(pair)
+                    rank, common = _rank_verdicts(mset)
+                    gap = two_op_positive_glb(*pair).ando_ab - positive_glb_family(mset).tilde_set[1]
+                    if rank != common or gap.norm() > DEFAULT_TOL.eq_rel * mset.max_norm():
+                        disagreements.append((k, t, order))
+        assert disagreements == []
