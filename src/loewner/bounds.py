@@ -49,8 +49,15 @@ __all__ = [
 def is_lower_bound(l: HermitianMatrix, mset: MatrixSet, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True when ``l`` is below every member, decided on all the gaps A - l at once."""
     l._require_same_dim(mset)
-    w = np.linalg.eigvalsh(mset.stack - l.mat)
-    return bool(_within(-w[:, 0].min(), "psd_rel", max(mset.max_norm(), l.norm()), tol))
+    return _below_every_member(np.linalg.eigvalsh(mset.stack - l.mat), l, mset, tol)
+
+
+def _below_every_member(w: np.ndarray, l: HermitianMatrix, mset: MatrixSet, tol: Tolerances) -> bool:
+    """Whether the gaps A - l, of ascending spectra ``w`` (one row per member), are PSD
+    on max(|A|, |l|), with |l| computed only when its Frobenius bracket cannot decide."""
+    margin = -w[:, 0].min()
+    scale = _deciding_scale(lambda scale: _within(margin, "psd_rel", scale, tol), (l,), mset.max_norm())
+    return bool(_within(margin, "psd_rel", scale, tol))
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import certify_maximal, mlb_mt
+from .bounds import _below_every_member, certify_maximal, mlb_mt
 from .errors import (
     ConsistencyError,
     DistinctnessFailure,
@@ -323,7 +323,7 @@ def extend_to_maximal(l: HermitianMatrix, mset: MatrixSet, tol: Tolerances = DEF
     gaps = mset.stack - l.mat
     # the lower-bound verdict and the first level share the gaps' spectrum
     w = np.linalg.eigvalsh(gaps)
-    if not _within(-w[:, 0].min(), "psd_rel", max(mset.max_norm(), l.norm()), tol):
+    if not _below_every_member(w, l, mset, tol):
         raise NotLowerBound("the given matrix is not a lower bound of the set")
     return l + _positive_mlb(gaps, w, tol)
 

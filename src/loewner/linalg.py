@@ -146,10 +146,11 @@ class HermitianMatrix:
     The constructor symmetrizes its input via (A + A*)/2, so that
     ``mat[i, j] == conj(mat[j, i])`` holds exactly in floating point; sums,
     differences, negations and real multiples keep that identity exactly and
-    are wrapped as they are.  The eigenvalues are computed once.
+    are wrapped as they are.  The eigenvalues are computed once, and so are
+    the eigenpairs (``spectral``), which no sum, negation or multiple inherits.
     """
 
-    __slots__ = ("mat", "_eigvals")
+    __slots__ = ("mat", "_eigvals", "_eigenpairs")
 
     def __init__(self, entries) -> None:
         arr = np.asarray(entries, dtype=np.complex128)
@@ -158,7 +159,7 @@ class HermitianMatrix:
         if arr.shape[0] == 0:
             raise NonSquare("matrix dimension must be at least 1")
         self.mat = _freeze(_sym(arr))
-        self._eigvals = None
+        self._eigvals = self._eigenpairs = None
 
     @property
     def dim(self) -> int:
@@ -206,7 +207,7 @@ def _hermitian(mat: np.ndarray) -> HermitianMatrix:
     """Wrap an exactly Hermitian array as it is: no copy, no symmetrizing."""
     out = HermitianMatrix.__new__(HermitianMatrix)
     out.mat = _freeze(mat)
-    out._eigvals = None
+    out._eigvals = out._eigenpairs = None
     return out
 
 
@@ -327,15 +328,28 @@ def _eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def spectral(s: HermitianMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Frozen (w, v) with s = v diag(w) v*, ``w`` ascending and ``v`` phase-fixed."""
-    w, v = _eigh(s.mat)
-    return _freeze(w), _freeze(fix_column_phases(v))
+    """Frozen (w, v) with s = v diag(w) v*, ``w`` ascending and ``v`` phase-fixed,
+    computed once per matrix and kept on it."""
+    if s._eigenpairs is None:
+        w, v = _eigh(s.mat)
+        s._eigenpairs = (_freeze(w), _freeze(fix_column_phases(v)))
+    return s._eigenpairs
+
+
+def _clear_of_cut(values: np.ndarray, tol: Tolerances, scale: float) -> bool:
+    """Whether ``values``, eigenvalues or their moduli, all exceed ``rank_rel`` on ``scale`` by more than
+    64 eps times the largest modulus, by which eigh's and eigvalsh's may differ: then both do."""
+    return not _within(values.min() - _NOISE_FLOOR * np.abs(values).max(), "rank_rel", scale, tol)
 
 
 def _map_eigenvalues(s: HermitianMatrix, fn) -> HermitianMatrix:
-    """V fn(w) V* for s = V diag(w) V*."""
+    """V fn(w) V* for s = V diag(w) V*, carrying (fn(w), V) as its eigenpairs when fn(w) is ascending."""
     w, v = spectral(s)
-    return HermitianMatrix((v * fn(w)) @ v.conj().T)
+    mapped = fn(w)
+    out = HermitianMatrix((v * mapped) @ v.conj().T)
+    if np.all(np.diff(mapped) >= 0.0):
+        out._eigenpairs = (_freeze(mapped), v)
+    return out
 
 
 def sqrt_psd(s: HermitianMatrix, tol: Tolerances = DEFAULT_TOL) -> HermitianMatrix:
@@ -482,7 +496,8 @@ class RangeNullspace(NamedTuple):
 
 def range_nullspace(s: HermitianMatrix, tol: Tolerances = DEFAULT_TOL) -> RangeNullspace:
     """``_range_null`` of a lone matrix, on its own norm; a member of a pair or family,
-    or a matrix built from one, is split on that problem's scale instead."""
+    or a matrix built from one, is split on that problem's scale instead.  The range
+    basis of an invertible matrix is the identity."""
     return _range_null(s, tol, None)
 
 
@@ -490,7 +505,11 @@ def _range_null(s: HermitianMatrix, tol: Tolerances, scale: float | None) -> Ran
     """Orthonormal bases of range and null space from the eigendecomposition:
     eigenvalues within ``rank_rel`` of zero on ``scale``, or when it is None on
     |s| read off the same ``eigh``, count as zero.  The two bases partition the
-    eigenvector basis, so their dimensions sum to n exactly."""
+    eigenvector basis, so their dimensions sum to n exactly.  When the cached eigenvalues, or one
+    eigvalsh, all clear the cut (``_clear_of_cut``), it is (C^n, {0}) with no ``eigh``."""
+    known = s._spectrum() if s._eigenpairs is None else s._eigenpairs[0]
+    if _clear_of_cut(np.abs(known), tol, _top(known) if scale is None else scale):
+        return RangeNullspace(Subspace.full(s.dim), Subspace.zero_subspace(s.dim))
     w, v = spectral(s)
     mask = ~_within(np.abs(w), "rank_rel", _top(w) if scale is None else scale, tol)
     return RangeNullspace(Subspace(v[:, mask]), Subspace(v[:, ~mask]))

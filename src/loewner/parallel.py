@@ -3,6 +3,7 @@ lower bounds of pairs of PSD matrices."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,12 +15,14 @@ from .linalg import (
     MatrixSet,
     RangeNullspace,
     Tolerances,
+    _clear_of_cut,
     _inverse,
     _map_eigenvalues,
     _range_null,
     _require_psd_members,
     _verdict,
     _within,
+    spectral,
     zero,
 )
 from .schur import _blocks, _corner_analysis, _shorted
@@ -45,20 +48,38 @@ def parallel_sum(a: HermitianMatrix, b: HermitianMatrix, tol: Tolerances = DEFAU
 
 
 def parallel_sum_family(mset: MatrixSet, tol: Tolerances = DEFAULT_TOL) -> HermitianMatrix:
-    """Left fold of the parallel sum over a family on its scale; a singleton folds to itself."""
+    """Left fold of the parallel sum over a family on its scale; a singleton folds to itself.
+
+    The parallel sum is Loewner-monotone: with a_i the members' smallest eigenvalues,
+    1 / sum(1 / a_i) <= lambda_min(A_1 : ... : A_j) <= min a_i bound what ``_rounded``
+    decides, the lower net of each product's rounding error, n eps scale^2 / lambda_min(A + B).
+    """
     scale = mset.max_norm()
-    _require_psd_members(mset.eigenvalues()[:, 0], scale, tol)
-    result = mset[0]
-    for member in mset.members[1:]:
-        inverse = _map_eigenvalues(result + member, lambda w: _inverse(w, tol, scale))
-        result = _rounded(HermitianMatrix(result.mat @ inverse.mat @ member.mat), tol, scale)
+    lowest = mset.eigenvalues()[:, 0]
+    _require_psd_members(lowest, scale, tol)
+    result, noise = mset[0], 0.0
+    for j, member in enumerate(mset.members[1:], start=2):
+        total = result + member
+        inverse = _map_eigenvalues(total, lambda w: _inverse(w, tol, scale))
+        floor = float(spectral(total)[0][0])
+        noise += mset.dim * math.ulp(1.0) * scale * (scale / floor) if floor > 0.0 else math.inf
+        head = lowest[:j].tolist()
+        low = 1.0 / sum(1.0 / a for a in head) - noise if min(head) > 0.0 else -math.inf
+        result = _rounded(HermitianMatrix(result.mat @ inverse.mat @ member.mat), tol, scale, low, min(head))
     return result
 
 
-def _rounded(s: HermitianMatrix, tol: Tolerances, scale: float) -> HermitianMatrix:
+def _rounded(s: HermitianMatrix, tol: Tolerances, scale: float, low=-math.inf, high=math.inf) -> HermitianMatrix:
     """``s``, PSD by theorem, with its eigenvalues at most ``rank_rel`` on ``scale`` (negative ones
-    too) rounded to exact zero: on its own norm, a vanished result's noise would get a full range."""
-    return _map_eigenvalues(s, lambda w: np.where(_within(w, "rank_rel", scale, tol), 0.0, w))
+    too) rounded to exact zero: on its own norm, a vanished result's noise would get a full range.
+    It is returned as it is when ``low``, a lower bound on its smallest eigenvalue, clears the cut,
+    or else its eigenvalues do (``_clear_of_cut``); they are not read when ``high``, an upper bound,
+    is within the cut.  Otherwise it is rebuilt from ``spectral`` and carries its eigenpairs."""
+    probe = s._eigenpairs is None and not _within(high, "rank_rel", scale, tol)
+    if not _within(low, "rank_rel", scale, tol) or (probe and _clear_of_cut(s._spectrum(), tol, scale)):
+        return s
+    small = _within(spectral(s)[0], "rank_rel", scale, tol)
+    return _map_eigenvalues(s, lambda w: np.where(small, 0.0, w)) if small.any() else s
 
 
 def ando_limit(a: HermitianMatrix, b: HermitianMatrix, tol: Tolerances = DEFAULT_TOL) -> HermitianMatrix:
@@ -83,8 +104,8 @@ def _ando_limit(split: RangeNullspace, b: HermitianMatrix, tol: Tolerances, scal
     eigenvalue of up to about sqrt(rank_rel) * scale, past the order margin."""
     if split.range.dim == 0:  # a is zero
         return zero(b.dim)
-    if split.nullspace.dim == 0:  # a is invertible; b rounds only if its spectrum reaches the cut
-        return _rounded(b, tol, scale) if _within(b.min_eigenvalue(), "rank_rel", scale, tol) else b
+    if split.nullspace.dim == 0:  # a is invertible
+        return _rounded(b, tol, scale)
     _, _, complement = _corner_analysis(_blocks(b, split.nullspace, split.range), tol, scale, psd=True)
     return _shorted(_rounded(complement, tol, scale), split.range)
 

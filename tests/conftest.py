@@ -17,7 +17,7 @@ from loewner import (
     subspace_intersect,
 )
 from loewner.errors import SchurRangeViolation
-from loewner.linalg import _within, fix_column_phases
+from loewner.linalg import _inverse, _within, fix_column_phases
 from loewner.schur import _blocks, _corner_analysis
 
 # Property tests draw the same bounded examples on every run and keep no
@@ -195,3 +195,26 @@ def ando_limit_reference(a, b, tol=DEFAULT_TOL) -> HermitianMatrix:
     rank = int(np.sum(sing > tol.rank_rel * np.sqrt(b.norm())))
     v = Subspace(vh[rank:].conj().T)
     return HermitianMatrix(broot @ v.projector() @ broot)
+
+
+def _rebuilt(mat, fn) -> HermitianMatrix:
+    """V fn(w) V* from a fresh phase-fixed ``eigh`` of ``mat``."""
+    w, v = np.linalg.eigh(mat)
+    v = fix_column_phases(v)
+    return HermitianMatrix((v * fn(w)) @ v.conj().T)
+
+
+def parallel_sum_family_reference(mset, tol=DEFAULT_TOL) -> tuple:
+    """Reference fold: (S, kept) with every partial sum's product decomposed by
+    a fresh ``eigh`` and rebuilt with its eigenvalues at most ``rank_rel`` on
+    the family scale set to zero, ``kept`` the count not set to zero in the
+    last product (a singleton's own count above the cut)."""
+    scale = mset.max_norm()
+    result = mset[0]
+    kept = int(np.sum(~_within(np.abs(mset.eigenvalues()[0]), "rank_rel", scale, tol)))
+    for member in mset.members[1:]:
+        inverse = _rebuilt((result + member).mat, lambda w: _inverse(w, tol, scale))
+        product = HermitianMatrix(result.mat @ inverse.mat @ member.mat)
+        kept = int(np.sum(~_within(np.linalg.eigh(product.mat)[0], "rank_rel", scale, tol)))
+        result = _rebuilt(product.mat, lambda w: np.where(_within(w, "rank_rel", scale, tol), 0.0, w))
+    return result, kept

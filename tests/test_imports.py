@@ -68,3 +68,39 @@ def test_finds_an_unreferenced_helper():
         "b": "from .a import _used\n",
     }
     assert unreferenced_helpers(sources) == ["a._Gone", "a._dead"]
+
+
+def eigh_of_a_matrix(module: str, source: str) -> list[str]:
+    """``module.name`` of each top-level definition, other than ``linalg.spectral``,
+    that passes a ``.mat`` attribute to ``eigh`` or ``_eigh``: a matrix is
+    decomposed through ``spectral``, which keeps the result on it."""
+    found = []
+    for top in ast.parse(source).body:
+        if module == "linalg" and getattr(top, "name", None) == "spectral":
+            continue
+        for node in ast.walk(top):
+            if (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "attr", getattr(node.func, "id", None)) in ("eigh", "_eigh")
+                and node.args
+                and isinstance(node.args[0], ast.Attribute)
+                and node.args[0].attr == "mat"
+            ):
+                found.append(f"{module}.{getattr(top, 'name', '<module>')}")
+    return found
+
+
+def test_matrices_are_decomposed_through_spectral():
+    assert [hit for path in MODULES for hit in eigh_of_a_matrix(path.stem, path.read_text())] == []
+
+
+def test_finds_an_eigh_of_a_matrix():
+    source = (
+        "def f(s):\n    return np.linalg.eigh(s.mat)\n"
+        "def g(s):\n    return _eigh(s.mat)\n"
+        "def stacked(m, s):\n    return _eigh(m.stack - s.mat), np.linalg.eigh(m.stack)\n"
+        "def spectral(s):\n    return _eigh(s.mat)\n"
+        "w = eigh(m.mat)\n"
+    )
+    assert eigh_of_a_matrix("a", source) == ["a.f", "a.g", "a.spectral", "a.<module>"]
+    assert eigh_of_a_matrix("linalg", source) == ["linalg.f", "linalg.g", "linalg.<module>"]

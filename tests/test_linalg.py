@@ -34,7 +34,7 @@ from loewner import linalg
 from loewner.linalg import _sym, fix_column_phases
 from loewner.sampling import random_hermitian, random_psd, random_unitary, trial_rng
 
-from .conftest import assert_matrix_close, contains_vector, fix_column_phases_reference, herm
+from .conftest import assert_matrix_close, contains_vector, fix_column_phases_reference, herm, record_calls
 
 
 class TestTolerances:
@@ -224,6 +224,23 @@ class TestSpectral:
             for basis in (v, real, zeroed, tied, signed, real[:, : n // 2]):
                 assert fix_column_phases(basis).tobytes() == fix_column_phases_reference(basis).tobytes(), n
 
+    def test_computed_once(self, monkeypatch):
+        m = random_hermitian(trial_rng(11, 4), 6)
+        calls = record_calls(monkeypatch, np.linalg, "eigh")
+        first, second = spectral(m), spectral(m)
+        assert len(calls["eigh"]) == 1
+        assert first[0] is second[0] and first[1] is second[1]
+        assert not first[0].flags.writeable and not first[1].flags.writeable
+
+    def test_new_values_inherit_no_pair(self, monkeypatch):
+        rng = trial_rng(11, 5)
+        s, t = random_hermitian(rng, 4), random_hermitian(rng, 4)
+        spectral(s)
+        calls = record_calls(monkeypatch, np.linalg, "eigh")
+        for value in (-s, s + t, 2.0 * s, MatrixSet([s, t])[0]):
+            spectral(value)
+        assert len(calls["eigh"]) == 4
+
     def test_phase_fix_of_one_row(self):
         # a 1 x k basis: every entry becomes its modulus, here 1
         row = np.exp(1j * np.linspace(-3.0, 3.0, 7))[None, :]
@@ -361,6 +378,18 @@ class TestRangeNullspace:
         assert split.range.dim == 2
         assert split.nullspace.dim == 1
         assert contains_vector(split.nullspace, np.array([0.0, 1.0, 0.0]))
+
+    def test_invertible_split_from_eigenvalues(self, monkeypatch):
+        # an invertible matrix is split by one eigvalsh, with the identity as range basis
+        u = random_unitary(trial_rng(13, 2), 4)
+        s = herm(u @ np.diag([-2.0, 1e-6, 1.0, 3.0]) @ u.conj().T)
+        calls = record_calls(monkeypatch, np.linalg, "eigh", "eigvalsh")
+        split = range_nullspace(s)
+        assert (len(calls["eigh"]), len(calls["eigvalsh"])) == (0, 1)
+        assert np.array_equal(split.range.basis, np.eye(4)) and split.nullspace.dim == 0
+        singular = herm(u @ np.diag([-2.0, 0.0, 1.0, 3.0]) @ u.conj().T)
+        assert range_nullspace(singular).nullspace.dim == 1
+        assert len(calls["eigh"]) == 1
 
     def test_dims_partition(self):
         rng = trial_rng(13, 1)

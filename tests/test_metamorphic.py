@@ -33,6 +33,7 @@ from loewner import (
     finite_infimum,
     is_lower_bound,
     pairwise_commuting,
+    parallel_sum_family,
     positive_glb_family,
     positive_maximal_lb,
     two_op_positive_glb,
@@ -40,7 +41,7 @@ from loewner import (
 from loewner.cli import main
 from loewner.documents import MatrixSetDocument, emit_document
 from loewner.errors import NotCommutingFamily
-from loewner.linalg import _DISTINCT_REL
+from loewner.linalg import DEFAULT_TOL, _DISTINCT_REL, _range_null
 from loewner.sampling import (
     random_commuting_family,
     random_contraction,
@@ -52,7 +53,7 @@ from loewner.sampling import (
     trial_rng,
 )
 
-from .conftest import herm
+from .conftest import herm, is_psd_on
 
 SCALES = [10.0 ** e for e in (1, -1, 6, -6, 12, -12, 100, -100)]
 seeds = st.integers(0, 2**20)
@@ -218,6 +219,38 @@ class TestPositiveGlbFamily:
             assert moved_pair.exists == pair.exists
             if pair.exists:
                 assert_close(moved_pair.glb, forward(pair.glb), family_scale(family))
+
+
+class TestParallelSum:
+    @given(seeds, scales)
+    def test_rank_invariant_and_sum_equivariant(self, seed, c):
+        # full-rank and rank-deficient members, whose products are and are not decomposed
+        rng = trial_rng(seed, 9)
+        n, k = int(rng.integers(1, 6)), int(rng.integers(2, 5))
+        mset = MatrixSet(random_psd(rng, n, int(rng.integers(1, n + 1))) for _ in range(k))
+        s = parallel_sum_family(mset)
+        rank = _range_null(s, DEFAULT_TOL, mset.max_norm()).range.dim
+        for family, forward, _ in [(mset, lambda x: x, None)] + variants(mset, rng, c):
+            moved = parallel_sum_family(family)
+            scale = family.max_norm()
+            assert _range_null(moved, DEFAULT_TOL, scale).range.dim == rank
+            assert is_psd_on(moved, scale)
+            assert is_lower_bound(moved, family)
+            assert_close(moved, forward(s), family_scale(family))
+
+
+class TestTwoOpPositiveGlb:
+    @given(seeds, scales)
+    def test_existence_and_comparability_invariant(self, seed, c):
+        # swapping the pair swaps [A]B and [B]A, so the comparability mirrors
+        rng = trial_rng(seed, 10)
+        n = int(rng.integers(2, 6))
+        pair = MatrixSet(random_psd(rng, n, int(rng.integers(1, n + 1))) for _ in range(2))
+        result = two_op_positive_glb(*pair)
+        for family, _, order in variants(pair, rng, c):
+            moved = two_op_positive_glb(*family)
+            assert moved.exists == result.exists
+            assert moved.comparability is (result.comparability if order == [0, 1] else MIRROR[result.comparability])
 
 
 class TestDistinctMaximals:

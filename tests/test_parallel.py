@@ -23,9 +23,16 @@ from loewner.cli import _cmd_parallel_sum
 from loewner.documents import document_from_set
 from loewner.ensembles import ensemble_run
 from loewner.errors import DimensionMismatch, NotPositiveSemidefinite
+from loewner.linalg import _range_null, spectral
 from loewner.sampling import random_psd, random_unitary, trial_rng
 
-from .conftest import ando_limit_reference, assert_matrix_close, herm
+from .conftest import (
+    ando_limit_reference,
+    assert_matrix_close,
+    herm,
+    parallel_sum_family_reference,
+    record_calls,
+)
 
 
 class TestParallelSum:
@@ -359,3 +366,113 @@ class TestSplitOnTheProblemScale:
                     if rank != common or gap.norm() > DEFAULT_TOL.eq_rel * mset.max_norm():
                         disagreements.append((k, t, order))
         assert disagreements == []
+
+
+def _square(calls, n):
+    """The recorded arguments that are single n x n matrices."""
+    return [arr for arr in calls if np.shape(arr) == (n, n)]
+
+
+class TestDecomposeOnce:
+    """Exact LAPACK counts of the parallel-sum and shorted-operator path:
+    every matrix is decomposed at most once, and not at all when its
+    eigenvalues, or bounds on them, show that nothing needs rounding."""
+
+    N = 12
+
+    def _pd_pair(self, seed):
+        rng = trial_rng(61, seed)
+        return [random_psd(rng, self.N) + 0.5 * identity(self.N) for _ in range(2)]
+
+    def test_pd_pair_takes_one_eigh_and_no_probe(self, monkeypatch):
+        mset = MatrixSet(self._pd_pair(0))
+        calls = record_calls(monkeypatch, np.linalg, "eigh", "eigvalsh")
+        parallel_sum_family(mset)
+        assert len(calls["eigh"]) == 1
+        assert [np.shape(arr) for arr in calls["eigvalsh"]] == [(2, self.N, self.N)]
+
+    @pytest.mark.parametrize("rank", [N, N - 3])
+    def test_ando_limit_takes_no_eigh_of_an_invertible_a(self, monkeypatch, rank):
+        a, _ = self._pd_pair(1)
+        b = random_psd(trial_rng(61, 2), self.N, rank)
+        calls = record_calls(monkeypatch, np.linalg, "eigh")
+        part = ando_limit(a, b)
+        # b itself is decomposed only when its spectrum reaches the cut
+        assert [arr is b.mat for arr in calls["eigh"]] == ([] if rank == self.N else [True])
+        assert np.array_equal(part.mat, b.mat) == (rank == self.N)
+
+    def test_two_op_positive_glb_decomposes_s_once(self, monkeypatch):
+        rng = trial_rng(61, 3)
+        s = random_psd(rng, self.N, self.N - 3)
+        sr = s + random_psd(rng, self.N)
+        calls = record_calls(monkeypatch, np.linalg, "eigh", "eigvalsh")
+        result = two_op_positive_glb(s, sr)
+        assert result.exists
+        assert [arr is s.mat for arr in _square(calls["eigh"], self.N)] == [True]
+        # the Schur complement on the range of s is probed, not decomposed
+        assert len(_square(calls["eigh"], self.N - 3)) == 0
+        assert len(_square(calls["eigvalsh"], self.N - 3)) == 1
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_family_with_a_singular_member_takes_two_eigh_per_step(self, monkeypatch, k):
+        rng = trial_rng(61, 4 + k)
+        s = random_psd(rng, self.N, self.N - 3)
+        mset = MatrixSet([s] + [s + random_psd(rng, self.N) for _ in range(k - 1)])
+        calls = record_calls(monkeypatch, np.linalg, "eigh", "eigvalsh")
+        report = positive_glb_family(mset)
+        assert report.exists and report.k_subspace.dim == self.N - 3
+        # one eigh of each partial sum A + B and one of each product; S's split reuses the last
+        assert len(_square(calls["eigh"], self.N)) == 2 * (k - 1)
+        # a product whose members' bound reaches the cut is decomposed without a probe;
+        # each [S]A's Schur complement on the range of S is probed, not decomposed
+        assert _square(calls["eigvalsh"], self.N) == []
+        assert len(_square(calls["eigvalsh"], self.N - 3)) == k
+        assert _square(calls["eigh"], self.N - 3) == []
+
+
+class TestAgainstTheEighAlwaysFold:
+    """The fold decides on eigenvalues before it decomposes; the reference
+    decomposes and rounds every product, as the fold once did."""
+
+    def test_seeded_families(self):
+        # full rank, where the members' bound skips the rounding; rank-deficient, where
+        # every product is decomposed; and full rank over up to 8 decades, where it is probed
+        for t in range(90):
+            rng = trial_rng(62, t)
+            n, k = int(rng.integers(1, 31)), int(rng.integers(2, 6))
+            ranks = [n if t % 3 != 1 else int(rng.integers(1, n + 1)) for _ in range(k)]
+            decades = [int(rng.integers(0, 9)) if t % 3 == 2 else 0 for _ in range(k)]
+            mset = MatrixSet(random_psd(rng, n, r) * 10.0**-d for r, d in zip(ranks, decades))
+            scale = mset.max_norm()
+            s = parallel_sum_family(mset)
+            reference, kept = parallel_sum_family_reference(mset)
+            assert float(np.abs(s.mat - reference.mat).max()) <= DEFAULT_TOL.eq_rel * scale
+            assert _range_null(s, DEFAULT_TOL, scale).range.dim == kept
+
+    def test_rounding_verdict_is_eighs_at_the_cut(self):
+        # b's smallest eigenvalue planted on the cut, where eigvalsh and eigh often fall on
+        # either side of it: [I]b is rounded exactly when eigh's eigenvalue is at or below it
+        n, cut = 6, DEFAULT_TOL.rank_rel * 2.0
+        for s in range(20):
+            u = random_unitary(trial_rng(64, s), n)
+            b = herm(u @ np.diag(np.concatenate([[cut], np.linspace(0.5, 2.0, n - 1)])) @ u.conj().T)
+            rounds = np.linalg.eigh(b.mat)[0][0] <= DEFAULT_TOL.rank_rel * b.norm()
+            assert np.array_equal(ando_limit(identity(n), b).mat, b.mat) != rounds
+
+    @pytest.mark.parametrize("c", [0.5, 1.0, 2.0, 10.0])
+    def test_smallest_eigenvalue_near_the_cut(self, c):
+        # a commuting PD pair whose parallel sum has smallest eigenvalue c times the cut
+        n, cut = 6, DEFAULT_TOL.rank_rel * 2.0
+        rest = np.linspace(0.5, 2.0, n - 1)
+        for s in range(5):
+            u = random_unitary(trial_rng(63, s), n)
+            pair = [herm(u @ np.diag(np.concatenate([[2.0 * c * cut], d])) @ u.conj().T)
+                    for d in (rest, rest[::-1])]
+            mset = MatrixSet(pair)
+            total = parallel_sum_family(mset)
+            _, kept = parallel_sum_family_reference(mset)
+            assert _range_null(total, DEFAULT_TOL, mset.max_norm()).range.dim == kept
+            if c != 1.0:
+                assert kept == (n - 1 if c < 1.0 else n)
+            # the smallest eigenvalue is rounded to exact zero exactly when the reference rounds it
+            assert (spectral(total)[0][0] == 0.0) == (kept < n)
