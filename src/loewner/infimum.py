@@ -39,6 +39,7 @@ from .linalg import (
     matrix_abs,
 )
 from .parallel import _ando_limit, parallel_sum_family
+from .schur import _corner
 from .sampling import random_invertible, random_psd
 
 __all__ = [
@@ -276,22 +277,13 @@ def _positive_mlb(a: np.ndarray, w: np.ndarray, tol: Tolerances) -> HermitianMat
         shifted = a - gamma * np.eye(len(u))
         y = shifted @ u
         alpha = (y @ u.conj()).real
-        # the corner splits off above the noise floor of its shifted member,
-        # the cut schur._corner_analysis makes for a one-dimensional corner
-        anchor = w[:, -1] - gamma
-        split = ~_within(np.abs(alpha), _NOISE_FLOOR, anchor)
         pivot = u[0] / abs(u[0]) if u[0] else 1.0
         v, tau = np.concatenate([[u[0] + pivot], u[1:]]), 1.0 / (1.0 + abs(u[0]))
         b = y[:, 1:] - tau * (y @ v.conj())[:, None] * v[1:]
         coupling = np.linalg.norm(b, axis=1)
-        # the range test is a rank decision on the family's scale, floored at
-        # the noise of the shifted member, as in schur._corner_analysis
-        leaves = ~(_within(coupling, "rank_rel", scale, tol) | _within(coupling, _NOISE_FLOOR, anchor))
-        # A' is PSD, so |b|^2 <= alpha * anchor: a positive corner under the
-        # noise floor whose coupling stays inside twice that bound splits
-        # off all the same; only a coupling beyond it breaks the range test
-        split |= (alpha > 0.0) & leaves & (coupling * coupling <= 2.0 * alpha * anchor)
-        bad = np.flatnonzero(~split & leaves)
+        # every member's corner alpha on the given line u, and its coupling b, by schur._corner at its shifted top
+        inverse, fails = _corner(alpha[:, None], coupling[:, None], (w[:, -1] - gamma)[:, None], scale, tol)
+        bad = np.flatnonzero(fails)
         if bad.size:
             i = bad[0]
             raise SchurRangeViolation(
@@ -303,7 +295,7 @@ def _positive_mlb(a: np.ndarray, w: np.ndarray, tol: Tolerances) -> HermitianMat
         p = y + pivot * shifted[:, :, 0]
         q = tau * p - (0.5 * tau * tau) * (p @ v.conj()).real[:, None] * v
         half = v[1:, None] * q[:, None, 1:].conj()
-        half += (0.5 * split / np.where(split, alpha, 1.0))[:, None, None] * b[:, :, None] * b[:, None, :].conj()
+        half += 0.5 * inverse[:, :, None] * b[:, :, None] * b[:, None, :].conj()
         a = shifted[:, 1:, 1:] - (half + np.conj(np.swapaxes(half, 1, 2)))
         lines[:, level] = frame @ u
         frame = frame[:, 1:] - tau * (frame @ v)[:, None] * v[1:].conj()

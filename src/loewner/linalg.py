@@ -492,6 +492,7 @@ def subspace_intersect(subspaces: Sequence[Subspace], tol: Tolerances = DEFAULT_
 class RangeNullspace(NamedTuple):
     range: Subspace
     nullspace: Subspace
+    gap: float = math.inf  # the least kept |eigenvalue| less the largest cut one; infinite if either is absent
 
 
 def range_nullspace(s: HermitianMatrix, tol: Tolerances = DEFAULT_TOL) -> RangeNullspace:
@@ -511,8 +512,10 @@ def _range_null(s: HermitianMatrix, tol: Tolerances, scale: float | None) -> Ran
     if _clear_of_cut(np.abs(known), tol, _top(known) if scale is None else scale):
         return RangeNullspace(Subspace.full(s.dim), Subspace.zero_subspace(s.dim))
     w, v = spectral(s)
-    mask = ~_within(np.abs(w), "rank_rel", _top(w) if scale is None else scale, tol)
-    return RangeNullspace(Subspace(v[:, mask]), Subspace(v[:, ~mask]))
+    mod = np.abs(w)
+    mask = ~_within(mod, "rank_rel", _top(w) if scale is None else scale, tol)
+    gap = mod[mask].min(initial=math.inf) - mod[~mask].max(initial=-math.inf)
+    return RangeNullspace(Subspace(v[:, mask]), Subspace(v[:, ~mask]), gap)
 
 
 class Comparability(enum.Enum):

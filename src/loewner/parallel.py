@@ -97,16 +97,14 @@ def ando_limit(a: HermitianMatrix, b: HermitianMatrix, tol: Tolerances = DEFAULT
 
 
 def _ando_limit(split: RangeNullspace, b: HermitianMatrix, tol: Tolerances, scale: float) -> HermitianMatrix:
-    """[a]b from the (range, null space) split of ``a``, for b PSD on ``scale``, with its
-    eigenvalues at most ``rank_rel`` on ``scale`` rounded to exact zero, b's too when a is invertible.
-    The range verdict is not consulted, yet a corner direction of b cut at ``rank_rel``
-    has its coupling dropped, not subtracted, so b - [a]b can have a negative
-    eigenvalue of up to about sqrt(rank_rel) * scale, past the order margin."""
+    """[a]b from ``split``, a's (range, null space), for b PSD on ``scale``, its eigenvalues at most ``rank_rel``
+    on ``scale`` rounded to exact zero, b's too when a is invertible.  The corner rule takes the eigen-gap of
+    a's split; its range verdict is not consulted, as ``_rounded`` zeroes what it subtracts past b."""
     if split.range.dim == 0:  # a is zero
         return zero(b.dim)
     if split.nullspace.dim == 0:  # a is invertible
         return _rounded(b, tol, scale)
-    _, _, complement = _corner_analysis(_blocks(b, split.nullspace, split.range), tol, scale, psd=True)
+    _, _, complement = _corner_analysis(_blocks(b, split.nullspace, split.range), tol, scale, scale, split.gap)
     return _shorted(_rounded(complement, tol, scale), split.range)
 
 

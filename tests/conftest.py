@@ -112,7 +112,7 @@ def positive_mlb_reference(mset, tol=DEFAULT_TOL) -> HermitianMatrix:
     phase-fixed minimizing line as a ``Subspace``, each shifted member's
     generalized Schur complement over it on an SVD-built complement, and a
     lift that rebuilds every level's rotation."""
-    levels = []
+    levels, scale = [], mset.max_norm()
     while True:
         w, v = np.linalg.eigh(mset.stack)
         k = int(np.argmin(w[:, 0]))
@@ -125,7 +125,7 @@ def positive_mlb_reference(mset, tol=DEFAULT_TOL) -> HermitianMatrix:
         complements = []
         for i, member in enumerate(shifted):
             blocks = _blocks(member, line, h2)
-            inside, residual, complement = _corner_analysis(blocks, tol, float(w[i, -1]) - gamma)
+            inside, residual, complement = _corner_analysis(blocks, tol, float(w[i, -1]) - gamma, scale)
             if not inside:
                 raise SchurRangeViolation(
                     "splitting at the minimizing eigenvector broke down: member "

@@ -9,6 +9,10 @@ for byte.  Document inputs are the stored ``fixture ... --json`` outputs and
 Regenerate, only when a change is meant to alter the output, with
 
     python tests/golden/regen.py
+
+It reports what moved against the outputs it replaces: each changed case with
+the largest change of a float in it, and, flagged, any change outside floats
+(a verdict, count, digest, text or exit code).
 """
 
 from __future__ import annotations
@@ -16,6 +20,8 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
+import re
 import sys
 from pathlib import Path
 
@@ -120,8 +126,52 @@ def complex12_document() -> str:
     return json.dumps({"dim": 12, "field_tag": "complex", "matrices": grids}) + "\n"
 
 
+# a float literal in text output: it has a fraction, an exponent or is not a number
+_FLOAT = re.compile(r"-?\d+\.\d*(?:[eE][-+]?\d+)?|-?\d+[eE][-+]?\d+|-?Infinity|NaN")
+
+
+def _leaves(text: str) -> tuple[list[float], list]:
+    """The floats of an output, in order, and everything else: the JSON leaves that
+    are not floats with their paths, or the text with its float literals cut out."""
+    try:
+        doc = json.loads(text)
+    except ValueError:
+        return [float(x) for x in _FLOAT.findall(text)], _FLOAT.split(text)
+    floats, rest = [], []
+
+    def walk(node, path):
+        if isinstance(node, dict):
+            for key in sorted(node):
+                walk(node[key], f"{path}/{key}")
+        elif isinstance(node, list):
+            for i, item in enumerate(node):
+                walk(item, f"{path}/{i}")
+        elif isinstance(node, float):
+            floats.append(node)
+        else:
+            rest.append((path, node))
+    walk(doc, "")
+    return floats, rest
+
+
+def _moved(old: str, new: str) -> str | None:
+    """How ``new`` differs from ``old``, or None when it does not."""
+    if old == new:
+        return None
+    (f0, rest0), (f1, rest1) = _leaves(old), _leaves(new)
+    if rest0 != rest1 or len(f0) != len(f1):
+        changed = [f"{a} -> {b}" for a, b in zip(rest0, rest1) if a != b][:3] or ["shape"]
+        return "CHANGED OUTSIDE FLOATS: " + "; ".join(map(str, changed))
+    delta = max((abs(a - b) for a, b in zip(f0, f1) if a != b and not (math.isnan(a) and math.isnan(b))),
+                default=0.0)
+    return f"floats only, max |delta| = {delta:.3e}"
+
+
 def main() -> int:
     sys.path.insert(0, str(SRC))
+    old = {stale.stem: stale.read_text() for stale in GOLDEN.glob("*.out")}
+    codes_path = GOLDEN / "exit_codes.json"
+    old_codes = json.loads(codes_path.read_text()) if codes_path.exists() else {}
     for stale in GOLDEN.glob("*.out"):
         stale.unlink()
     (GOLDEN / "complex12.json").write_text(complex12_document())
@@ -129,8 +179,20 @@ def main() -> int:
     for name, argv in cases():
         codes[name], stdout = run_case(argv)
         (GOLDEN / f"{name}.out").write_text(stdout)
-    (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=1, sort_keys=True) + "\n")
+    codes_path.write_text(json.dumps(codes, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(codes)} golden cases to {GOLDEN}")
+    moved = 0
+    for name in sorted(set(old) | set(codes)):
+        if name not in codes or name not in old:
+            report = "CHANGED OUTSIDE FLOATS: case " + ("removed" if name in old else "added")
+        elif old_codes.get(name) != codes[name]:
+            report = f"CHANGED OUTSIDE FLOATS: exit code {old_codes.get(name)} -> {codes[name]}"
+        else:
+            report = _moved(old[name], (GOLDEN / f"{name}.out").read_text())
+        if report:
+            moved += 1
+            print(f"  {name}: {report}")
+    print(f"{moved} case(s) moved" if moved else "no case moved")
     return 0
 
 

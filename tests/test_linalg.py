@@ -378,6 +378,9 @@ class TestRangeNullspace:
         assert split.range.dim == 2
         assert split.nullspace.dim == 1
         assert contains_vector(split.nullspace, np.array([0.0, 1.0, 0.0]))
+        # the least kept |eigenvalue| less the largest cut one
+        assert split.gap == 1.0
+        assert range_nullspace(herm(np.diag([1.0, 2.0]))).gap == np.inf
 
     def test_invertible_split_from_eigenvalues(self, monkeypatch):
         # an invertible matrix is split by one eigvalsh, with the identity as range basis

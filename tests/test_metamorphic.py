@@ -239,6 +239,26 @@ class TestParallelSum:
             assert_close(moved, forward(s), family_scale(family))
 
 
+class TestAndoLimit:
+    @given(seeds, scales)
+    def test_part_psd_below_b_zero_off_a_and_equivariant(self, seed, c):
+        # [A]B is PSD and below B on the pair's scale, vanishes on N(A), and moves with
+        # rescaling and a unitary congruence; swapping the pair is another question
+        rng = trial_rng(seed, 11)
+        n = int(rng.integers(2, 6))
+        pair = MatrixSet(random_psd(rng, n, int(rng.integers(1, n + 1))) for _ in range(2))
+        part = ando_limit(*pair)
+        for family, forward, _ in [(pair, lambda x: x, None)] + variants(pair, rng, c)[:2]:
+            a, b = family
+            moved = ando_limit(a, b)
+            scale = family.max_norm()
+            assert is_psd_on(moved, scale)
+            assert is_psd_on(b - moved, scale)
+            null = _range_null(a, DEFAULT_TOL, scale).nullspace.basis
+            assert float(np.abs(moved.mat @ null).max(initial=0.0)) <= 1e-12 * scale
+            assert_close(moved, forward(part), family_scale(family))
+
+
 class TestTwoOpPositiveGlb:
     @given(seeds, scales)
     def test_existence_and_comparability_invariant(self, seed, c):

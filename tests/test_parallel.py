@@ -1,5 +1,7 @@
 """Parallel sums, range-limited parts, and greatest positive pair bounds."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,11 +11,13 @@ from loewner import (
     MatrixSet,
     ando_limit,
     identity,
+    is_lower_bound,
     is_psd,
     loewner_leq,
     parallel_sum,
     parallel_sum_family,
     positive_glb_family,
+    positive_maximal_lb,
     range_nullspace,
     subspace_intersect,
     two_op_positive_glb,
@@ -476,3 +480,69 @@ class TestAgainstTheEighAlwaysFold:
                 assert kept == (n - 1 if c < 1.0 else n)
             # the smallest eigenvalue is rounded to exact zero exactly when the reference rounds it
             assert (spectral(total)[0][0] == 0.0) == (kept < n)
+
+
+def _planted(eps, theta):
+    """A = diag(0, 1, 1) and B = [[eps, c, 0], [c, 1.25, 0], [0, 0, 1]] with c^2 = theta eps 1.25,
+    whose exact [A]B is diag(0, 1.25 (1 - theta), 1)."""
+    c = math.sqrt(theta * eps * 1.25)
+    return np.diag([0.0, 1.0, 1.0]), np.array([[eps, c, 0.0], [c, 1.25, 0.0], [0.0, 0.0, 1.0]])
+
+
+PLANTED_CORNERS = [(10.0 ** e, theta) for e in range(-16, -8) for theta in (0.1, 0.5, 0.9)]
+
+
+class TestOneCornerRule:
+    """A corner direction under the cut whose coupling is real, not the computed null
+    space's own error, is subtracted, never dropped, so [A]B stays below B."""
+
+    @pytest.mark.parametrize(
+        "a, b, exact",
+        [
+            (np.diag([0.0, 1.0]), [[1e-14, math.sqrt(5e-15)], [math.sqrt(5e-15), 1.25]], np.diag([0.0, 0.75])),
+            (np.diag([0.0, 0.0, 1.0]), [[1.0, 0.0, 0.0], [0.0, 9e-11, math.sqrt(4.5e-11)],
+                                        [0.0, math.sqrt(4.5e-11), 1.0]], np.diag([0.0, 0.0, 0.5])),
+        ],
+    )
+    def test_corner_under_the_cut_with_a_real_coupling(self, a, b, exact):
+        a, b = herm(a), herm(b)
+        scale = max(a.norm(), b.norm())
+        part = ando_limit(a, b)
+        assert_matrix_close(part, exact, atol=1e-12 * scale)
+        assert np.linalg.eigvalsh(b.mat - part.mat)[0] >= -DEFAULT_TOL.psd_rel * scale
+        result = two_op_positive_glb(a, b)
+        assert result.exists and is_lower_bound(result.glb, MatrixSet([a, b]))
+
+    @pytest.mark.xfail(strict=True, reason="the Davis-Kahan term on A's gap 1e-8 drops a real coupling")
+    def test_corner_under_the_cut_beside_a_small_eigenvalue_of_a(self):
+        # A's eigh is exact here, yet its eigen-gap 1e-8 widens the null-space error the rule allows
+        # to 2.2e-6, so the coupling 7.1e-8 is dropped and [A]B = diag(0, 1.25, 1) exceeds B by 7.1e-8
+        c = math.sqrt(5e-15)
+        a, b = herm(np.diag([0.0, 1e-8, 1.0])), herm([[1e-14, c, 0.0], [c, 1.25, 0.0], [0.0, 0.0, 1.0]])
+        part = ando_limit(a, b)
+        assert np.linalg.eigvalsh(b.mat - part.mat)[0] >= -DEFAULT_TOL.psd_rel * 1.25
+        assert_matrix_close(part, np.diag([0.0, 0.75, 1.0]), atol=1e-12 * 1.25)
+
+    @pytest.mark.parametrize("eps, theta", PLANTED_CORNERS)
+    def test_planted_part_is_exact(self, eps, theta):
+        a, b = _planted(eps, theta)
+        part = ando_limit(herm(a), herm(b))
+        assert_matrix_close(part, np.diag([0.0, 1.25 * (1.0 - theta), 1.0]), atol=DEFAULT_TOL.eq_rel * 1.25)
+
+    @pytest.mark.parametrize("eps, theta", PLANTED_CORNERS)
+    def test_rotated_planted_part_stays_below_b(self, eps, theta):
+        # under rotation B's rounding is of the size of eps, so only the order is asserted
+        a0, b0 = _planted(eps, theta)
+        for s in range(8):
+            u = random_unitary(trial_rng(17, s), 3)
+            a, b = (herm(u @ m @ u.conj().T) for m in (a0, b0))
+            part = ando_limit(a, b)
+            assert np.linalg.eigvalsh(b.mat - part.mat)[0] >= -DEFAULT_TOL.psd_rel * 1.25
+            assert part.min_eigenvalue() >= -DEFAULT_TOL.psd_rel * 1.25
+
+    @pytest.mark.parametrize("eps, theta", [(e, t) for e, t in PLANTED_CORNERS if t >= 0.2])
+    def test_positive_mlb_and_ando_limit_give_one_answer(self, eps, theta):
+        # for theta >= 0.2 [A]B <= A is the greatest positive lower bound of the pair, so the
+        # positive maximal lower bound, which splits its first level on the same corner, is it
+        a, b = (herm(m) for m in _planted(eps, theta))
+        assert_matrix_close(positive_maximal_lb(MatrixSet([a, b])), ando_limit(a, b), atol=1e-12 * 1.25)

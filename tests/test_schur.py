@@ -13,7 +13,7 @@ from loewner import (
 from loewner.errors import DimensionMismatch, RangeConditionViolated, TrivialSubspace
 from loewner.sampling import random_hermitian, random_psd, random_unitary, trial_rng
 
-from .conftest import assert_matrix_close, herm
+from .conftest import assert_matrix_close, herm, record_calls
 
 
 def _span(*cols):
@@ -73,6 +73,37 @@ class TestAlbert:
             h1 = Subspace(random_unitary(rng, n)[:, :k])
             assert albert_is_psd(s, h1).is_psd == is_psd(s)
 
+    def test_corner_under_the_cut_with_an_admitted_coupling(self):
+        # the corner 1e-17 is cut, but its coupling 1e-9 has 1e-18 <= 2 * 1e-17 * |s|:
+        # it is subtracted, and s is PSD, as its spectrum says
+        s = herm([[1e-17, 1e-9], [1e-9, 1.0]])
+        assert is_psd(s)
+        assert albert_is_psd(s, E1).is_psd
+
+    @pytest.mark.parametrize("coupling", [1e-5, 1.0])
+    def test_negative_corner_inside_the_margin_agrees_with_the_spectrum(self, coupling):
+        # a corner of -5e-10 passes (i) and is inverted as in s + psd_rel |s|: with the coupling
+        # 1e-5 s is PSD within its margin (smallest eigenvalue -6e-10), with 1 it is not (-0.618);
+        # inverted as it stands the corner passes both, at the floor it fails both
+        s = herm([[-5e-10, coupling], [coupling, 1.0]])
+        assert albert_is_psd(s, E1).is_psd == is_psd(s) == (coupling < 1.0)
+        assert albert_is_psd(s, E1).failing_condition in (None, "(iii)")
+
+    def test_one_decomposition_of_the_corner(self, monkeypatch):
+        rng = trial_rng(21, 2)
+        s = random_psd(rng, 5)
+        h1 = Subspace(random_unitary(rng, 5)[:, :2])
+        calls = record_calls(monkeypatch, np.linalg, "eigh", "eigvalsh")
+        assert albert_is_psd(s, h1).is_psd
+        # one eigh of the 2 x 2 corner decides (i) and the complement; s and the 3 x 3 complement take one eigvalsh each
+        assert [np.shape(arr) for arr in calls["eigh"]] == [(2, 2)]
+        assert sorted(np.shape(arr) for arr in calls["eigvalsh"]) == [(3, 3), (5, 5)]
+        # a negative diagonal entry of the corner fails (i) before any decomposition of it
+        for log in calls.values():
+            log.clear()
+        assert albert_is_psd(-s, h1).failing_condition == "(i)"
+        assert calls["eigh"] == [] and [np.shape(arr) for arr in calls["eigvalsh"]] == [(5, 5)]
+
 
 class TestSchurComplement:
     def test_oracle(self):
@@ -84,6 +115,11 @@ class TestSchurComplement:
         s = herm([[0.0, 0.0, 0.0], [0.0, 2.0, 1.0], [0.0, 1.0, 1.0]])
         result = schur_complement(s, E1_3)
         assert_matrix_close(result.complement, [[2.0, 1.0], [1.0, 1.0]])
+
+    def test_negative_corner_of_an_indefinite_matrix_is_inverted_as_it_stands(self):
+        # s is not taken PSD: its corner -5e-10, past the cut, is inverted as the pseudo-inverse does
+        result = schur_complement(herm([[-5e-10, 1e-6], [1e-6, 1.0]]), E1)
+        assert_matrix_close(result.complement, [[1.0 + 1e-12 / 5e-10]], atol=1e-12)
 
     def test_range_condition_violated(self):
         with pytest.raises(RangeConditionViolated):
