@@ -54,13 +54,13 @@ from .linalg import (
     HermitianMatrix,
     MatrixSet,
     Tolerances,
+    _common_range,
     _range_null,
     compare,
     hermitize,
     identity,
     loewner_leq,
     range_nullspace,
-    subspace_intersect,
 )
 from .parallel import parallel_sum_family, two_op_positive_glb
 from .report import RunReport, canonical_digest, encode_array, encode_certificate
@@ -352,14 +352,13 @@ def _cmd_constrained(args, tol, doc):
 
 def _cmd_parallel_sum(args, tol, doc):
     total = parallel_sum_family(doc.matrix_set, tol)
-    # the members and their sum are split on the scale the sum is built on
+    # the sum's range is the members' common range, from their splits on the scale the sum is built on
     scale = doc.matrix_set.max_norm()
-    ranges = [_range_null(m, tol, scale).range for m in doc.matrix_set]
-    meet = subspace_intersect(ranges, tol)
+    common = _common_range([_range_null(m, tol, scale) for m in doc.matrix_set], tol).range.dim
     verdicts = {
         "parallel_sum": encode_array(total),
-        "rank": _range_null(total, tol, scale).range.dim,
-        "common_range_dim": meet.dim,
+        "rank": common,
+        "common_range_dim": common,
         "below_every_member": is_lower_bound(total, doc.matrix_set, tol),
     }
     notes = (

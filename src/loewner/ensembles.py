@@ -36,6 +36,7 @@ from .linalg import (
     Tolerances,
     _DISTINCT_REL,
     _NOISE_FLOOR,
+    _common_range,
     _eigh,
     _range_null,
     _top,
@@ -44,7 +45,6 @@ from .linalg import (
     loewner_leq,
     pinv,
     polar_abs,
-    subspace_intersect,
     zero,
 )
 from .parallel import ando_limit, parallel_sum, two_op_positive_glb
@@ -363,10 +363,9 @@ def _parallel_ando(trials: int, dims: tuple[int, int], seed: int, tol: Tolerance
         pair_scale = max(a.norm(), b.norm())
         scale = 1.0 + pair_scale
         para = parallel_sum(a, b, tol)
-        meet = subspace_intersect(
-            [_range_null(a, tol, pair_scale).range, _range_null(b, tol, pair_scale).range], tol
-        )
-        if _range_null(para, tol, pair_scale).range.dim == meet.dim:
+        meet = _common_range([_range_null(a, tol, pair_scale), _range_null(b, tol, pair_scale)], tol)
+        # S's own split checks the fold against the members' common range
+        if _range_null(para, tol, pair_scale).range.dim == meet.range.dim:
             rank_matches += 1
         if loewner_leq(para, a, tol) and loewner_leq(para, b, tol):
             bounded_by_both += 1

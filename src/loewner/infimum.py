@@ -28,6 +28,7 @@ from .linalg import (
     _DISTINCT_REL,
     _NOISE_FLOOR,
     _TWO_ROUTE_REL,
+    _common_range,
     _eigh,
     _range_null,
     _require_psd_members,
@@ -397,10 +398,11 @@ class PositiveGlbReport:
     """Greatest positive lower bound analysis for a finite PSD family.
 
     ``s_parallel`` is the fold of the parallel sum over the family and
-    ``k_subspace`` its range, the intersection of the members' square-root
-    ranges.  ``tilde_set`` holds [S]A per member A; the greatest positive
-    lower bound exists exactly when that set has an infimum, and then equals
-    it.
+    ``k_subspace`` the intersection K of the members' ranges, S's range in
+    exact arithmetic, decided from the members' own range/null splits by
+    ``_common_range``, not from S's eigenvectors.  ``tilde_set`` holds [S]A,
+    A shorted to K, per member A; the greatest positive lower bound exists
+    exactly when that set has an infimum, and then equals it.
     """
 
     k_subspace: Subspace
@@ -414,10 +416,11 @@ class PositiveGlbReport:
 def positive_glb_family(mset: MatrixSet, tol: Tolerances = DEFAULT_TOL) -> PositiveGlbReport:
     """Existence and value of the greatest positive lower bound of a family."""
     s = parallel_sum_family(mset, tol)
-    # S's split, [S]A and their infimum are decided on the family's scale, not their own
+    # the member splits, [S]A and their infimum are decided on the family's scale, not their own
     scale = mset.max_norm()
-    # every [S]A is built on the range K of S, so the infimum, one of them, lies on K
-    split = _range_null(s, tol, scale)
-    tilde = MatrixSet(_ando_limit(split, member, tol, scale) for member in mset)
+    # [S]A depends on S only through its range K, the members' common range, so every [S]A is
+    # built on K, split once from the members' own splits; the infimum, one of them, lies on K
+    k = _common_range([_range_null(member, tol, scale) for member in mset], tol)
+    tilde = MatrixSet(_ando_limit(k, member, tol, scale) for member in mset)
     report = _finite_infimum(tilde, tol, scale)
-    return PositiveGlbReport(split.range, s, tilde, report.exists, report.infimum, report.minimizing_index)
+    return PositiveGlbReport(k.range, s, tilde, report.exists, report.infimum, report.minimizing_index)

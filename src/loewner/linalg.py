@@ -414,11 +414,11 @@ class Subspace:
 
     @classmethod
     def zero_subspace(cls, n: int) -> "Subspace":
-        return cls(np.zeros((n, 0)))
+        return _subspace(np.zeros((n, 0), dtype=np.complex128))
 
     @classmethod
     def full(cls, n: int) -> "Subspace":
-        return cls(np.eye(n))
+        return _subspace(np.eye(n, dtype=np.complex128))
 
     @classmethod
     def from_span(cls, columns, tol: Tolerances = DEFAULT_TOL) -> "Subspace":
@@ -459,40 +459,37 @@ class Subspace:
         return f"Subspace(ambient={self.ambient_dim}, dim={self.dim})"
 
 
-def _intersect_pair(a: Subspace, b: Subspace, tol: Tolerances) -> Subspace:
-    if a.dim == 0 or b.dim == 0:
-        return Subspace.zero_subspace(a.ambient_dim)
-    g = a.basis.conj().T @ b.basis
-    u, sing, _ = np.linalg.svd(g, full_matrices=False)
-    keep = _within(1.0 - sing, "rank_rel", 1.0, tol)
-    # orthonormal columns of u carry a's orthonormal basis to orthonormal columns
-    return Subspace(a.basis @ u[:, keep])
-
-
-def subspace_intersect(subspaces: Sequence[Subspace], tol: Tolerances = DEFAULT_TOL) -> Subspace:
-    """Intersection of the given subspaces, folded pairwise.
-
-    Directions whose principal-angle cosine is within ``rank_rel`` of 1
-    count as common: a 1 - cos(theta) cut, so lines 1e-5 apart meet.  It
-    stays because the parallel sum's (A + B)^+ cut is such a rule too and
-    the two must change together; compressing the fold onto an explicitly
-    decided intersection raised its error about 300-fold at condition 1e8,
-    against exact answers on commuting three-member families.
-    """
-    if not subspaces:
-        raise AmbientMismatch("need at least one subspace")
-    result = subspaces[0]
-    for s in subspaces[1:]:
-        if s.ambient_dim != result.ambient_dim:
-            raise AmbientMismatch(f"ambient dimensions differ: {s.ambient_dim} vs {result.ambient_dim}")
-        result = _intersect_pair(result, s, tol)
-    return result
+def _subspace(basis: np.ndarray) -> Subspace:
+    """Wrap a basis orthonormal by construction as it is: no Gram check."""
+    out = Subspace.__new__(Subspace)
+    out.basis = _freeze(basis)
+    return out
 
 
 class RangeNullspace(NamedTuple):
     range: Subspace
     nullspace: Subspace
     gap: float = math.inf  # the least kept |eigenvalue| less the largest cut one; infinite if either is absent
+
+
+def _common_range(splits: Sequence[RangeNullspace], tol: Tolerances) -> RangeNullspace:
+    """K, the intersection of the splits' ranges, as the complement of the span of their null
+    spaces side by side: ``from_span``'s cut on the singular values of the stacked orthonormal
+    bases, the sin(theta) rule ``certify_maximal``'s span is decided by.  Its gap, which the corner
+    rule reads, is the least of the splits' gaps."""
+    null = Subspace.from_span(np.hstack([split.nullspace.basis for split in splits]), tol)
+    return RangeNullspace(null.complement(), null, min(split.gap for split in splits))
+
+
+def subspace_intersect(subspaces: Sequence[Subspace], tol: Tolerances = DEFAULT_TOL) -> Subspace:
+    """Intersection of the given subspaces, by ``_common_range`` on each subspace and its
+    complement: two lines at an angle above about 2 rank_rel meet only at 0."""
+    if not subspaces:
+        raise AmbientMismatch("need at least one subspace")
+    for s in subspaces[1:]:
+        if s.ambient_dim != subspaces[0].ambient_dim:
+            raise AmbientMismatch(f"ambient dimensions differ: {s.ambient_dim} vs {subspaces[0].ambient_dim}")
+    return _common_range([RangeNullspace(s, s.complement()) for s in subspaces], tol).range
 
 
 def range_nullspace(s: HermitianMatrix, tol: Tolerances = DEFAULT_TOL) -> RangeNullspace:

@@ -525,14 +525,18 @@ class TestPositiveGlbFamily:
             positive_glb_family(MatrixSet([herm(np.diag([1.0, -1.0]))]))
 
     def test_one_eigh_of_the_parallel_sum(self, monkeypatch):
-        # S is decomposed once, as the fold's last product, and carries that
-        # decomposition: the range split that serves every [S]A takes no eigh of S
+        # S is decomposed once, as the fold's last product; K, which serves every [S]A,
+        # is split from the members' own splits and takes no eigh of S
         mset = MatrixSet(random_psd(trial_rng(54, 1), 5, rank=4) for _ in range(3))
         calls = record_calls(monkeypatch, np.linalg, "eigh")
         report = positive_glb_family(mset)
         assert sum(np.array_equal(arr, report.s_parallel.mat) for arr in calls["eigh"]) == 0
-        # one eigh of each partial sum A + B and one of each product
-        assert [np.shape(arr) for arr in calls["eigh"]].count((5, 5)) == 2 * (len(mset) - 1)
+        # one eigh of each partial sum A + B and one of each product, and one of each
+        # singular member, which keeps it: a second call decomposes only the fold
+        fold = 2 * (len(mset) - 1)
+        assert [np.shape(arr) for arr in calls["eigh"]].count((5, 5)) == fold + len(mset)
+        positive_glb_family(mset)
+        assert [np.shape(arr) for arr in calls["eigh"]].count((5, 5)) == 2 * fold + len(mset)
 
 
 class TestFamilyPsdCheck:

@@ -25,6 +25,7 @@ from loewner import (
     Comparability,
     HermitianMatrix,
     MatrixSet,
+    Subspace,
     ando_limit,
     certify_maximal,
     commuting_glb,
@@ -36,6 +37,7 @@ from loewner import (
     parallel_sum_family,
     positive_glb_family,
     positive_maximal_lb,
+    subspace_intersect,
     two_op_positive_glb,
 )
 from loewner.cli import main
@@ -219,6 +221,45 @@ class TestPositiveGlbFamily:
             assert moved_pair.exists == pair.exists
             if pair.exists:
                 assert_close(moved_pair.glb, forward(pair.glb), family_scale(family))
+
+
+class TestCommonRange:
+    """A unitary congruence carries the common range K along, P_{UK} = U P_K U*, and
+    rescaling or permuting the members keeps it, for ``subspace_intersect`` and for
+    ``positive_glb_family``'s ``k_subspace``; each input plants a common part."""
+
+    @given(seeds)
+    def test_subspace_intersect_rotates_and_ignores_order(self, seed):
+        rng = trial_rng(seed, 12)
+        n, k = int(rng.integers(2, 7)), int(rng.integers(2, 5))
+        shared = random_unitary(rng, n)[:, :int(rng.integers(0, n))]
+        own = [rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+               for m in rng.integers(0, n - shared.shape[1] + 1, size=k)]
+        subspaces = [Subspace.from_span(np.hstack([shared, cols])) for cols in own]
+        meet = subspace_intersect(subspaces)
+        assert meet.dim >= shared.shape[1]
+        u = random_unitary(rng, n)
+        rotated = subspace_intersect([Subspace(u @ s.basis) for s in subspaces])
+        reordered = subspace_intersect([subspaces[i] for i in rng.permutation(k)])
+        for moved, expected in ((rotated, u @ meet.projector() @ u.conj().T), (reordered, meet.projector())):
+            assert moved.dim == meet.dim
+            assert float(np.abs(moved.projector() - expected).max()) <= 1e-8
+
+    @given(seeds, scales)
+    def test_k_subspace_rotates_and_keeps_its_dimension(self, seed, c):
+        rng = trial_rng(seed, 13)
+        n, k = int(rng.integers(2, 6)), int(rng.integers(2, 4))
+        shared = random_unitary(rng, n)[:, :int(rng.integers(0, n))]
+        planted = HermitianMatrix(shared @ shared.conj().T)
+        mset = MatrixSet(random_psd(rng, n, int(rng.integers(1, n - shared.shape[1] + 1))) + planted for _ in range(k))
+        common = positive_glb_family(mset).k_subspace
+        assert common.dim >= shared.shape[1]
+        projector = HermitianMatrix(common.projector())
+        for i, (family, forward, _) in enumerate(variants(mset, rng, c)):
+            moved = positive_glb_family(family).k_subspace
+            assert moved.dim == common.dim
+            # the rescaled family, the first variant, keeps K's projector; the rest carry it along
+            assert_close(HermitianMatrix(moved.projector()), projector if i == 0 else forward(projector), 1.0)
 
 
 class TestParallelSum:

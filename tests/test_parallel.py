@@ -10,6 +10,7 @@ from loewner import (
     Comparability,
     MatrixSet,
     ando_limit,
+    certify_maximal,
     identity,
     is_lower_bound,
     is_psd,
@@ -26,7 +27,7 @@ from loewner import (
 from loewner.cli import _cmd_parallel_sum
 from loewner.documents import document_from_set
 from loewner.ensembles import ensemble_run
-from loewner.errors import DimensionMismatch, NotPositiveSemidefinite
+from loewner.errors import DimensionMismatch, NotPositiveSemidefinite, SchurRangeViolation
 from loewner.linalg import _range_null, spectral
 from loewner.sampling import random_psd, random_unitary, trial_rng
 
@@ -354,10 +355,10 @@ class TestSplitOnTheProblemScale:
         assert np.array_equal(part.mat, np.diag([1e-3, 0.0]))
 
     def test_one_member_scaled_down(self):
-        # one member of each pair scaled by 10^-k, in both orders; at k = 9 and 10
-        # a's eigenvalues, and S's, straddle the cut, so those are not asserted
+        # one member of each pair scaled by 10^-k, in both orders; at k = 9 and 10 a's
+        # eigenvalues, and S's, straddle the cut; every [S]A stays below its member
         disagreements = []
-        for k in (0, 3, 12, 14):
+        for k in (0, 3, 9, 10, 12, 14):
             for t in range(60):
                 rng = trial_rng(900 + k, t)
                 n = int(rng.integers(2, 7))
@@ -366,10 +367,49 @@ class TestSplitOnTheProblemScale:
                 for order, pair in enumerate(((a, b), (b, a))):
                     mset = MatrixSet(pair)
                     rank, common = _rank_verdicts(mset)
-                    gap = two_op_positive_glb(*pair).ando_ab - positive_glb_family(mset).tilde_set[1]
-                    if rank != common or gap.norm() > DEFAULT_TOL.eq_rel * mset.max_norm():
+                    family = positive_glb_family(mset)
+                    gap = two_op_positive_glb(*pair).ando_ab - family.tilde_set[1]
+                    if (rank != common or gap.norm() > DEFAULT_TOL.eq_rel * mset.max_norm()
+                            or _least_headroom(family, mset) < -DEFAULT_TOL.psd_rel * mset.max_norm()):
                         disagreements.append((k, t, order))
         assert disagreements == []
+
+    def test_shorted_parts_of_a_scaled_down_pair_stay_below_their_members(self):
+        # trial 55 at k = 6: [S]B was 3.0e-7 above B on scale 21.8 while K was read
+        # off the eigenvectors of S, whose smallest nonzero eigenvalue is 4.6e-7
+        rng = trial_rng(906, 55)
+        n = int(rng.integers(2, 7))
+        a = random_psd(rng, n, int(rng.integers(1, n + 1))) * 1e-6
+        b = random_psd(rng, n, int(rng.integers(1, n + 1)))
+        for pair in ((a, b), (b, a)):
+            mset = MatrixSet(pair)
+            assert _least_headroom(positive_glb_family(mset), mset) >= -DEFAULT_TOL.psd_rel * mset.max_norm()
+
+
+def _least_headroom(report, mset):
+    """The least eigenvalue of A - [S]A over the members A of ``mset``: negative where a part exceeds its member."""
+    return min(np.linalg.eigvalsh(member.mat - part.mat)[0] for member, part in zip(mset, report.tilde_set))
+
+
+# angles between two lines in C^2, on both sides of the sin(theta) cut near 2 rank_rel
+LINE_ANGLES = [1e-3, 1e-5, 1e-6, 1e-8, 1e-9, 1e-10, 1e-11, 1e-12]
+
+
+class TestOneCommonRange:
+    """K = R(A_1) ∩ ... ∩ R(A_k) is decided once, as the complement of the span of the
+    members' null spaces, by the rule the maximality certificate decides its span by."""
+
+    @pytest.mark.parametrize("theta", LINE_ANGLES)
+    def test_planted_lines_give_one_answer(self, theta):
+        lines = [np.array([1.0, 0.0]), np.array([math.cos(theta), math.sin(theta)])]
+        mset = MatrixSet(herm(np.outer(x, x)) for x in lines)
+        meet = subspace_intersect([range_nullspace(member).range for member in mset]).dim
+        rank, common = _rank_verdicts(mset)
+        report = positive_glb_family(mset)
+        unspanned = 2 - certify_maximal(zero(2), mset).span_dim
+        assert meet == rank == common == report.k_subspace.dim == unspanned == int(theta <= 1e-10)
+        if report.k_subspace.dim == 0:
+            assert report.exists and np.array_equal(report.glb.mat, np.zeros((2, 2)))
 
 
 def _square(calls, n):
@@ -425,10 +465,11 @@ class TestDecomposeOnce:
         calls = record_calls(monkeypatch, np.linalg, "eigh", "eigvalsh")
         report = positive_glb_family(mset)
         assert report.exists and report.k_subspace.dim == self.N - 3
-        # one eigh of each partial sum A + B and one of each product; S's split reuses the last
-        assert len(_square(calls["eigh"], self.N)) == 2 * (k - 1)
+        # one eigh of each partial sum A + B and one of each product, none of S; K takes one
+        # of the singular member, the invertible ones are split on their cached spectra
+        assert len(_square(calls["eigh"], self.N)) == 2 * (k - 1) + 1
         # a product whose members' bound reaches the cut is decomposed without a probe;
-        # each [S]A's Schur complement on the range of S is probed, not decomposed
+        # each [S]A's Schur complement on K is probed, not decomposed
         assert _square(calls["eigvalsh"], self.N) == []
         assert len(_square(calls["eigvalsh"], self.N - 3)) == k
         assert _square(calls["eigh"], self.N - 3) == []
@@ -539,6 +580,18 @@ class TestOneCornerRule:
             part = ando_limit(a, b)
             assert np.linalg.eigvalsh(b.mat - part.mat)[0] >= -DEFAULT_TOL.psd_rel * 1.25
             assert part.min_eigenvalue() >= -DEFAULT_TOL.psd_rel * 1.25
+
+    @pytest.mark.xfail(strict=True, raises=SchurRangeViolation,
+                       reason="A's shifted corner on B's minimizing line falls under A's rounding")
+    def test_positive_mlb_of_the_rotated_pairs_at_eps_1e_minus_16(self):
+        # 4 of these 16 pairs raise: A's corner u*(A - gamma)u comes out near -2e-17 while its
+        # 6.3e-9 coupling is real, so the direction fails admission
+        for theta in (0.5, 0.9):
+            a0, b0 = _planted(1e-16, theta)
+            for s in range(8):
+                u = random_unitary(trial_rng(17, s), 3)
+                mset = MatrixSet(herm(u @ m @ u.conj().T) for m in (a0, b0))
+                assert is_lower_bound(positive_maximal_lb(mset), mset)
 
     @pytest.mark.parametrize("eps, theta", [(e, t) for e, t in PLANTED_CORNERS if t >= 0.2])
     def test_positive_mlb_and_ando_limit_give_one_answer(self, eps, theta):
