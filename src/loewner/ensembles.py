@@ -34,8 +34,6 @@ from .linalg import (
     MatrixSet,
     Subspace,
     Tolerances,
-    _DISTINCT_REL,
-    _NOISE_FLOOR,
     _common_range,
     _eigh,
     _range_null,
@@ -96,7 +94,7 @@ def _anti_lattice(trials: int, dims: tuple[int, int], seed: int, tol: Tolerances
             for j in range(i + 1, 3)
         ]
         min_separation = min(min_separation, min(gaps))
-        if all(gap > _DISTINCT_REL for gap in gaps):
+        if not any(_within(gap, "distinct_rel", 1.0) for gap in gaps):
             triples_ok += 1
         if all(certify_maximal(m, mset, tol).is_maximal for m in bounds):
             certified += 1
@@ -257,7 +255,7 @@ def _no_dominating_perturbation(
     scale = max(mset.max_norm(), m.norm())
     # n times the noise floor covers the rounding of the eigenpairs, of the
     # forms and of the exact route's eigenvalues, each a few n * eps * |A - m|
-    slack = _NOISE_FLOOR * n * (_top(gap_w)[None, :] + steps[:, None])
+    slack = tol.noise_rel * n * (_top(gap_w)[None, :] + steps[:, None])
     survivors = np.flatnonzero(_within((-bounds - slack).max(axis=1), "psd_rel", scale, tol))
     if survivors.size == 0:
         return True
@@ -301,7 +299,7 @@ def _positive_mlb(trials: int, dims: tuple[int, int], seed: int, tol: Tolerances
             lower_bounds += 1
         if certify_maximal(m, mset, tol).is_maximal:
             certified += 1
-        if (m - mset.min_eigenvalue() * identity(n)).min_eigenvalue() >= -tol.psd_rel * scale:
+        if _within(-(m - mset.min_eigenvalue() * identity(n)).min_eigenvalue(), "psd_rel", scale, tol):
             floor_ok += 1
         if _no_dominating_perturbation(m, mset, rng, perturbations, tol):
             unperturbable += 1

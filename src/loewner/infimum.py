@@ -24,10 +24,6 @@ from .linalg import (
     MatrixSet,
     Subspace,
     Tolerances,
-    _CLUSTER_REL,
-    _DISTINCT_REL,
-    _NOISE_FLOOR,
-    _TWO_ROUTE_REL,
     _common_range,
     _eigh,
     _range_null,
@@ -85,7 +81,7 @@ def _finite_infimum(mset: MatrixSet, tol: Tolerances, scale: float) -> InfimumRe
     # the family's least diagonal, widened by a rounding slack on a Frobenius
     # bound, can be the infimum; an overflowed bound keeps every member
     diagonals = np.real(np.diagonal(mset.stack, axis1=1, axis2=2))
-    slack = 2.0 * mset.dim**2 * _NOISE_FLOOR * float(np.abs(mset.stack).max())
+    slack = 2.0 * mset.dim**2 * tol.noise_rel * float(np.abs(mset.stack).max())
     ceiling = diagonals.min(axis=0) + (tol.psd_rel * scale + slack)
     for i in np.flatnonzero(~(diagonals > ceiling).any(axis=1)):
         # gaps in index order, in batches doubling from one: an early refutation stays cheap
@@ -152,7 +148,7 @@ def simultaneous_eigenbasis(mset: MatrixSet) -> np.ndarray:
 def _cluster_bounds(w: np.ndarray, scale: float) -> list[tuple[int, int]]:
     """(start, stop) of the runs of ascending ``w`` whose consecutive gaps
     stay within the clustering width on ``scale``."""
-    edges = [0, *(np.flatnonzero(~_within(np.diff(w), _CLUSTER_REL, scale)) + 1).tolist(), len(w)]
+    edges = [0, *(np.flatnonzero(~_within(np.diff(w), "cluster_rel", scale)) + 1).tolist(), len(w)]
     return list(zip(edges[:-1], edges[1:]))
 
 
@@ -185,7 +181,7 @@ def commuting_glb(mset: MatrixSet, tol: Tolerances = DEFAULT_TOL) -> HermitianMa
     are both evaluated and must agree; the fold is returned.
     """
     folded, joint = commuting_glb_two_routes(mset, tol)
-    if not _within((folded - joint).mat, _TWO_ROUTE_REL, mset.max_norm()):
+    if not _within((folded - joint).mat, "two_route_rel", mset.max_norm()):
         raise ConsistencyError(
             f"pairwise fold and joint diagonalization disagree by {(folded - joint).norm():.3e}"
         )
@@ -238,7 +234,7 @@ def commutant_basis(mset: MatrixSet, tol: Tolerances = DEFAULT_TOL) -> list[np.n
         factor = np.linalg.qr(np.vstack([factor, op.reshape(-1, r.size)]), mode="r")
     _, sing, vh = np.linalg.svd(factor)
     bound = float(np.sqrt(np.sum((spectra[:, -1] - spectra[:, 0]) ** 2)))
-    zero = _within(sing, "rank_rel", bound, tol) | _within(sing, _NOISE_FLOOR, norms.max())
+    zero = _within(sing, "rank_rel", bound, tol) | _within(sing, "noise_rel", norms.max())
     null = vh[int(np.sum(~zero)):].conj()
     blocks = np.zeros((null.shape[0], n, n), dtype=np.complex128)
     blocks[:, r, c] = null
@@ -357,7 +353,7 @@ def distinct_maximals(
 
     def separated(candidate: HermitianMatrix, chosen: list[HermitianMatrix]) -> bool:
         gaps = [(candidate - other).mat for other in chosen]
-        return not any(_within(gap, rel, scale, tol) for gap in gaps for rel in ("eq_rel", _DISTINCT_REL))
+        return not any(_within(gap, "eq_rel", scale, tol) or _within(gap, "distinct_rel", scale) for gap in gaps)
 
     if len(mset) == 2:
         first = mlb_mt(mset[0], mset[1], np.eye(n), tol)

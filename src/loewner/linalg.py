@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import ClassVar, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -51,17 +51,35 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Relative thresholds governing rank, positivity, and equality decisions.
+    """Every relative threshold a decision reads, each by its name.
 
     ``rank_rel`` drives range/null-space splits (relative to the largest
     eigenvalue or singular value), ``psd_rel`` drives order decisions, and
     ``eq_rel`` drives equality of values.  Rank and order decisions fail in
-    different ways, hence the separate knobs.
+    different ways, hence the separate knobs.  The five fixed thresholds below
+    them are class attributes, not fields: no flag sets them, ``as_dict`` omits them.
     """
 
     rank_rel: float = 1e-10
     psd_rel: float = 1e-9
     eq_rel: float = 1e-8
+    # Rank decisions on a block or a corner are floored at the rounding noise of
+    # the matrix it came from: when the split direction is null for that matrix,
+    # the block is pure rounding noise, and treating that noise as invertible
+    # would inject arbitrarily large errors downstream.
+    noise_rel: ClassVar[float] = 64.0 * float(np.finfo(np.float64).eps)
+    # Eigenvalues closer than this, relative to the family scale, are kept in one
+    # cluster and left for later members to refine; splitting near-degenerate
+    # pairs is what destabilizes a joint eigenbasis, merging them never does.
+    cluster_rel: ClassVar[float] = 1e-5
+    # Two independent routes to the same matrix must agree this tightly,
+    # relative to the family scale.
+    two_route_rel: ClassVar[float] = 1e-10
+    # Constructed maximal bounds count as distinct only when separated by at
+    # least this much (and by eq_rel), relative to the family scale.
+    distinct_rel: ClassVar[float] = 1e-6
+    # A basis is orthonormal when its Gram matrix is this close to the identity.
+    orthonormal_rel: ClassVar[float] = 1e-6
 
     def __post_init__(self) -> None:
         for name in ("rank_rel", "psd_rel", "eq_rel"):
@@ -75,24 +93,6 @@ class Tolerances:
 
 
 DEFAULT_TOL = Tolerances()
-
-# Rank decisions on a block or a corner are floored at the rounding noise of
-# the matrix it came from: when the split direction is null for that matrix,
-# the block is pure rounding noise, and treating that noise as invertible
-# would inject arbitrarily large errors downstream.
-_NOISE_FLOOR = 64.0 * float(np.finfo(np.float64).eps)
-# Eigenvalues closer than this, relative to the family scale, are kept in one
-# cluster and left for later members to refine; splitting near-degenerate
-# pairs is what destabilizes a joint eigenbasis, merging them never does.
-_CLUSTER_REL = 1e-5
-# Two independent routes to the same matrix must agree this tightly,
-# relative to the family scale.
-_TWO_ROUTE_REL = 1e-10
-# Constructed maximal bounds count as distinct only when separated by at
-# least this much (and by eq_rel), relative to the family scale.
-_DISTINCT_REL = 1e-6
-# A basis is orthonormal when its Gram matrix is this close to the identity.
-_ORTHONORMAL_REL = 1e-6
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -119,19 +119,19 @@ def _frobenius(x: np.ndarray) -> float:
     return top * math.sqrt(np.vdot(mod / top, mod / top)) if 0.0 < top < math.inf else top
 
 
-def _within(value, rel, scale, tol: Tolerances = DEFAULT_TOL):
-    """The one decision rule: whether ``value`` is at most ``rel * scale``.
+def _within(value, kind: str, scale, tol: Tolerances = DEFAULT_TOL):
+    """The one decision rule: whether ``value`` is at most ``tol.<kind> * scale``.
 
-    ``rel`` is ``"psd_rel"`` for order (minus an eigenvalue), ``"rank_rel"``
-    for rank (a singular value) or ``"eq_rel"`` for equality (a residual),
-    read from ``tol``, or one of the fixed thresholds above.  ``scale`` is
-    that of the problem the value came from: the largest spectral norm of
-    its family and of any candidate or shift, or 1 for a dimensionless
-    value.  Real values compare elementwise; a complex array by its spectral
-    norm, which is computed only when its Frobenius norm |x|_F, with
-    |x|_F / sqrt(rank) <= |x| <= |x|_F, cannot decide.
+    ``kind`` names an attribute of ``Tolerances``: ``"psd_rel"`` for order
+    (minus an eigenvalue), ``"rank_rel"`` for rank (a singular value),
+    ``"eq_rel"`` for equality (a residual), or one of the five fixed
+    thresholds.  ``scale`` is that of the problem the value came from: the
+    largest spectral norm of its family and of any candidate or shift, or 1
+    for a dimensionless value.  Real values compare elementwise; a complex
+    array by its spectral norm, which is computed only when its Frobenius
+    norm |x|_F, with |x|_F / sqrt(rank) <= |x| <= |x|_F, cannot decide.
     """
-    bound = (getattr(tol, rel) if isinstance(rel, str) else rel) * scale
+    bound = getattr(tol, kind) * scale
     if not (isinstance(value, np.ndarray) and value.dtype.kind == "c"):
         return value <= bound
     f = _frobenius(value)
@@ -339,7 +339,7 @@ def spectral(s: HermitianMatrix) -> tuple[np.ndarray, np.ndarray]:
 def _clear_of_cut(values: np.ndarray, tol: Tolerances, scale: float) -> bool:
     """Whether ``values``, eigenvalues or their moduli, all exceed ``rank_rel`` on ``scale`` by more than
     64 eps times the largest modulus, by which eigh's and eigvalsh's may differ: then both do."""
-    return not _within(values.min() - _NOISE_FLOOR * np.abs(values).max(), "rank_rel", scale, tol)
+    return not _within(values.min() - tol.noise_rel * np.abs(values).max(), "rank_rel", scale, tol)
 
 
 def _map_eigenvalues(s: HermitianMatrix, fn) -> HermitianMatrix:
@@ -394,9 +394,9 @@ def polar_abs(t: np.ndarray) -> np.ndarray:
 class Subspace:
     """Subspace of C^n held as an n x k matrix with orthonormal columns.
 
-    ``k`` may be zero (the trivial subspace).  The constructor expects an
-    already orthonormal basis; use ``from_span`` to orthonormalize arbitrary
-    spanning columns.
+    ``k`` may be zero (the trivial subspace).  The constructor checks that a
+    basis is orthonormal, to ``orthonormal_rel``; ``from_span`` orthonormalizes
+    spanning columns, and bases orthonormal by construction skip the check.
     """
 
     __slots__ = ("basis",)
@@ -408,7 +408,7 @@ class Subspace:
         n, k = arr.shape
         if n < 1 or k > n:
             raise ValueError(f"invalid basis shape {arr.shape}")
-        if k and not _within(arr.conj().T @ arr - np.eye(k), _ORTHONORMAL_REL, 1.0):
+        if k and not _within(arr.conj().T @ arr - np.eye(k), "orthonormal_rel", 1.0):
             raise ValueError("basis columns are not orthonormal")
         self.basis = _freeze(np.array(arr))
 
@@ -430,7 +430,7 @@ class Subspace:
         if m == 0:
             return cls.zero_subspace(n)
         u, sing, _ = np.linalg.svd(arr, full_matrices=False)
-        return cls(u[:, ~_within(sing, "rank_rel", sing[0], tol)])
+        return _subspace(np.array(u[:, ~_within(sing, "rank_rel", sing[0], tol)]))
 
     @property
     def ambient_dim(self) -> int:
@@ -453,7 +453,7 @@ class Subspace:
         if k == n:
             return Subspace.zero_subspace(n)
         u, _, _ = np.linalg.svd(self.basis, full_matrices=True)
-        return Subspace(u[:, k:])
+        return _subspace(np.array(u[:, k:]))
 
     def __repr__(self) -> str:
         return f"Subspace(ambient={self.ambient_dim}, dim={self.dim})"
@@ -512,7 +512,7 @@ def _range_null(s: HermitianMatrix, tol: Tolerances, scale: float | None) -> Ran
     mod = np.abs(w)
     mask = ~_within(mod, "rank_rel", _top(w) if scale is None else scale, tol)
     gap = mod[mask].min(initial=math.inf) - mod[~mask].max(initial=-math.inf)
-    return RangeNullspace(Subspace(v[:, mask]), Subspace(v[:, ~mask]), gap)
+    return RangeNullspace(_subspace(np.array(v[:, mask])), _subspace(np.array(v[:, ~mask])), gap)
 
 
 class Comparability(enum.Enum):

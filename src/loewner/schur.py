@@ -15,7 +15,6 @@ from .linalg import (
     HermitianMatrix,
     Subspace,
     Tolerances,
-    _NOISE_FLOOR,
     _sym,
     _within,
     spectral,
@@ -64,11 +63,12 @@ def _corner(w: np.ndarray, c: np.ndarray, anchor, scale: float, tol: Tolerances,
     scale to ask if it passes as PSD, -inf if nothing is assumed.  Within the order margin, a j at
     or under the floor and not admitted (every negative one) is inverted as in the PSD parent - least,
     at max(w_j - least, floor); else only a cut one is, and fails.  Any other j is inverted at w_j."""
-    floor = np.maximum(tol.rank_rel * np.maximum(-w[..., :1], w[..., -1:]), _NOISE_FLOOR * anchor)
+    floor = np.maximum(tol.rank_rel * np.maximum(-w[..., :1], w[..., -1:]), tol.noise_rel * anchor)
     cut = np.abs(w) <= floor
-    real = c > np.maximum(tol.rank_rel * scale, _NOISE_FLOOR * max(1.0, scale / gap) * anchor)
+    real = c > np.maximum(tol.rank_rel * scale, tol.noise_rel * max(1.0, scale / gap) * anchor)
     over = c * c > 2.0 * w * anchor
-    pivot = np.where((w <= floor) & over & (cut | (least >= -tol.psd_rel * scale)), np.maximum(w - least, floor), w)
+    shifted = cut | _within(-least, "psd_rel", scale, tol)
+    pivot = np.where((w <= floor) & over & shifted, np.maximum(w - least, floor), w)
     return np.divide(1.0, pivot, out=np.zeros(w.shape), where=~cut | real), cut & real & over
 
 

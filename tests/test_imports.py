@@ -1,11 +1,14 @@
 """Every name a package module imports is used there or re-exported through
-the module's ``__all__``, and every private module-level function or class
-is referenced somewhere in the package."""
+the module's ``__all__``, every private module-level function or class is
+referenced somewhere in the package, and every threshold is named on
+``Tolerances``."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from loewner.linalg import Tolerances
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "loewner"
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -104,3 +107,47 @@ def test_finds_an_eigh_of_a_matrix():
     )
     assert eigh_of_a_matrix("a", source) == ["a.f", "a.g", "a.spectral", "a.<module>"]
     assert eigh_of_a_matrix("linalg", source) == ["linalg.f", "linalg.g", "linalg.<module>"]
+
+
+def loose_thresholds(source: str) -> list[str]:
+    """Each module-level name ending in ``_REL`` or ``_FLOOR`` that ``source`` assigns:
+    a threshold belongs on ``Tolerances``."""
+    found = []
+    for top in ast.parse(source).body:
+        targets = top.targets if isinstance(top, ast.Assign) else [top.target] if isinstance(top, ast.AnnAssign) else []
+        found += [
+            node.id for target in targets for node in ast.walk(target)
+            if isinstance(node, ast.Name) and node.id.endswith(("_REL", "_FLOOR"))
+        ]
+    return found
+
+
+def unnamed_kinds(source: str) -> list[str]:
+    """The kind of each ``_within`` call in ``source``, as source text, that is not
+    a string literal naming a threshold of ``Tolerances``."""
+    names = set(Tolerances.__annotations__)
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_within":
+            keywords = {k.arg: k.value for k in node.keywords}
+            kind = node.args[1] if len(node.args) > 1 else keywords.get("kind")
+            if not (isinstance(kind, ast.Constant) and kind.value in names):
+                found.append(ast.unparse(kind) if kind is not None else "<none>")
+    return found
+
+
+def test_every_threshold_is_named_on_tolerances():
+    sources = [path.read_text() for path in MODULES]
+    assert [name for source in sources for name in loose_thresholds(source)] == []
+    assert [kind for source in sources for kind in unnamed_kinds(source)] == []
+
+
+def test_finds_loose_thresholds_and_unnamed_kinds():
+    source = (
+        "_CUT_REL = 1e-6\n_NOISE_FLOOR: float = 1.0\nA_REL, b = 1, 2\nclass T:\n    inner_REL = 1\n"
+        "def f(x, rel, tol):\n    LOCAL_REL = 1\n    return (_within(x, 1e-6, 1.0), _within(x, rel, 1.0),\n"
+        "            linalg._within(x, 'no_rel', 1.0), _within(x), _within(x, 'psd_rel', 1.0, tol),\n"
+        "            _within(x, kind='cluster_rel', scale=1.0), _within(x, 'noise_rel', 1.0))\n"
+    )
+    assert loose_thresholds(source) == ["_CUT_REL", "_NOISE_FLOOR", "A_REL"]
+    assert unnamed_kinds(source) == ["1e-06", "rel", "'no_rel'", "<none>"]

@@ -1,5 +1,7 @@
 """Core Hermitian arithmetic, spectral helpers, subspaces, and order tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,20 @@ class TestTolerances:
             "psd_rel": 1e-9,
             "eq_rel": 1e-8,
         }
+
+    def test_three_settable_fields(self):
+        assert [f.name for f in dataclasses.fields(Tolerances)] == ["rank_rel", "psd_rel", "eq_rel"]
+
+    @pytest.mark.parametrize("name", ["noise_rel", "cluster_rel", "two_route_rel", "distinct_rel", "orthonormal_rel"])
+    def test_fixed_thresholds_are_not_settable(self, name):
+        with pytest.raises(TypeError):
+            Tolerances(**{name: 1.0})
+
+    def test_fixed_values(self):
+        tol = Tolerances(rank_rel=1.0, psd_rel=1.0, eq_rel=1.0)
+        assert tol.noise_rel == 64 * np.finfo(np.float64).eps
+        assert (tol.cluster_rel, tol.two_route_rel, tol.distinct_rel, tol.orthonormal_rel) == (1e-5, 1e-10, 1e-6, 1e-6)
+
 
 
 class TestHermitianMatrix:
@@ -318,6 +334,30 @@ class TestSubspace:
         assert calls == [(4, 4)]
         with pytest.raises(ValueError, match="not orthonormal"):
             Subspace(self._stretched([0.0, 0.0, 0.0, 1.1e-6]))
+
+    def test_gram_check_guards_only_outside_input(self, monkeypatch):
+        # bases orthonormal by construction are wrapped as they are: contiguous, frozen, unchecked
+        kinds = []
+        within = linalg._within
+
+        def recording(value, kind, *args):
+            kinds.append(kind)
+            return within(value, kind, *args)
+
+        monkeypatch.setattr(linalg, "_within", recording)
+        u = random_unitary(trial_rng(14, 1), 5)
+        bases = [
+            Subspace.from_span(u[:, :3] @ np.diag([1.0, 2.0, 3.0])),
+            Subspace.from_span(u[:, :2]).complement(),
+            *range_nullspace(herm(u @ np.diag([0.0, 0.0, 1.0, 2.0, 3.0]) @ u.conj().T))[:2],
+        ]
+        assert [b.dim for b in bases] == [3, 3, 3, 2]
+        assert "orthonormal_rel" not in kinds
+        for b in bases:
+            assert (b.basis.flags.c_contiguous or b.basis.flags.f_contiguous) and not b.basis.flags.writeable
+            assert_matrix_close(b.basis.conj().T @ b.basis, np.eye(b.dim), atol=1e-14)
+        Subspace(u[:, :2])
+        assert kinds[-1] == "orthonormal_rel"
 
     def test_complement(self):
         s = Subspace(np.array([[1.0], [0.0], [0.0]]))

@@ -43,7 +43,7 @@ from loewner import (
 from loewner.cli import main
 from loewner.documents import MatrixSetDocument, emit_document
 from loewner.errors import NotCommutingFamily
-from loewner.linalg import DEFAULT_TOL, _DISTINCT_REL, _range_null
+from loewner.linalg import DEFAULT_TOL, _range_null
 from loewner.sampling import (
     random_commuting_family,
     random_contraction,
@@ -329,7 +329,7 @@ class TestDistinctMaximals:
             scale = family.max_norm()
             for i in range(3):
                 for j in range(i + 1, 3):
-                    assert (bounds[i] - bounds[j]).norm() > _DISTINCT_REL * scale
+                    assert (bounds[i] - bounds[j]).norm() > DEFAULT_TOL.distinct_rel * scale
 
 
 def run_cli(argv, stdin: str) -> tuple[int, dict]:
@@ -406,4 +406,4 @@ class TestScaleRepros:
         mset = MatrixSet([1e-9 * a, 1e-9 * b])
         bounds = distinct_maximals(mset, 2)
         assert all(certify_maximal(m, mset).is_maximal for m in bounds)
-        assert (bounds[0] - bounds[1]).norm() > _DISTINCT_REL * mset.max_norm()
+        assert (bounds[0] - bounds[1]).norm() > DEFAULT_TOL.distinct_rel * mset.max_norm()
