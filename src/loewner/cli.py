@@ -117,8 +117,8 @@ def _parse_dims(text: str) -> tuple[int, int]:
 
 # ---------------------------------------------------------------------------
 # command handlers: each takes (args, tol, document or None) and returns
-# (verdicts, notes, digest inputs beyond the document), or None when it has
-# written its own output
+# (verdicts, notes, digest inputs beyond the document, arrays as they are),
+# or None when it has written its own output
 
 
 def _cmd_check_order(args, tol, doc):
@@ -168,7 +168,7 @@ def _cmd_certify(args, tol, doc):
         " span the whole space; a passing certificate also marks M as an extreme"
         " point of the lower-bound set.",
     )
-    return verdicts, notes, {"candidate": encode_array(candidate)}
+    return verdicts, notes, {"candidate": candidate}
 
 
 def _cmd_maximal_extend(args, tol, doc):
@@ -184,7 +184,7 @@ def _cmd_maximal_extend(args, tol, doc):
         "the extension adds a positive maximal lower bound of the family shifted"
         " by the input, so it dominates the input and is itself maximal.",
     )
-    return verdicts, notes, {"lower": encode_array(lower)}
+    return verdicts, notes, {"lower": lower}
 
 
 def _cmd_commuting_glb(args, tol, doc):
@@ -281,7 +281,7 @@ def _cmd_mlb_mt(args, tol, doc):
         "M_T = (A + B - T*|T^-*(A - B)T^-1|T) / 2 is a maximal lower bound of"
         " {A, B} for every invertible T and depends on T only through |T|.",
     )
-    return verdicts, notes, {"transform": encode_array(transform)}
+    return verdicts, notes, {"transform": transform}
 
 
 def _cmd_stott(args, tol, doc):
@@ -307,7 +307,7 @@ def _cmd_stott(args, tol, doc):
             "M(X) = J - S(X) runs over all maximal lower bounds of {J, 0}"
             " exactly once as X runs over p x q matrices.",
         )
-        return verdicts, notes, {"p": p, "q": q, "x": encode_array(x)}
+        return verdicts, notes, {"p": p, "q": q, "x": x}
     m = hermitize(_parse_matrix_arg(args.matrix, "--matrix"), tol)
     param = stott_recover_x(m, p, q, tol)
     rebuilt = stott_mx(param, tol).mx
@@ -320,7 +320,7 @@ def _cmd_stott(args, tol, doc):
         "X is recovered from the angular operator of the null space of M, which"
         " is a graph over the positive block whenever M is maximal for {J, 0}.",
     )
-    return verdicts, notes, {"p": p, "q": q, "matrix": encode_array(m)}
+    return verdicts, notes, {"p": p, "q": q, "matrix": m}
 
 
 def _cmd_constrained(args, tol, doc):
@@ -347,7 +347,7 @@ def _cmd_constrained(args, tol, doc):
         " every member attaining alpha sends u to one common vector; the problem"
         " then reduces to lower bounds of a smaller family on the complement of u.",
     )
-    return verdicts, notes, {"u": encode_array(u)}
+    return verdicts, notes, {"u": u}
 
 
 def _cmd_parallel_sum(args, tol, doc):
@@ -503,8 +503,8 @@ def _execute(spec: Command, args, tol: Tolerances):
     """Read the command's document, if it takes one, and run its handler.
 
     Returns (verdicts, notes, digest inputs), or None when the handler wrote
-    its own output.  The document is dropped on return, before the caller
-    serializes the digest.
+    its own output.  The digest inputs hold the document's matrix set and
+    every matrix argument as arrays, which ``canonical_digest`` hashes as bytes.
     """
     doc = None
     if spec.arity != 0:
@@ -519,7 +519,7 @@ def _execute(spec: Command, args, tol: Tolerances):
     verdicts, notes, extra = result
     payload = {
         "dim": doc.dim,
-        "matrices": encode_array(doc.matrix_set),
+        "matrices": doc.matrix_set,
         "labels": list(doc.labels) if doc.labels else None,
     }
     return verdicts, notes, ({"set": payload, **extra} if extra else payload)

@@ -183,6 +183,17 @@ def _mt_family(trials: int, dims: tuple[int, int], seed: int, tol: Tolerances) -
     }
 
 
+def _below(folded: HermitianMatrix, basis: np.ndarray, lows: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Whether each candidate ``basis diag(lows[j]) basis*``, symmetrized as
+    ``HermitianMatrix`` does, is below ``folded`` by ``compare``'s rule: psd_rel
+    on max(|candidate|, |folded|), with |candidate| read off ``lows``.  One
+    stacked eigvalsh serves every candidate."""
+    raw = (basis * lows[:, None, :]) @ basis.conj().T
+    gaps = folded.mat - (raw + raw.conj().transpose(0, 2, 1)) / 2.0
+    scales = np.maximum(np.abs(lows).max(axis=1), folded.norm())
+    return _within(-np.linalg.eigvalsh(gaps)[:, 0], "psd_rel", scales, tol)
+
+
 def _commuting_tworoute(trials: int, dims: tuple[int, int], seed: int, tol: Tolerances) -> dict:
     """Both routes to the commuting greatest lower bound agree, the bound
     commutes with the members, and it dominates random commuting lower
@@ -204,13 +215,8 @@ def _commuting_tworoute(trials: int, dims: tuple[int, int], seed: int, tol: Tole
             max_commutator = max(max_commutator, float(np.linalg.norm(comm, 2)) / scale)
         basis = simultaneous_eigenbasis(family)
         diag_min = _joint_diagonals(family, basis).min(axis=0)
-        all_below = True
-        for _ in range(candidates_per_trial):
-            drop = np.abs(rng.standard_normal(n))
-            candidate = HermitianMatrix((basis * (diag_min - drop)) @ basis.conj().T)
-            if not loewner_leq(candidate, folded, tol):
-                all_below = False
-        if all_below:
+        lows = diag_min - np.abs(rng.standard_normal((candidates_per_trial, n)))
+        if _below(folded, basis, lows, tol).all():
             dominated += 1
     return {
         "trials": trials,
@@ -293,7 +299,7 @@ def _positive_mlb(trials: int, dims: tuple[int, int], seed: int, tol: Tolerances
         )
         m = positive_maximal_lb(mset, tol)
         scale = 1.0 + mset.max_norm()
-        if m.min_eigenvalue() >= -1e-9 * scale:
+        if _within(-m.min_eigenvalue(), "psd_rel", scale, tol):
             psd_ok += 1
         if is_lower_bound(m, mset, tol):
             lower_bounds += 1
@@ -375,7 +381,7 @@ def _parallel_ando(trials: int, dims: tuple[int, int], seed: int, tol: Tolerance
         pair = two_op_positive_glb(a, b, tol)
         family = positive_glb_family(MatrixSet([a, b]), tol)
         if pair.exists == family.exists and (
-            not pair.exists or (pair.glb - family.glb).norm() <= 1e-9 * scale
+            not pair.exists or _within((pair.glb - family.glb).norm(), "psd_rel", scale, tol)
         ):
             pair_family_agreements += 1
     return {

@@ -504,8 +504,13 @@ def _range_null(s: HermitianMatrix, tol: Tolerances, scale: float | None) -> Ran
     eigenvalues within ``rank_rel`` of zero on ``scale``, or when it is None on
     |s| read off the same ``eigh``, count as zero.  The two bases partition the
     eigenvector basis, so their dimensions sum to n exactly.  When the cached eigenvalues, or one
-    eigvalsh, all clear the cut (``_clear_of_cut``), it is (C^n, {0}) with no ``eigh``."""
-    known = s._spectrum() if s._eigenpairs is None else s._eigenpairs[0]
+    eigvalsh, all clear the cut (``_clear_of_cut``), it is (C^n, {0}) with no ``eigh``.  A lone
+    split (``scale`` None) with nothing cached takes the ``eigh`` at once and tests its
+    eigenvalues: the lone callers split matrices singular by construction, which need it anyway."""
+    if s._eigenpairs is None and (scale is not None or s._eigvals is not None):
+        known = s._spectrum()
+    else:
+        known = spectral(s)[0]
     if _clear_of_cut(np.abs(known), tol, _top(known) if scale is None else scale):
         return RangeNullspace(Subspace.full(s.dim), Subspace.zero_subspace(s.dim))
     w, v = spectral(s)

@@ -24,6 +24,15 @@ __all__ = [
 ]
 
 
+def _as_array(value) -> np.ndarray:
+    """The array behind a ``MatrixSet`` (its stack), a ``HermitianMatrix`` or an array."""
+    if isinstance(value, MatrixSet):
+        return value.stack
+    if isinstance(value, HermitianMatrix):
+        return value.mat
+    return np.asarray(value)
+
+
 def encode_array(value):
     """Wire encoding of a matrix, vector or matrix set (``None`` passes through).
 
@@ -34,11 +43,7 @@ def encode_array(value):
     """
     if value is None:
         return None
-    if isinstance(value, MatrixSet):
-        value = value.stack
-    elif isinstance(value, HermitianMatrix):
-        value = value.mat
-    arr = np.atleast_2d(value)
+    arr = np.atleast_2d(_as_array(value))
     if np.iscomplexobj(arr):
         arr = np.stack((arr.real, arr.imag), axis=-1)
     return (arr + 0.0).tolist()
@@ -53,10 +58,33 @@ def encode_certificate(cert) -> dict:
     }
 
 
-def canonical_digest(*parts) -> str:
-    """Short stable digest of the canonicalized inputs of a run."""
-    blob = json.dumps(parts, sort_keys=True, default=str).encode()
-    return hashlib.sha256(blob).hexdigest()[:12]
+def canonical_digest(command: str, inputs: dict, tolerances: dict, seed: int | None) -> str:
+    """Short stable digest of the inputs of a run: the first 12 hex digits of
+    one SHA-256 over a canonical byte stream.
+
+    The stream starts with the UTF-8 ``json.dumps(sort_keys=True)`` of the
+    skeleton ``{"command", "inputs", "seed", "tolerances"}``, in which every
+    array of ``inputs`` (an ndarray, a ``MatrixSet`` or a ``HermitianMatrix``)
+    stands as ``{"shape": [...]}``.  Each array's little-endian complex128
+    bytes, C order, follow in the order the skeleton lists them.  Adding 0.0
+    folds negative zero into plain zero, so equal values digest alike, as
+    they encode alike, and a real array digests as its complex twin.
+    """
+    arrays = []
+
+    def skeleton(value):
+        if isinstance(value, dict):
+            return {key: skeleton(value[key]) for key in sorted(value)}
+        if isinstance(value, (np.ndarray, MatrixSet, HermitianMatrix)):
+            arrays.append(_as_array(value))
+            return {"shape": list(arrays[-1].shape)}
+        return value
+
+    head = {"command": command, "inputs": skeleton(inputs), "seed": seed, "tolerances": tolerances}
+    digest = hashlib.sha256(json.dumps(head, sort_keys=True).encode())
+    for arr in arrays:
+        digest.update((np.asarray(arr, dtype="<c16") + 0.0).tobytes())
+    return digest.hexdigest()[:12]
 
 
 def _looks_like_matrix(value) -> bool:

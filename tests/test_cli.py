@@ -1,10 +1,12 @@
 """Command-line interface: exit codes, report shape, byte stability."""
 
 import contextlib
+import hashlib
 import io
 import json
 import sys
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -12,12 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loewner import cli, constrained, infimum
+from loewner import cli, constrained, infimum, report
 from loewner.cli import main
 from loewner.errors import ConvergenceFailure
 
 from .conftest import record_calls
 
+
+ROOT2 = "1.4142135623730951"
 
 EX62 = json.dumps(
     {
@@ -322,6 +326,111 @@ class TestReports:
         assert "elapsed:" in out
 
 
+def digest_of(argv, capsys) -> str:
+    code, out, err = run([*argv, "--json"], capsys)
+    assert code == 0, err
+    return json.loads(out)["digest"]
+
+
+def spec_digest(command, inputs, arrays, seed=None) -> str:
+    """The digest as README's Conventions lay out its bytes: the sorted JSON
+    skeleton, each array standing as its shape, then each array's little-endian
+    complex128 bytes plus 0.0, in skeleton order."""
+    tolerances = {"eq_rel": 1e-08, "psd_rel": 1e-09, "rank_rel": 1e-10}
+    head = {"command": command, "inputs": inputs, "seed": seed, "tolerances": tolerances}
+    stream = json.dumps(head, sort_keys=True).encode()
+    for arr in arrays:
+        stream += (np.asarray(arr, dtype="<c16") + 0.0).tobytes()
+    return hashlib.sha256(stream).hexdigest()[:12]
+
+
+EX62_SET = {"dim": 2, "labels": ["A", "B"], "matrices": {"shape": [2, 2, 2]}}
+EX62_STACK = [[[1.0, 0.0], [0.0, 0.0]], [[1.0, 1.0], [1.0, 2.0]]]
+
+
+class TestDigest:
+    def test_spec(self, tmp_path, capsys):
+        path = write_doc(tmp_path, EX62)
+        assert digest_of(["check-order", "-i", path], capsys) == spec_digest(
+            "check-order", EX62_SET, [EX62_STACK]
+        )
+        # "candidate" sorts before "set", so its bytes come first
+        inputs = {"candidate": {"shape": [2, 2]}, "set": EX62_SET}
+        assert digest_of(["certify", "-i", path, "--candidate", "[[0.5, -0.0], [-0.0, 0]]"], capsys) == (
+            spec_digest("certify", inputs, [[[0.5, 0.0], [0.0, 0.0]], EX62_STACK])
+        )
+        x = [[0.3 + 0.1j], [-0.2 + 0.0j]]
+        assert digest_of(["stott", "--p", "2", "--q", "1", "--x", "[[[0.3, 0.1]], [-0.2]]"], capsys) == (
+            spec_digest("stott", {"p": 2, "q": 1, "x": {"shape": [2, 1]}}, [x])
+        )
+        argv = ["ensemble", "--suite", "stott-roundtrip", "--trials", "1", "--dims", "2:3", "--seed", "4"]
+        assert digest_of(argv, capsys) == spec_digest(
+            "ensemble", {"dims": [2, 3], "suite": "stott-roundtrip", "trials": 1}, [], seed=4
+        )
+
+    def test_invariant_under_spelling(self, tmp_path, capsys):
+        base = digest_of(["certify", "-i", write_doc(tmp_path, EX62), "--candidate", "[[0.5, 0], [0, 0]]"], capsys)
+        doc = json.loads(EX62)
+        reordered = json.dumps(dict(reversed(list(doc.items()))), indent=3)
+        twin = dict(doc, field_tag="complex",
+                    matrices=[[[[e, 0.0] for e in row] for row in grid] for grid in doc["matrices"]])
+        signed = dict(doc, matrices=[[[1.0, -0.0], [-0.0, -0.0]], doc["matrices"][1]])
+        for name, text, candidate in (
+            ("reordered.json", reordered, "[[0.5, 0], [0, 0]]"),
+            ("twin.json", json.dumps(twin), "[[[0.5, 0], [0, 0]], [[0, 0], [0, 0]]]"),
+            ("signed.json", json.dumps(signed), "[[0.5, -0.0], [-0.0, -0.0]]"),
+        ):
+            path = write_doc(tmp_path, text, name)
+            assert digest_of(["certify", "-i", path, "--candidate", candidate], capsys) == base, name
+
+    def test_tracks_every_input(self, tmp_path, capsys):
+        doc = json.loads(EX62)
+        path = write_doc(tmp_path, EX62)
+        nudged = dict(doc, matrices=[doc["matrices"][0], [[1.0, 1.0], [1.0, float(np.nextafter(2.0, 3.0))]]])
+        relabelled = dict(doc, labels=["A", "C"])
+        _, built, _ = run(["stott", "--p", "1", "--q", "1", "--x", "[[0.5]]", "--json"], capsys)
+        m_matrix = json.dumps(json.loads(built)["verdicts"]["m_matrix"])
+        ensemble = ["ensemble", "--suite", "stott-roundtrip", "--trials", "1", "--dims", "2:3"]
+        pairs = [
+            (["check-order", "-i", path], ["check-order", "-i", write_doc(tmp_path, json.dumps(nudged), "n.json")]),
+            (["check-order", "-i", path], ["check-order", "-i", write_doc(tmp_path, json.dumps(relabelled), "l.json")]),
+            (["check-order", "-i", path], ["ando", "-i", path]),
+            (["check-order", "-i", path], ["check-order", "-i", path, "--tol-rank", "1e-11"]),
+            (["check-order", "-i", path], ["check-order", "-i", path, "--tol-psd", "1e-8"]),
+            ([*ensemble, "--seed", "1"], [*ensemble, "--seed", "2"]),
+            (["certify", "-i", path, "--candidate", "[[0.5, 0], [0, 0]]"],
+             ["certify", "-i", path, "--candidate", "[[0, 0], [0, 0]]"]),
+            (["maximal-extend", "-i", path, "--lower", "[[0, 0], [0, 0]]"],
+             ["maximal-extend", "-i", path, "--lower", "[[-1, 0], [0, -1]]"]),
+            (["mlb-mt", "-i", path, "--transform", "[[2, 1], [0, 1]]"],
+             ["mlb-mt", "-i", path, "--transform", "[[1, 0], [0, 1]]"]),
+            (["constrained", "-i", path, "--u", "[1, 0]"], ["constrained", "-i", path, "--u", "[0, 1]"]),
+            (["stott", "--p", "1", "--q", "1", "--x", "[[0.5]]"], ["stott", "--p", "1", "--q", "1", "--x", "[[1]]"]),
+            (["stott", "--p", "1", "--q", "1", "--matrix", m_matrix],
+             ["stott", "--p", "1", "--q", "1", "--matrix", f"[[-1, -{ROOT2}], [-{ROOT2}, -2]]"]),
+        ]
+        for first, second in pairs:
+            assert digest_of(first, capsys) != digest_of(second, capsys), (first, second)
+
+    def test_serializes_no_entry_as_json(self, tmp_path, capsys, monkeypatch):
+        rng = np.random.default_rng(21)
+        grids = []
+        for _ in range(3):
+            g = rng.standard_normal((200, 200))
+            grids.append(((g + g.T) / 2).tolist())
+        path = write_doc(tmp_path, json.dumps({"dim": 200, "field_tag": "real", "matrices": grids}))
+        sizes = []
+
+        def dumps(obj, **kwargs):
+            sizes.append(len(json.dumps(obj, **kwargs)))
+            return json.dumps(obj, **kwargs)
+
+        monkeypatch.setattr(report, "json", types.SimpleNamespace(dumps=dumps))
+        code, out, _ = run(["infimum", "-i", path, "--json"], capsys)
+        assert code == 0 and json.loads(out)["verdicts"]["exists"] is False
+        assert sizes and max(sizes) <= 1024
+
+
 class TestCommands:
     def test_check_order_takes_one_spectrum_of_the_gap(self, tmp_path, capsys, monkeypatch):
         path = write_doc(tmp_path, EX62)
@@ -517,6 +626,19 @@ class TestCommands:
         x = matrix_from_pairs(recovered["x"])
         np.testing.assert_allclose(x, [[1.0]], atol=1e-8)
         assert recovered["roundtrip_error"] <= 1e-8
+
+    def test_stott_build_splits_each_matrix_with_one_eigh(self, capsys, monkeypatch):
+        # S(X) and M(X) are singular by construction: each split takes its eigh, no eigvalsh first
+        calls = record_calls(monkeypatch, np.linalg, "eigh", "eigvalsh")
+        code, out, _ = run(
+            ["stott", "--p", "2", "--q", "3", "--x", "[[0.3, 0.1, 0.2], [-0.2, 0.5, 0.1]]", "--json"],
+            capsys,
+        )
+        assert code == 0
+        verdicts = json.loads(out)["verdicts"]
+        assert (verdicts["nullspace_dim_s"], verdicts["nullspace_dim_m"]) == (3, 2)
+        assert [np.shape(arr) for arr in calls["eigvalsh"]] == [(2, 5, 5)]
+        assert [np.shape(arr) for arr in calls["eigh"]].count((5, 5)) == 2
 
     def test_stott_needs_exactly_one_mode(self, capsys):
         code, _, err = run(["stott", "--p", "1", "--q", "1"], capsys)

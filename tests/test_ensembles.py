@@ -3,11 +3,25 @@
 import numpy as np
 import pytest
 
-from loewner import DEFAULT_DIMS, DEFAULT_TOL, SUITE_NAMES, MatrixSet, ensemble_run, identity
-from loewner.ensembles import MAX_SUITE_DIM, _no_dominating_perturbation
+from loewner import (
+    DEFAULT_DIMS,
+    DEFAULT_TOL,
+    SUITE_NAMES,
+    HermitianMatrix,
+    MatrixSet,
+    ensemble_run,
+    identity,
+    loewner_leq,
+)
+from loewner.ensembles import MAX_SUITE_DIM, _below, _no_dominating_perturbation
 from loewner.errors import UnknownSuite, ValidationError
-from loewner.infimum import positive_maximal_lb
-from loewner.sampling import random_psd, trial_rng
+from loewner.infimum import (
+    _joint_diagonals,
+    commuting_glb_two_routes,
+    positive_maximal_lb,
+    simultaneous_eigenbasis,
+)
+from loewner.sampling import random_commuting_family, random_psd, trial_rng
 
 from .conftest import no_dominating_perturbation_exact
 
@@ -169,3 +183,26 @@ class TestPerturbationScreen:
         monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
         assert _no_dominating_perturbation(maximal, mset, trial_rng(64, 0), 1000, DEFAULT_TOL)
         assert batched == []
+
+
+class TestCandidateScreen:
+    def test_matches_loewner_leq(self):
+        # the commuting-tworoute suite's stacked check against the loop it replaced, on
+        # random candidates and on candidates 0.5x and 2x the order margin off the bound
+        verdicts = []
+        for t in range(12):
+            rng = trial_rng(65, t)
+            n = int(rng.integers(1, 6))
+            family = random_commuting_family(rng, n, 3)
+            folded, _ = commuting_glb_two_routes(family, DEFAULT_TOL)
+            basis = simultaneous_eigenbasis(family)
+            diag_min = _joint_diagonals(family, basis).min(axis=0)
+            drops = np.zeros((10, n))
+            drops[:6] = np.abs(rng.standard_normal((6, n)))
+            drops[6:, 0] = DEFAULT_TOL.psd_rel * folded.norm() * np.array([-2.0, -0.5, 0.5, 2.0])
+            lows = diag_min - drops
+            expected = [loewner_leq(HermitianMatrix((basis * low) @ basis.conj().T), folded) for low in lows]
+            assert _below(folded, basis, lows, DEFAULT_TOL).tolist() == expected, t
+            verdicts += expected
+        assert verdicts.count(False) >= 10
+        assert verdicts.count(True) >= 100

@@ -136,10 +136,37 @@ def unnamed_kinds(source: str) -> list[str]:
     return found
 
 
+def _is_scale(node) -> bool:
+    return any("scale" in getattr(sub, "id", getattr(sub, "attr", "")) for sub in ast.walk(node))
+
+
+def _is_number(node) -> bool:
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        node = node.operand
+    return isinstance(node, ast.Constant) and type(node.value) in (int, float)
+
+
+def literal_scale_thresholds(source: str) -> list[str]:
+    """Each number times a scale, or times an expression of one, inside a comparison
+    in ``source``, as source text: a threshold on a scale is ``_within`` of a kind
+    named on ``Tolerances``."""
+    found = []
+    for compare in ast.walk(ast.parse(source)):
+        if not isinstance(compare, ast.Compare):
+            continue
+        found += [
+            ast.unparse(node) for node in ast.walk(compare)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+            and (_is_number(node.left) and _is_scale(node.right) or _is_scale(node.left) and _is_number(node.right))
+        ]
+    return found
+
+
 def test_every_threshold_is_named_on_tolerances():
     sources = [path.read_text() for path in MODULES]
     assert [name for source in sources for name in loose_thresholds(source)] == []
     assert [kind for source in sources for kind in unnamed_kinds(source)] == []
+    assert [text for source in sources for text in literal_scale_thresholds(source)] == []
 
 
 def test_finds_loose_thresholds_and_unnamed_kinds():
@@ -151,3 +178,11 @@ def test_finds_loose_thresholds_and_unnamed_kinds():
     )
     assert loose_thresholds(source) == ["_CUT_REL", "_NOISE_FLOOR", "A_REL"]
     assert unnamed_kinds(source) == ["1e-06", "rel", "'no_rel'", "<none>"]
+    source = (
+        "def g(m, x, scale, pair_scale, tol):\n"
+        "    jitter = 0.25 * scale * x\n"
+        "    ok = m.min_eigenvalue() >= -1e-9 * scale\n"
+        "    if x.norm() <= 1e-9 * (1.0 + pair_scale) or x < pair_scale * 2:\n"
+        "        return x <= tol.psd_rel * scale and _within(x, 'psd_rel', scale, tol)\n"
+    )
+    assert literal_scale_thresholds(source) == ["-1e-09 * scale", "1e-09 * (1.0 + pair_scale)", "pair_scale * 2"]

@@ -423,16 +423,21 @@ class TestRangeNullspace:
         assert range_nullspace(herm(np.diag([1.0, 2.0]))).gap == np.inf
 
     def test_invertible_split_from_eigenvalues(self, monkeypatch):
-        # an invertible matrix is split by one eigvalsh, with the identity as range basis
+        # an invertible matrix is split with the identity as range basis: on its cached
+        # eigenvalues with no eigh, or with nothing cached on the one eigh a lone split takes
         u = random_unitary(trial_rng(13, 2), 4)
         s = herm(u @ np.diag([-2.0, 1e-6, 1.0, 3.0]) @ u.conj().T)
         calls = record_calls(monkeypatch, np.linalg, "eigh", "eigvalsh")
+        s.norm()
         split = range_nullspace(s)
         assert (len(calls["eigh"]), len(calls["eigvalsh"])) == (0, 1)
         assert np.array_equal(split.range.basis, np.eye(4)) and split.nullspace.dim == 0
+        split = range_nullspace(herm(s.mat))
+        assert (len(calls["eigh"]), len(calls["eigvalsh"])) == (1, 1)
+        assert np.array_equal(split.range.basis, np.eye(4)) and split.nullspace.dim == 0
         singular = herm(u @ np.diag([-2.0, 0.0, 1.0, 3.0]) @ u.conj().T)
         assert range_nullspace(singular).nullspace.dim == 1
-        assert len(calls["eigh"]) == 1
+        assert (len(calls["eigh"]), len(calls["eigvalsh"])) == (2, 1)
 
     def test_dims_partition(self):
         rng = trial_rng(13, 1)
