@@ -54,15 +54,13 @@ from .linalg import (
     HermitianMatrix,
     MatrixSet,
     Tolerances,
-    _common_range,
-    _range_null,
     compare,
     hermitize,
     identity,
     loewner_leq,
     range_nullspace,
 )
-from .parallel import parallel_sum_family, two_op_positive_glb
+from .parallel import _parallel_sum, two_op_positive_glb
 from .report import RunReport, canonical_digest, encode_array, encode_certificate
 
 __all__ = ["main"]
@@ -351,14 +349,12 @@ def _cmd_constrained(args, tol, doc):
 
 
 def _cmd_parallel_sum(args, tol, doc):
-    total = parallel_sum_family(doc.matrix_set, tol)
-    # the sum's range is the members' common range, from their splits on the scale the sum is built on
-    scale = doc.matrix_set.max_norm()
-    common = _common_range([_range_null(m, tol, scale) for m in doc.matrix_set], tol).range.dim
+    # the sum is built on the members' common range K, so its rank is K's dimension
+    total, k = _parallel_sum(doc.matrix_set, tol)
     verdicts = {
         "parallel_sum": encode_array(total),
-        "rank": common,
-        "common_range_dim": common,
+        "rank": k.range.dim,
+        "common_range_dim": k.range.dim,
         "below_every_member": is_lower_bound(total, doc.matrix_set, tol),
     }
     notes = (

@@ -368,7 +368,7 @@ def _parallel_ando(trials: int, dims: tuple[int, int], seed: int, tol: Tolerance
         scale = 1.0 + pair_scale
         para = parallel_sum(a, b, tol)
         meet = _common_range([_range_null(a, tol, pair_scale), _range_null(b, tol, pair_scale)], tol)
-        # S's own split checks the fold against the members' common range
+        # S's own split, apart from the K it was built on, checks its range against the meet
         if _range_null(para, tol, pair_scale).range.dim == meet.range.dim:
             rank_matches += 1
         if loewner_leq(para, a, tol) and loewner_leq(para, b, tol):

@@ -24,9 +24,7 @@ from .linalg import (
     MatrixSet,
     Subspace,
     Tolerances,
-    _common_range,
     _eigh,
-    _range_null,
     _require_psd_members,
     _sym,
     _top,
@@ -35,7 +33,7 @@ from .linalg import (
     identity,
     matrix_abs,
 )
-from .parallel import _ando_limit, parallel_sum_family
+from .parallel import _ando_limit, _parallel_sum
 from .schur import _corner
 from .sampling import random_invertible, random_psd
 
@@ -393,10 +391,10 @@ def distinct_maximals(
 class PositiveGlbReport:
     """Greatest positive lower bound analysis for a finite PSD family.
 
-    ``s_parallel`` is the fold of the parallel sum over the family and
-    ``k_subspace`` the intersection K of the members' ranges, S's range in
-    exact arithmetic, decided from the members' own range/null splits by
-    ``_common_range``, not from S's eigenvectors.  ``tilde_set`` holds [S]A,
+    ``k_subspace`` is the intersection K of the members' ranges, decided once
+    from the members' own range/null splits by ``_common_range``, and
+    ``s_parallel`` the parallel sum S, built on K, so K is S's range by
+    construction, not read off S's eigenvectors.  ``tilde_set`` holds [S]A,
     A shorted to K, per member A; the greatest positive lower bound exists
     exactly when that set has an infimum, and then equals it.
     """
@@ -411,12 +409,10 @@ class PositiveGlbReport:
 
 def positive_glb_family(mset: MatrixSet, tol: Tolerances = DEFAULT_TOL) -> PositiveGlbReport:
     """Existence and value of the greatest positive lower bound of a family."""
-    s = parallel_sum_family(mset, tol)
-    # the member splits, [S]A and their infimum are decided on the family's scale, not their own
+    # [S]A depends on S only through its range K, so every [S]A is built on the K S is built on;
+    # they and their infimum, one of them, are decided on the family's scale, as the member splits are
+    s, k = _parallel_sum(mset, tol)
     scale = mset.max_norm()
-    # [S]A depends on S only through its range K, the members' common range, so every [S]A is
-    # built on K, split once from the members' own splits; the infimum, one of them, lies on K
-    k = _common_range([_range_null(member, tol, scale) for member in mset], tol)
     tilde = MatrixSet(_ando_limit(k, member, tol, scale) for member in mset)
     report = _finite_infimum(tilde, tol, scale)
     return PositiveGlbReport(k.range, s, tilde, report.exists, report.infimum, report.minimizing_index)

@@ -3,7 +3,6 @@ lower bounds of pairs of PSD matrices."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +15,7 @@ from .linalg import (
     RangeNullspace,
     Tolerances,
     _clear_of_cut,
+    _common_range,
     _inverse,
     _map_eigenvalues,
     _range_null,
@@ -40,43 +40,46 @@ def parallel_sum(a: HermitianMatrix, b: HermitianMatrix, tol: Tolerances = DEFAU
     """Parallel sum ``a : b = a (a + b)^# b`` of two PSD matrices.
 
     The result is PSD, bounded by both arguments, and its range is the
-    intersection of the ranges of the arguments; downstream code relies on
-    that range identity.  Eigenvalues of a + b below ``rank_rel`` on the
-    inputs' scale count as zero, and so do the product's (``_rounded``).
+    intersection of the ranges of the arguments, built on that intersection
+    by ``_parallel_sum``; downstream code relies on that range identity.
     """
     return parallel_sum_family(MatrixSet([a, b]), tol)
 
 
 def parallel_sum_family(mset: MatrixSet, tol: Tolerances = DEFAULT_TOL) -> HermitianMatrix:
-    """Left fold of the parallel sum over a family on its scale; a singleton folds to itself.
+    """The parallel sum A_1 : ... : A_k of a PSD family, built on the members' common range
+    (``_parallel_sum``); a singleton gives its member with its eigenvalues under the cut dropped."""
+    return _parallel_sum(mset, tol)[0]
 
-    The parallel sum is Loewner-monotone: with a_i the members' smallest eigenvalues,
-    1 / sum(1 / a_i) <= lambda_min(A_1 : ... : A_j) <= min a_i bound what ``_rounded``
-    decides, the lower net of each product's rounding error, n eps scale^2 / lambda_min(A + B).
-    """
+
+def _parallel_sum(mset: MatrixSet, tol: Tolerances) -> tuple[HermitianMatrix, RangeNullspace]:
+    """(S, K): K = R(A_1) ∩ ... ∩ R(A_k), decided once by ``_common_range`` from each member's split on
+    the family scale, and S = U (U* (A_1^+ + ... + A_k^+) U)^-1 U* for K's orthonormal basis U (Anderson
+    and Duffin), so S's range is K by construction.  A member whose split has no null space is inverted
+    by ``inv``; a singular one is pseudo-inverted on the eigenpairs its split took, with the same cut."""
     scale = mset.max_norm()
-    lowest = mset.eigenvalues()[:, 0]
-    _require_psd_members(lowest, scale, tol)
-    result, noise = mset[0], 0.0
-    for j, member in enumerate(mset.members[1:], start=2):
-        total = result + member
-        inverse = _map_eigenvalues(total, lambda w: _inverse(w, tol, scale))
-        floor = float(spectral(total)[0][0])
-        noise += mset.dim * math.ulp(1.0) * scale * (scale / floor) if floor > 0.0 else math.inf
-        head = lowest[:j].tolist()
-        low = 1.0 / sum(1.0 / a for a in head) - noise if min(head) > 0.0 else -math.inf
-        result = _rounded(HermitianMatrix(result.mat @ inverse.mat @ member.mat), tol, scale, low, min(head))
-    return result
+    _require_psd_members(mset.eigenvalues()[:, 0], scale, tol)
+    splits = [_range_null(member, tol, scale) for member in mset]
+    k = _common_range(splits, tol)
+    if k.range.dim == 0:
+        return zero(mset.dim), k
+    total = sum(
+        np.linalg.inv(member.mat) if split.nullspace.dim == 0
+        else _map_eigenvalues(member, lambda w: _inverse(w, tol, scale)).mat
+        for member, split in zip(mset, splits)
+    )
+    if k.nullspace.dim == 0:
+        return HermitianMatrix(np.linalg.inv(total)), k
+    u = k.range.basis
+    return HermitianMatrix(u @ np.linalg.inv(u.conj().T @ total @ u) @ u.conj().T), k
 
 
-def _rounded(s: HermitianMatrix, tol: Tolerances, scale: float, low=-math.inf, high=math.inf) -> HermitianMatrix:
+def _rounded(s: HermitianMatrix, tol: Tolerances, scale: float) -> HermitianMatrix:
     """``s``, PSD by theorem, with its eigenvalues at most ``rank_rel`` on ``scale`` (negative ones
     too) rounded to exact zero: on its own norm, a vanished result's noise would get a full range.
-    It is returned as it is when ``low``, a lower bound on its smallest eigenvalue, clears the cut,
-    or else its eigenvalues do (``_clear_of_cut``); they are not read when ``high``, an upper bound,
-    is within the cut.  Otherwise it is rebuilt from ``spectral`` and carries its eigenpairs."""
-    probe = s._eigenpairs is None and not _within(high, "rank_rel", scale, tol)
-    if not _within(low, "rank_rel", scale, tol) or (probe and _clear_of_cut(s._spectrum(), tol, scale)):
+    It is returned as it is when its eigenvalues clear the cut (``_clear_of_cut``); otherwise it is
+    rebuilt from ``spectral`` and carries its eigenpairs."""
+    if s._eigenpairs is None and _clear_of_cut(s._spectrum(), tol, scale):
         return s
     small = _within(spectral(s)[0], "rank_rel", scale, tol)
     return _map_eigenvalues(s, lambda w: np.where(small, 0.0, w)) if small.any() else s

@@ -1,7 +1,7 @@
 """Every name a package module imports is used there or re-exported through
 the module's ``__all__``, every private module-level function or class is
-referenced somewhere in the package, and every threshold is named on
-``Tolerances``."""
+referenced somewhere in the package, the common range K is decided only
+beside the parallel sum, and every threshold is named on ``Tolerances``."""
 
 import ast
 from pathlib import Path
@@ -107,6 +107,35 @@ def test_finds_an_eigh_of_a_matrix():
     )
     assert eigh_of_a_matrix("a", source) == ["a.f", "a.g", "a.spectral", "a.<module>"]
     assert eigh_of_a_matrix("linalg", source) == ["linalg.f", "linalg.g", "linalg.<module>"]
+
+
+# K = R(A_1) ∩ ... ∩ R(A_k) is decided beside S, which is built on it, by the subspace meet,
+# and by the parallel-ando suite's check of S's range against it: no command decides it again
+COMMON_RANGE_CALLERS = {"linalg.subspace_intersect", "parallel._parallel_sum", "ensembles._parallel_ando"}
+
+
+def common_range_callers(module: str, source: str) -> list[str]:
+    """``module.name`` of each top-level definition that calls ``_common_range``."""
+    return [
+        f"{module}.{getattr(top, 'name', '<module>')}"
+        for top in ast.parse(source).body for node in ast.walk(top)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == "_common_range"
+    ]
+
+
+def test_common_range_is_decided_beside_the_parallel_sum():
+    callers = {hit for path in MODULES for hit in common_range_callers(path.stem, path.read_text())}
+    assert callers - COMMON_RANGE_CALLERS == set()
+
+
+def test_finds_common_range_callers():
+    source = (
+        "def _parallel_sum(m, tol):\n    return _common_range(m, tol)\n"
+        "def cmd(m, tol):\n    return linalg._common_range([_range_null(x) for x in m], tol).range.dim\n"
+        "def named(m):\n    return common_range(m)\n"
+        "k = _common_range([], tol)\n"
+    )
+    assert common_range_callers("parallel", source) == ["parallel._parallel_sum", "parallel.cmd", "parallel.<module>"]
 
 
 def loose_thresholds(source: str) -> list[str]:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import loewner.parallel
 from loewner import (
     DEFAULT_TOL,
     Comparability,
@@ -29,6 +30,8 @@ from loewner.documents import document_from_set
 from loewner.ensembles import ensemble_run
 from loewner.errors import DimensionMismatch, NotPositiveSemidefinite, SchurRangeViolation
 from loewner.linalg import _range_null, spectral
+from loewner.parallel import _parallel_sum
+from loewner.report import encode_array
 from loewner.sampling import random_psd, random_unitary, trial_rng
 
 from .conftest import (
@@ -323,9 +326,14 @@ PLANTED = {
 }
 
 
+def _parallel_sum_verdicts(mset):
+    """``loewner parallel-sum``'s verdicts on ``mset``."""
+    return _cmd_parallel_sum(None, DEFAULT_TOL, document_from_set(mset))[0]
+
+
 def _rank_verdicts(mset):
     """``loewner parallel-sum``'s rank and common range dimension of ``mset``."""
-    verdicts, _, _ = _cmd_parallel_sum(None, DEFAULT_TOL, document_from_set(mset))
+    verdicts = _parallel_sum_verdicts(mset)
     return verdicts["rank"], verdicts["common_range_dim"]
 
 
@@ -356,7 +364,8 @@ class TestSplitOnTheProblemScale:
 
     def test_one_member_scaled_down(self):
         # one member of each pair scaled by 10^-k, in both orders; at k = 9 and 10 a's
-        # eigenvalues, and S's, straddle the cut; every [S]A stays below its member
+        # eigenvalues, and S's, straddle the cut; every [S]A stays below its member, and
+        # S's own split on the family scale has K's dimension
         disagreements = []
         for k in (0, 3, 9, 10, 12, 14):
             for t in range(60):
@@ -370,7 +379,9 @@ class TestSplitOnTheProblemScale:
                     family = positive_glb_family(mset)
                     gap = two_op_positive_glb(*pair).ando_ab - family.tilde_set[1]
                     if (rank != common or gap.norm() > DEFAULT_TOL.eq_rel * mset.max_norm()
-                            or _least_headroom(family, mset) < -DEFAULT_TOL.psd_rel * mset.max_norm()):
+                            or _least_headroom(family, mset) < -DEFAULT_TOL.psd_rel * mset.max_norm()
+                            or _range_null(family.s_parallel, DEFAULT_TOL, mset.max_norm()).range.dim
+                            != family.k_subspace.dim):
                         disagreements.append((k, t, order))
         assert disagreements == []
 
@@ -409,7 +420,21 @@ class TestOneCommonRange:
         unspanned = 2 - certify_maximal(zero(2), mset).span_dim
         assert meet == rank == common == report.k_subspace.dim == unspanned == int(theta <= 1e-10)
         if report.k_subspace.dim == 0:
+            # S is built on K, so where K = {0} it is the exact zero, as the glb is
             assert report.exists and np.array_equal(report.glb.mat, np.zeros((2, 2)))
+            assert np.array_equal(parallel_sum_family(mset).mat, np.zeros((2, 2)))
+            assert _parallel_sum_verdicts(mset)["parallel_sum"] == encode_array(zero(2))
+
+    @pytest.mark.parametrize(
+        "command", [positive_glb_family, _parallel_sum_verdicts], ids=["positive-glb", "parallel-sum"]
+    )
+    def test_each_run_decides_k_once(self, monkeypatch, command):
+        # S, its rank and every [S]A read the one K that S is built on
+        rng = trial_rng(65, 0)
+        mset = MatrixSet(random_psd(rng, 5, 4) for _ in range(3))
+        calls = record_calls(monkeypatch, loewner.parallel, "_common_range")
+        command(mset)
+        assert len(calls["_common_range"]) == 1
 
 
 def _square(calls, n):
@@ -429,11 +454,14 @@ class TestDecomposeOnce:
         return [random_psd(rng, self.N) + 0.5 * identity(self.N) for _ in range(2)]
 
     def test_pd_pair_takes_one_eigh_and_no_probe(self, monkeypatch):
+        # both members clear the cut on the stacked eigvalsh, so K is the whole space:
+        # S = inv(inv(A) + inv(B)), with no eigh
         mset = MatrixSet(self._pd_pair(0))
-        calls = record_calls(monkeypatch, np.linalg, "eigh", "eigvalsh")
+        calls = record_calls(monkeypatch, np.linalg, "eigh", "eigvalsh", "inv")
         parallel_sum_family(mset)
-        assert len(calls["eigh"]) == 1
+        assert calls["eigh"] == []
         assert [np.shape(arr) for arr in calls["eigvalsh"]] == [(2, self.N, self.N)]
+        assert len(calls["inv"]) == 3
 
     @pytest.mark.parametrize("rank", [N, N - 3])
     def test_ando_limit_takes_no_eigh_of_an_invertible_a(self, monkeypatch, rank):
@@ -465,10 +493,9 @@ class TestDecomposeOnce:
         calls = record_calls(monkeypatch, np.linalg, "eigh", "eigvalsh")
         report = positive_glb_family(mset)
         assert report.exists and report.k_subspace.dim == self.N - 3
-        # one eigh of each partial sum A + B and one of each product, none of S; K takes one
-        # of the singular member, the invertible ones are split on their cached spectra
-        assert len(_square(calls["eigh"], self.N)) == 2 * (k - 1) + 1
-        # a product whose members' bound reaches the cut is decomposed without a probe;
+        # K and S take one eigh, of the singular member, which S's pseudo-inverse reuses; the
+        # invertible members are split on their cached spectra and inverted, and S is not split
+        assert [arr is mset[0].mat for arr in _square(calls["eigh"], self.N)] == [True]
         # each [S]A's Schur complement on K is probed, not decomposed
         assert _square(calls["eigvalsh"], self.N) == []
         assert len(_square(calls["eigvalsh"], self.N - 3)) == k
@@ -476,12 +503,12 @@ class TestDecomposeOnce:
 
 
 class TestAgainstTheEighAlwaysFold:
-    """The fold decides on eigenvalues before it decomposes; the reference
-    decomposes and rounds every product, as the fold once did."""
+    """S is built on K with no cut of its own; the reference folds the family
+    pairwise, decomposing and rounding every product, as S was once built."""
 
     def test_seeded_families(self):
-        # full rank, where the members' bound skips the rounding; rank-deficient, where
-        # every product is decomposed; and full rank over up to 8 decades, where it is probed
+        # full rank, where K is the whole space; rank-deficient, where it is not; and full
+        # rank over up to 8 decades, where members can fall under the family's cut
         for t in range(90):
             rng = trial_rng(62, t)
             n, k = int(rng.integers(1, 31)), int(rng.integers(2, 6))
@@ -506,7 +533,8 @@ class TestAgainstTheEighAlwaysFold:
 
     @pytest.mark.parametrize("c", [0.5, 1.0, 2.0, 10.0])
     def test_smallest_eigenvalue_near_the_cut(self, c):
-        # a commuting PD pair whose parallel sum has smallest eigenvalue c times the cut
+        # a commuting PD pair whose members' smallest eigenvalue is 2c times the cut, and whose
+        # parallel sum's is c times it: S follows K, not a cut of its own
         n, cut = 6, DEFAULT_TOL.rank_rel * 2.0
         rest = np.linspace(0.5, 2.0, n - 1)
         for s in range(5):
@@ -514,13 +542,19 @@ class TestAgainstTheEighAlwaysFold:
             pair = [herm(u @ np.diag(np.concatenate([[2.0 * c * cut], d])) @ u.conj().T)
                     for d in (rest, rest[::-1])]
             mset = MatrixSet(pair)
-            total = parallel_sum_family(mset)
-            _, kept = parallel_sum_family_reference(mset)
-            assert _range_null(total, DEFAULT_TOL, mset.max_norm()).range.dim == kept
-            if c != 1.0:
-                assert kept == (n - 1 if c < 1.0 else n)
-            # the smallest eigenvalue is rounded to exact zero exactly when the reference rounds it
-            assert (spectral(total)[0][0] == 0.0) == (kept < n)
+            scale = mset.max_norm()
+            total, k = _parallel_sum(mset, DEFAULT_TOL)
+            # members on the cut may fall on either side of it; from c = 1 on they clear it
+            kept = k.range.dim
+            assert kept == n if c >= 1.0 else kept in (n - 1, n)
+            least = spectral(total)[0][0]
+            if kept == n:
+                # S is built on the whole space and keeps its eigenvalue, at or under the cut too
+                assert least == pytest.approx(c * cut, rel=1e-4)
+            else:
+                # S's part off K is its rounding noise
+                assert abs(least) <= DEFAULT_TOL.noise_rel * scale
+                assert _range_null(total, DEFAULT_TOL, scale).range.dim == kept
 
 
 def _planted(eps, theta):
