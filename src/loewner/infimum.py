@@ -393,8 +393,8 @@ class PositiveGlbReport:
 
     ``k_subspace`` is the intersection K of the members' ranges, decided once
     from the members' own range/null splits by ``_common_range``, and
-    ``s_parallel`` the parallel sum S, built on K, so K is S's range by
-    construction, not read off S's eigenvectors.  ``tilde_set`` holds [S]A,
+    ``s_parallel`` the parallel sum S, built on K, so K is S's range up to
+    the rounding of K's basis, not read off S's eigenvectors.  ``tilde_set`` holds [S]A,
     A shorted to K, per member A; the greatest positive lower bound exists
     exactly when that set has an infimum, and then equals it.
     """

@@ -55,21 +55,25 @@ def parallel_sum_family(mset: MatrixSet, tol: Tolerances = DEFAULT_TOL) -> Hermi
 def _parallel_sum(mset: MatrixSet, tol: Tolerances) -> tuple[HermitianMatrix, RangeNullspace]:
     """(S, K): K = R(A_1) ∩ ... ∩ R(A_k), decided once by ``_common_range`` from each member's split on
     the family scale, and S = U (U* (A_1^+ + ... + A_k^+) U)^-1 U* for K's orthonormal basis U (Anderson
-    and Duffin), so S's range is K by construction.  A member whose split has no null space is inverted
-    by ``inv``; a singular one is pseudo-inverted on the eigenpairs its split took, with the same cut."""
+    and Duffin), so S's range is K up to U's rounding.  Each member is first ``_rounded``: its eigenvalues
+    at most the cut, the negative ones the PSD check lets through too, are null, as a negative one kept
+    in range would be inverted to a large negative 1 / w and could cancel another member's inverse.
+    A member whose split has no null space is inverted by ``inv``; a singular one is pseudo-inverted on
+    the eigenpairs its rounding took, and a singleton is its rounded self."""
     scale = mset.max_norm()
     _require_psd_members(mset.eigenvalues()[:, 0], scale, tol)
-    splits = [_range_null(member, tol, scale) for member in mset]
+    members = [_rounded(member, tol, scale) for member in mset]
+    splits = [_range_null(member, tol, scale) for member in members]
     k = _common_range(splits, tol)
     if k.range.dim == 0:
         return zero(mset.dim), k
+    if len(members) == 1:
+        return members[0], k
     total = sum(
         np.linalg.inv(member.mat) if split.nullspace.dim == 0
         else _map_eigenvalues(member, lambda w: _inverse(w, tol, scale)).mat
-        for member, split in zip(mset, splits)
+        for member, split in zip(members, splits)
     )
-    if k.nullspace.dim == 0:
-        return HermitianMatrix(np.linalg.inv(total)), k
     u = k.range.basis
     return HermitianMatrix(u @ np.linalg.inv(u.conj().T @ total @ u) @ u.conj().T), k
 

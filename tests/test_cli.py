@@ -465,6 +465,17 @@ class TestCommands:
         assert verdicts["parallel-sum"]["rank"] == verdicts["parallel-sum"]["common_range_dim"]
         assert verdicts["ando"]["glb"] == verdicts["positive-glb"]["glb"]
 
+    @pytest.mark.parametrize("low", [[-5e-10, 5e-10], [-3e-10, 3.2e-10]])
+    def test_tolerated_negative_eigenvalue_is_null(self, tmp_path, capsys, low):
+        # -5e-10 passes the PSD check at scale 1 but exceeds the rank cut in modulus; kept in
+        # range, its inverse cancels the other member's and the parallel sum fails or goes negative
+        doc = {"dim": 2, "field_tag": "real", "matrices": [np.diag([w, 1.0]).tolist() for w in low]}
+        code, out, _ = run(["parallel-sum", "-i", write_doc(tmp_path, json.dumps(doc)), "--json"], capsys)
+        assert code == 0
+        verdicts = json.loads(out)["verdicts"]
+        np.testing.assert_allclose(matrix_from_pairs(verdicts["parallel_sum"]), np.diag([0.0, 0.5]), atol=1e-15)
+        assert verdicts["rank"] == verdicts["common_range_dim"] == 1
+
     def test_ando_names_the_member_that_is_not_psd(self, tmp_path, capsys):
         doc = {"dim": 2, "field_tag": "real", "matrices": [[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, -1e-3]]]}
         code, _, err = run(["ando", "-i", write_doc(tmp_path, json.dumps(doc))], capsys)

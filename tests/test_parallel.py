@@ -112,6 +112,12 @@ class TestParallelSum:
         a = herm(np.diag([1.0, 2.0]))
         assert_matrix_close(parallel_sum_family(MatrixSet([a])), a)
 
+    def test_ill_conditioned_singleton_is_its_member(self):
+        # condition 2e9, inside the cut: inverting twice would cost about cond * eps of |a|
+        u = random_unitary(trial_rng(31, 2), 3)
+        a = herm(u @ np.diag([1e-9, 1.0, 2.0]) @ u.conj().T)
+        assert np.array_equal(parallel_sum_family(MatrixSet([a])).mat, a.mat)
+
 
 class TestAndoLimit:
     def test_full_range_returns_b(self):
@@ -425,6 +431,19 @@ class TestOneCommonRange:
             assert np.array_equal(parallel_sum_family(mset).mat, np.zeros((2, 2)))
             assert _parallel_sum_verdicts(mset)["parallel_sum"] == encode_array(zero(2))
 
+    @pytest.mark.parametrize("low", [(-5e-10, 5e-10), (-3e-10, 3.2e-10)])
+    def test_tolerated_negative_eigenvalue_is_null(self, low):
+        # -low[0] passes the PSD check at scale 1 but exceeds the rank cut in modulus: kept in range,
+        # its inverse would cancel the other member's on the same direction and leave S singular or
+        # negative; as null, K is the second axis and S is diag(0, 1/2)
+        mset = MatrixSet(herm(np.diag([w, 1.0])) for w in low)
+        assert_matrix_close(parallel_sum_family(mset), np.diag([0.0, 0.5]), atol=1e-15)
+        report = positive_glb_family(mset)
+        assert report.k_subspace.dim == 1
+        assert report.exists
+        assert_matrix_close(report.glb, np.diag([0.0, 1.0]), atol=1e-15)
+        assert _rank_verdicts(mset) == (1, 1)
+
     @pytest.mark.parametrize(
         "command", [positive_glb_family, _parallel_sum_verdicts], ids=["positive-glb", "parallel-sum"]
     )
@@ -454,8 +473,8 @@ class TestDecomposeOnce:
         return [random_psd(rng, self.N) + 0.5 * identity(self.N) for _ in range(2)]
 
     def test_pd_pair_takes_one_eigh_and_no_probe(self, monkeypatch):
-        # both members clear the cut on the stacked eigvalsh, so K is the whole space:
-        # S = inv(inv(A) + inv(B)), with no eigh
+        # both members clear the cut on the stacked eigvalsh, so K is the whole space, U is the
+        # identity and S = inv(inv(A) + inv(B)), with no eigh
         mset = MatrixSet(self._pd_pair(0))
         calls = record_calls(monkeypatch, np.linalg, "eigh", "eigvalsh", "inv")
         parallel_sum_family(mset)
