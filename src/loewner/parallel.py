@@ -48,21 +48,21 @@ def parallel_sum(a: HermitianMatrix, b: HermitianMatrix, tol: Tolerances = DEFAU
 
 def parallel_sum_family(mset: MatrixSet, tol: Tolerances = DEFAULT_TOL) -> HermitianMatrix:
     """The parallel sum A_1 : ... : A_k of a PSD family, built on the members' common range
-    (``_parallel_sum``); a singleton gives its member with its eigenvalues under the cut dropped."""
+    (``_parallel_sum``); a singleton gives its member."""
     return _parallel_sum(mset, tol)[0]
 
 
 def _parallel_sum(mset: MatrixSet, tol: Tolerances) -> tuple[HermitianMatrix, RangeNullspace]:
     """(S, K): K = R(A_1) ∩ ... ∩ R(A_k), decided once by ``_common_range`` from each member's split on
     the family scale, and S = U (U* (A_1^+ + ... + A_k^+) U)^-1 U* for K's orthonormal basis U (Anderson
-    and Duffin), so S's range is K up to U's rounding.  Each member is first ``_rounded``: its eigenvalues
-    at most the cut, the negative ones the PSD check lets through too, are null, as a negative one kept
-    in range would be inverted to a large negative 1 / w and could cancel another member's inverse.
-    A member whose split has no null space is inverted by ``inv``; a singular one is pseudo-inverted on
-    the eigenpairs its rounding took, and a singleton is its rounded self."""
+    and Duffin), so S's range is K up to U's rounding.  A member with a negative eigenvalue past the cut,
+    which the PSD check lets through, is ``_rounded`` first: kept in range it would be inverted to a large
+    negative 1 / w that could cancel another member's inverse.  A member with no null space is inverted by
+    ``inv``, a singular one on its split's eigenpairs, and a singleton is that member."""
     scale = mset.max_norm()
-    _require_psd_members(mset.eigenvalues()[:, 0], scale, tol)
-    members = [_rounded(member, tol, scale) for member in mset]
+    lowest = mset.eigenvalues()[:, 0]
+    _require_psd_members(lowest, scale, tol)
+    members = [m if _within(-w, "rank_rel", scale, tol) else _rounded(m, tol, scale) for m, w in zip(mset, lowest)]
     splits = [_range_null(member, tol, scale) for member in members]
     k = _common_range(splits, tol)
     if k.range.dim == 0:
