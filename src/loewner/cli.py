@@ -58,7 +58,6 @@ from .linalg import (
     hermitize,
     identity,
     loewner_leq,
-    range_nullspace,
 )
 from .parallel import _parallel_sum, two_op_positive_glb
 from .report import RunReport, canonical_digest, encode_array, encode_certificate
@@ -256,9 +255,9 @@ def _cmd_positive_glb(args, tol, doc):
         ),
     }
     notes = (
-        "S is the parallel-sum fold of the family and its range K the common"
-        " effective subspace; the greatest positive lower bound exists exactly"
-        " when the compressed family {[S]A} has a minimum member, and equals it.",
+        "S is the parallel sum of the family, built on the members' common range"
+        " K; the greatest positive lower bound exists exactly when the"
+        " compressed family {[S]A} has a minimum member, and equals it.",
     )
     return verdicts, notes, {}
 
@@ -298,8 +297,9 @@ def _cmd_stott(args, tol, doc):
             "s_matrix": encode_array(pair.sx),
             "m_matrix": encode_array(pair.mx),
             "certificate": encode_certificate(cert),
-            "nullspace_dim_s": range_nullspace(pair.sx, tol).nullspace.dim,
-            "nullspace_dim_m": range_nullspace(pair.mx, tol).nullspace.dim,
+            # null(J - M) = null(S(X)) and null(0 - M) = null(M), decided in the certificate
+            "nullspace_dim_s": cert.per_member_nullspace_dims[0],
+            "nullspace_dim_m": cert.per_member_nullspace_dims[1],
         }
         notes = (
             "M(X) = J - S(X) runs over all maximal lower bounds of {J, 0}"

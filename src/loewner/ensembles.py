@@ -87,7 +87,7 @@ def _anti_lattice(trials: int, dims: tuple[int, int], seed: int, tol: Tolerances
         if not finite_infimum(mset, tol).exists:
             nonexistent += 1
         bounds = distinct_maximals(mset, 3, tol, seed=(seed, t, 1))
-        scale = 1.0 + mset.max_norm()
+        scale = mset.max_norm()
         gaps = [
             (bounds[i] - bounds[j]).norm() / scale
             for i in range(3)
@@ -156,23 +156,23 @@ def _mt_family(trials: int, dims: tuple[int, int], seed: int, tol: Tolerances) -
             lower_bounds += 1
         if certify_maximal(m, mset, tol).is_maximal:
             certified += 1
-        scale = 1.0 + max(a.norm(), b.norm(), m.norm())
+        scale = max(mset.max_norm(), m.norm())
 
         s_mat = random_invertible(rng, n)
         a_s = HermitianMatrix(s_mat.conj().T @ a.mat @ s_mat)
         b_s = HermitianMatrix(s_mat.conj().T @ b.mat @ s_mat)
         moved = mlb_mt(a_s, b_s, t_mat @ s_mat, tol)
         direct = HermitianMatrix(s_mat.conj().T @ m.mat @ s_mat)
-        max_congruence = max(
-            max_congruence, (moved - direct).norm() / (1.0 + direct.norm())
-        )
+        congruent_scale = max(a_s.norm(), b_s.norm(), direct.norm())
+        max_congruence = max(max_congruence, (moved - direct).norm() / congruent_scale)
 
         collapsed = mlb_mt(a, b, polar_abs(t_mat), tol)
         max_polar = max(max_polar, (collapsed - m).norm() / scale)
 
         shift = random_hermitian(rng, n)
-        shifted = mlb_mt(a + shift, b + shift, t_mat, tol)
-        max_shift = max(max_shift, (shifted - (m + shift)).norm() / (1.0 + scale + shift.norm()))
+        a_t, b_t, m_t = a + shift, b + shift, m + shift
+        shift_scale = max(a_t.norm(), b_t.norm(), m_t.norm())
+        max_shift = max(max_shift, (mlb_mt(a_t, b_t, t_mat, tol) - m_t).norm() / shift_scale)
     return {
         "trials": trials,
         "lower_bounds": lower_bounds,
@@ -207,15 +207,15 @@ def _commuting_tworoute(trials: int, dims: tuple[int, int], seed: int, tol: Tole
         n = _draw_dim(rng, dims)
         size = int(rng.integers(2, 6))
         family = random_commuting_family(rng, n, size)
-        scale = 1.0 + family.max_norm()
+        scale = family.max_norm()
         folded, joint = commuting_glb_two_routes(family, tol)
         max_route_gap = max(max_route_gap, (folded - joint).norm() / scale)
         for member in family:
             comm = folded.mat @ member.mat - member.mat @ folded.mat
-            max_commutator = max(max_commutator, float(np.linalg.norm(comm, 2)) / scale)
+            max_commutator = max(max_commutator, float(np.linalg.norm(comm, 2)) / scale**2)
         basis = simultaneous_eigenbasis(family)
         diag_min = _joint_diagonals(family, basis).min(axis=0)
-        lows = diag_min - np.abs(rng.standard_normal((candidates_per_trial, n)))
+        lows = diag_min - scale * np.abs(rng.standard_normal((candidates_per_trial, n)))
         if _below(folded, basis, lows, tol).all():
             dominated += 1
     return {
@@ -232,8 +232,8 @@ _PERTURBATION_STEPS = (1e-3, 1e-2, 1e-1)
 def _no_dominating_perturbation(
     m: HermitianMatrix, mset: MatrixSet, rng: np.random.Generator, count: int, tol: Tolerances
 ) -> bool:
-    """True when no perturbation m + s P (P = G G* random PSD, s = step / |P|)
-    stays a lower bound of the set.
+    """True when no perturbation m + s P (P = G G* random PSD, s = step / |P|, each
+    step a fixed fraction of the scale max(|A|, |m|)) stays a lower bound of the set.
 
     A bound rejects most candidates first.  For each member A and each
     eigenpair (w_j, u_j) of A - m, the Rayleigh quotient gives
@@ -245,7 +245,8 @@ def _no_dominating_perturbation(
     """
     n = m.dim
     g = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
-    steps = np.resize(_PERTURBATION_STEPS, count)
+    scale = max(mset.max_norm(), m.norm())
+    steps = scale * np.resize(_PERTURBATION_STEPS, count)
     gap_w, gap_u = _eigh(mset.stack - m.mat)
     # the members' eigenvector matrices side by side, n x (k n)
     columns = np.swapaxes(gap_u, 0, 1).reshape(n, -1)
@@ -258,7 +259,6 @@ def _no_dominating_perturbation(
     frobenius = np.einsum("kx,kx->k", flat, flat)
     shrink = steps / np.where(frobenius > 0.0, frobenius, 1.0)
     bounds = (gap_w[None, :, :] - shrink[:, None, None] * forms).min(axis=2)
-    scale = max(mset.max_norm(), m.norm())
     # n times the noise floor covers the rounding of the eigenpairs, of the
     # forms and of the exact route's eigenvalues, each a few n * eps * |A - m|
     slack = tol.noise_rel * n * (_top(gap_w)[None, :] + steps[:, None])
@@ -298,7 +298,7 @@ def _positive_mlb(trials: int, dims: tuple[int, int], seed: int, tol: Tolerances
             random_psd(rng, n, int(rng.integers(max(1, n - 2), n + 1))) for _ in range(size)
         )
         m = positive_maximal_lb(mset, tol)
-        scale = 1.0 + mset.max_norm()
+        scale = max(mset.max_norm(), m.norm())
         if _within(-m.min_eigenvalue(), "psd_rel", scale, tol):
             psd_ok += 1
         if is_lower_bound(m, mset, tol):
@@ -358,14 +358,13 @@ def _parallel_ando(trials: int, dims: tuple[int, int], seed: int, tol: Tolerance
         sa, sb = rng.uniform(0.1, 3.0, 2)
         s = parallel_sum(HermitianMatrix([[sa]]), HermitianMatrix([[sb]]), tol)
         max_scalar_residual = max(
-            max_scalar_residual, abs(float(np.real(s.mat[0, 0])) - sa * sb / (sa + sb))
+            max_scalar_residual, abs(float(np.real(s.mat[0, 0])) - sa * sb / (sa + sb)) / max(sa, sb)
         )
 
         n = _draw_dim(rng, dims)
         a = random_psd(rng, n, int(rng.integers(1, n + 1)))
         b = random_psd(rng, n, int(rng.integers(1, n + 1)))
         pair_scale = max(a.norm(), b.norm())
-        scale = 1.0 + pair_scale
         para = parallel_sum(a, b, tol)
         meet = _common_range([_range_null(a, tol, pair_scale), _range_null(b, tol, pair_scale)], tol)
         # S's own split, apart from the K it was built on, checks its range against the meet
@@ -376,12 +375,12 @@ def _parallel_ando(trials: int, dims: tuple[int, int], seed: int, tol: Tolerance
 
         absorbed = ando_limit(para, b, tol)
         plain = ando_limit(a, b, tol)
-        max_absorb_residual = max(max_absorb_residual, (absorbed - plain).norm() / scale)
+        max_absorb_residual = max(max_absorb_residual, (absorbed - plain).norm() / pair_scale)
 
         pair = two_op_positive_glb(a, b, tol)
         family = positive_glb_family(MatrixSet([a, b]), tol)
         if pair.exists == family.exists and (
-            not pair.exists or _within((pair.glb - family.glb).norm(), "psd_rel", scale, tol)
+            not pair.exists or _within((pair.glb - family.glb).norm(), "psd_rel", pair_scale, tol)
         ):
             pair_family_agreements += 1
     return {
@@ -408,14 +407,13 @@ def _effect_projection(trials: int, dims: tuple[int, int], seed: int, tol: Toler
         a = random_contraction(rng, n)
         k = int(rng.integers(1, n))
         proj = random_projection(rng, n, k)
-        family = positive_glb_family(MatrixSet([a, proj]), tol)
+        mset = MatrixSet([a, proj])
+        family = positive_glb_family(mset, tol)
         if family.exists:
             existing += 1
             # Anderson-Trapp: an invertible a shorted to R(P) is (P a^-1 P)^+, no Schur complement
             shorted = pinv(HermitianMatrix(proj.mat @ pinv(a, tol).mat @ proj.mat), tol)
-            max_shorted_gap = max(
-                max_shorted_gap, (family.glb - shorted).norm() / (1.0 + a.norm())
-            )
+            max_shorted_gap = max(max_shorted_gap, (family.glb - shorted).norm() / mset.max_norm())
     return {
         "trials": trials,
         "glb_exists": existing,

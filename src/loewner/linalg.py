@@ -153,12 +153,7 @@ class HermitianMatrix:
     __slots__ = ("mat", "_eigvals", "_eigenpairs")
 
     def __init__(self, entries) -> None:
-        arr = np.asarray(entries, dtype=np.complex128)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise NonSquare(f"expected a square matrix, got shape {arr.shape}")
-        if arr.shape[0] == 0:
-            raise NonSquare("matrix dimension must be at least 1")
-        self.mat = _freeze(_sym(arr))
+        self.mat = _freeze(_sym(_square(entries)))
         self._eigvals = self._eigenpairs = None
 
     @property
@@ -203,6 +198,16 @@ class HermitianMatrix:
         return f"HermitianMatrix(dim={self.dim})"
 
 
+def _square(entries) -> np.ndarray:
+    """``entries`` as a complex array, checked to be a nonempty square matrix."""
+    arr = np.asarray(entries, dtype=np.complex128)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise NonSquare(f"expected a square matrix, got shape {arr.shape}")
+    if arr.shape[0] == 0:
+        raise NonSquare("matrix dimension must be at least 1")
+    return arr
+
+
 def _hermitian(mat: np.ndarray) -> HermitianMatrix:
     """Wrap an exactly Hermitian array as it is: no copy, no symmetrizing."""
     out = HermitianMatrix.__new__(HermitianMatrix)
@@ -228,14 +233,11 @@ def hermitize(raw, tol: Tolerances = DEFAULT_TOL) -> HermitianMatrix:
     difference with its mirror entry overflows, since symmetrizing it would
     silently give inf or NaN, and a matrix whose spectral norm overflows.
     """
-    arr = np.asarray(raw, dtype=np.complex128)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise NonSquare(f"expected a square matrix, got shape {arr.shape}")
-    if arr.shape[0] == 0:
-        raise NonSquare("matrix dimension must be at least 1")
+    arr = _square(raw)
     with np.errstate(over="ignore", invalid="ignore"):
         skew = arr - arr.conj().T
-        bad = ~np.isfinite(arr + arr.conj().T) | ~np.isfinite(skew)
+        total = arr + arr.conj().T
+        bad = ~np.isfinite(total) | ~np.isfinite(skew)
     if bad.any():
         r, c = np.argwhere(bad)[0]
         raise ValidationError(f"entry [{r}][{c}] is not finite or overflows with its mirror entry")
@@ -249,7 +251,7 @@ def hermitize(raw, tol: Tolerances = DEFAULT_TOL) -> HermitianMatrix:
             raise NotHermitianWithinTolerance(
                 f"Hermitian defect {np.linalg.norm(skew, 2):.3e} exceeds eq_rel times |raw| = {scale:.3e}"
             )
-    return HermitianMatrix(arr)
+    return _hermitian(total / 2.0)
 
 
 class MatrixSet:

@@ -77,14 +77,16 @@ def commutant_kron(mset, tol=DEFAULT_TOL) -> list:
 def no_dominating_perturbation_exact(m, mset, rng, count, tol=DEFAULT_TOL) -> bool:
     """Reference perturbation sweep: every candidate m + s P is built and
     decided by batched eigenvalues, with the same draws, steps and margins
-    as ``ensembles._no_dominating_perturbation``."""
+    as ``ensembles._no_dominating_perturbation``: each step a multiple of
+    max(|A|, |m|)."""
     n = m.dim
     g = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
     p = np.einsum("kij,klj->kil", g, g.conj())
     p = (p + np.conj(np.swapaxes(p, 1, 2))) / 2.0
     norms = np.abs(np.linalg.eigvalsh(p)).max(axis=1)
     norms = np.where(norms > 0.0, norms, 1.0)
-    steps = np.array([(1e-3, 1e-2, 1e-1)[k % 3] for k in range(count)])
+    scale = max(mset.max_norm(), m.norm())
+    steps = scale * np.array([(1e-3, 1e-2, 1e-1)[k % 3] for k in range(count)])
     candidates = m.mat[None, :, :] + (steps / norms)[:, None, None] * p
     alive = np.ones(count, dtype=bool)
     for member in mset:
@@ -92,7 +94,7 @@ def no_dominating_perturbation_exact(m, mset, rng, count, tol=DEFAULT_TOL) -> bo
         if index.size == 0:
             break
         w = np.linalg.eigvalsh(member.mat[None, :, :] - candidates[index])
-        alive[index] = w[:, 0] >= -tol.psd_rel * max(mset.max_norm(), m.norm())
+        alive[index] = w[:, 0] >= -tol.psd_rel * scale
     return not bool(alive.any())
 
 

@@ -19,6 +19,7 @@ from loewner.cli import main
 from loewner.errors import ConvergenceFailure
 
 from .conftest import record_calls
+from .golden.regen import GOLDEN
 
 
 ROOT2 = "1.4142135623730951"
@@ -157,6 +158,18 @@ class TestExitCodes:
             ["mlb-mt", "-i", path, "--transform", "[[0, 0], [0, 0]]", "--json"], capsys
         )
         assert code == 2
+
+    def test_transform_of_the_wrong_shape_is_exit_2(self, tmp_path, capsys):
+        path = write_doc(tmp_path, EX62)
+        code, _, err = run(["mlb-mt", "-i", path, "--transform", "[[1, 0, 0], [0, 1, 0], [0, 0, 1]]"], capsys)
+        assert code == 2
+        assert "transform has shape (3, 3), expected (2, 2)" in err
+
+    def test_vector_argument_that_is_not_a_list_is_exit_2(self, tmp_path, capsys):
+        path = write_doc(tmp_path, EX62)
+        code, _, err = run(["constrained", "-i", path, "--u", "{}"], capsys)
+        assert code == 2
+        assert "--u: expected a nonempty 1-d array" in err
 
 
 class TestStdinAndFiles:
@@ -324,6 +337,19 @@ class TestReports:
         assert out.startswith("= positive-mlb =")
         assert "note:" in out
         assert "elapsed:" in out
+
+    def test_human_report_renders_complex_entries(self, capsys):
+        # an entry prints as a+bi or a-bi to 10 significant digits, so it reads back within 1e-9
+        path = str(GOLDEN / "complex12.json")
+        _, out, _ = run(["parallel-sum", "-i", path, "--json"], capsys)
+        exact = matrix_from_pairs(json.loads(out)["verdicts"]["parallel_sum"])
+        code, out, _ = run(["parallel-sum", "-i", path], capsys)
+        lines = out.splitlines()
+        start = lines.index("  parallel_sum:") + 1
+        shown = np.array([[complex(cell.replace("i", "j")) for cell in line.split()] for line in lines[start:start + 12]])
+        assert code == 0
+        assert (shown.imag > 0.0).any() and (shown.imag < 0.0).any()
+        np.testing.assert_allclose(shown, exact, rtol=1e-9, atol=0.0)
 
 
 def digest_of(argv, capsys) -> str:
@@ -638,8 +664,9 @@ class TestCommands:
         np.testing.assert_allclose(x, [[1.0]], atol=1e-8)
         assert recovered["roundtrip_error"] <= 1e-8
 
-    def test_stott_build_splits_each_matrix_with_one_eigh(self, capsys, monkeypatch):
-        # S(X) and M(X) are singular by construction: each split takes its eigh, no eigvalsh first
+    def test_stott_build_reads_null_spaces_from_the_certificate(self, capsys, monkeypatch):
+        # null(S(X)) and null(M(X)) are the gaps J - M and 0 - M that the certificate
+        # splits in its one batched eigh: neither matrix is split again
         calls = record_calls(monkeypatch, np.linalg, "eigh", "eigvalsh")
         code, out, _ = run(
             ["stott", "--p", "2", "--q", "3", "--x", "[[0.3, 0.1, 0.2], [-0.2, 0.5, 0.1]]", "--json"],
@@ -649,7 +676,7 @@ class TestCommands:
         verdicts = json.loads(out)["verdicts"]
         assert (verdicts["nullspace_dim_s"], verdicts["nullspace_dim_m"]) == (3, 2)
         assert [np.shape(arr) for arr in calls["eigvalsh"]] == [(2, 5, 5)]
-        assert [np.shape(arr) for arr in calls["eigh"]].count((5, 5)) == 2
+        assert (5, 5) not in [np.shape(arr) for arr in calls["eigh"]]
 
     def test_stott_needs_exactly_one_mode(self, capsys):
         code, _, err = run(["stott", "--p", "1", "--q", "1"], capsys)
@@ -808,6 +835,12 @@ class TestEnsembleCommand:
         assert payload["seed"] == 5
         assert payload["verdicts"]["suite"] == "albert-vs-spectral"
         assert payload["verdicts"]["agreements"] == 3
+
+    def test_text_report_shows_the_seed(self, capsys):
+        code, out, _ = run(["ensemble", "--suite", "albert-vs-spectral", "--trials", "3", "--seed", "5"], capsys)
+        lines = out.splitlines()
+        assert code == 0
+        assert lines[0] == "= ensemble =" and "  seed: 5" in lines and "  agreements: 3" in lines
 
     def test_seed_is_rejected_by_other_commands(self, capsys):
         code, _, err = run(["infimum", "--seed", "5"], capsys)

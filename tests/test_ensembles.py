@@ -10,6 +10,7 @@ from loewner import (
     HermitianMatrix,
     MatrixSet,
     ensemble_run,
+    ensembles,
     identity,
     loewner_leq,
 )
@@ -138,6 +139,43 @@ class TestSmallRuns:
     def test_explicit_dims_respected(self):
         result = ensemble_run("albert-vs-spectral", 5, dims=(2, 2), seed=3)
         assert result["agreements"] == 5
+
+
+# the suites whose draws carry the problem's scale; stott-roundtrip ({J, 0}) and
+# effect-projection (a contraction beside a projection) have a fixed unit scale
+SCALABLE_SUITES = (
+    "albert-vs-spectral", "anti-lattice", "commuting-tworoute", "mt-family", "parallel-ando", "positive-mlb",
+)
+
+
+def _scaled_draws(monkeypatch, factor: float) -> None:
+    """Multiply every draw that sets a suite's scale by ``factor``."""
+    for name in ("random_hermitian", "random_psd", "random_commuting_family", "random_incomparable_pair"):
+        draw = getattr(ensembles, name)
+
+        def scaled(*args, _draw=draw):
+            out = _draw(*args)
+            if isinstance(out, HermitianMatrix):
+                return factor * out
+            return type(out)(factor * member for member in out)
+
+        monkeypatch.setattr(ensembles, name, scaled)
+
+
+class TestScaleFree:
+    @pytest.mark.parametrize("suite", SCALABLE_SUITES)
+    def test_report_is_unchanged_by_a_power_of_two(self, suite, monkeypatch):
+        # scaling by 2^k is exact, and every suite decides and reports on its problem's scale
+        plain = ensemble_run(suite, 12, seed=7)
+        for k in (-40, 40):
+            with monkeypatch.context() as patch:
+                _scaled_draws(patch, 2.0**k)
+                assert ensemble_run(suite, 12, seed=7) == plain, k
+
+    def test_anti_lattice_separates_every_triple_at_benchmark_seed_30(self):
+        # the chunk the suites-recursion benchmark draws at seed 30: distinct_maximals separates
+        # its bounds on |S|, and gaps measured on 1 + |S| once counted one triple as not distinct
+        assert ensemble_run("anti-lattice", 25, (2, 5), seed=2770938887)["distinct_triples"] == 25
 
 
 def _psd_family(rng) -> MatrixSet:

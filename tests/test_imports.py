@@ -1,7 +1,8 @@
 """Every name a package module imports is used there or re-exported through
 the module's ``__all__``, every private module-level function or class is
 referenced somewhere in the package, the common range K is decided only
-beside the parallel sum, and every threshold is named on ``Tolerances``."""
+beside the parallel sum, every threshold is named on ``Tolerances``, and no
+number is added to a scale."""
 
 import ast
 from pathlib import Path
@@ -191,11 +192,36 @@ def literal_scale_thresholds(source: str) -> list[str]:
     return found
 
 
+def _is_scale_valued(node) -> bool:
+    """Whether ``node`` evaluates to a scale: a name that says so, a ``.norm()`` or
+    ``.max_norm()`` call, or ``max``, ``min``, ``abs`` or arithmetic of one."""
+    if isinstance(node, (ast.Name, ast.Attribute)):
+        return "scale" in getattr(node, "id", getattr(node, "attr", ""))
+    if isinstance(node, ast.Call):
+        name = getattr(node.func, "attr", getattr(node.func, "id", None))
+        return name in ("norm", "max_norm") or name in ("max", "min", "abs") and any(map(_is_scale_valued, node.args))
+    if isinstance(node, ast.BinOp):
+        return _is_scale_valued(node.left) or _is_scale_valued(node.right)
+    return isinstance(node, ast.UnaryOp) and _is_scale_valued(node.operand)
+
+
+def additive_floors(source: str) -> list[str]:
+    """Each number added to a scale, as source text: a floor such as ``1 + |S|`` puts
+    a unit scale beside the problem's, so a decision moves when the problem is rescaled."""
+    return [
+        ast.unparse(node) for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+        and (_is_number(node.left) and _is_scale_valued(node.right)
+             or _is_scale_valued(node.left) and _is_number(node.right))
+    ]
+
+
 def test_every_threshold_is_named_on_tolerances():
     sources = [path.read_text() for path in MODULES]
     assert [name for source in sources for name in loose_thresholds(source)] == []
     assert [kind for source in sources for kind in unnamed_kinds(source)] == []
     assert [text for source in sources for text in literal_scale_thresholds(source)] == []
+    assert [text for source in sources for text in additive_floors(source)] == []
 
 
 def test_finds_loose_thresholds_and_unnamed_kinds():
@@ -215,3 +241,19 @@ def test_finds_loose_thresholds_and_unnamed_kinds():
         "        return x <= tol.psd_rel * scale and _within(x, 'psd_rel', scale, tol)\n"
     )
     assert literal_scale_thresholds(source) == ["-1e-09 * scale", "1e-09 * (1.0 + pair_scale)", "pair_scale * 2"]
+
+
+def test_finds_additive_floors():
+    source = (
+        "def g(a, b, m, mset, shift, pair_scale, k):\n"
+        "    scale = 1.0 + mset.max_norm()\n"
+        "    top = 1 + max(a.norm(), b.norm(), m.norm())\n"
+        "    wide = 1.0 + scale + shift.norm()\n"
+        "    low = np.linalg.norm(a, 2) + 1e-300 + pair_scale\n"
+        "    cuts = np.flatnonzero(~_within(np.diff(w), 'cluster_rel', scale)) + 1\n"
+        "    return [[1.0 + 1.0 / k, scale + pair_scale], [a.norm() * 2.0, 1.0 + abs(k)]]\n"
+    )
+    assert additive_floors(source) == [
+        "1.0 + mset.max_norm()", "1 + max(a.norm(), b.norm(), m.norm())", "1.0 + scale",
+        "np.linalg.norm(a, 2) + 1e-300",
+    ]
