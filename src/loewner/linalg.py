@@ -331,10 +331,12 @@ def _eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def spectral(s: HermitianMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Frozen (w, v) with s = v diag(w) v*, ``w`` ascending and ``v`` phase-fixed,
-    computed once per matrix and kept on it."""
+    computed once per matrix and kept on it, ``w`` as its eigenvalues too when none are kept."""
     if s._eigenpairs is None:
         w, v = _eigh(s.mat)
         s._eigenpairs = (_freeze(w), _freeze(fix_column_phases(v)))
+        if s._eigvals is None:
+            s._eigvals = s._eigenpairs[0]
     return s._eigenpairs
 
 

@@ -1,5 +1,7 @@
 """Seeded ensemble suites: shape, determinism, and small-scale sanity."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -27,47 +29,48 @@ from loewner.sampling import random_commuting_family, random_psd, trial_rng
 from .conftest import no_dominating_perturbation_exact
 
 
+# each suite's report keys, in report order
 EXPECTED_KEYS = {
-    "anti-lattice": {
+    "anti-lattice": (
         "trials",
         "infimum_nonexistent",
         "distinct_triples",
         "certified_triples",
         "min_separation",
-    },
-    "stott-roundtrip": {"trials", "certified", "roundtrips_within_1e-8", "max_x_error"},
-    "mt-family": {
+    ),
+    "stott-roundtrip": ("trials", "certified", "roundtrips_within_1e-8", "max_x_error"),
+    "mt-family": (
         "trials",
         "lower_bounds",
         "certified",
         "max_congruence_residual",
         "max_polar_residual",
         "max_shift_residual",
-    },
-    "commuting-tworoute": {
+    ),
+    "commuting-tworoute": (
         "trials",
         "max_route_gap",
         "max_commutator",
         "dominates_candidates",
-    },
-    "positive-mlb": {
+    ),
+    "positive-mlb": (
         "trials",
         "psd",
         "lower_bounds",
         "certified",
         "dominates_scalar_floor",
         "no_dominating_perturbation",
-    },
-    "albert-vs-spectral": {"trials", "agreements", "psd_instances"},
-    "parallel-ando": {
+    ),
+    "albert-vs-spectral": ("trials", "agreements", "psd_instances"),
+    "parallel-ando": (
         "trials",
         "max_scalar_residual",
         "rank_identity",
         "max_absorb_residual",
         "pair_family_agreements",
         "bounded_by_both",
-    },
-    "effect-projection": {"trials", "glb_exists", "max_shorted_gap"},
+    ),
+    "effect-projection": ("trials", "glb_exists", "max_shorted_gap"),
 }
 
 # keys counting per-trial successes; a healthy small run scores trials on each
@@ -120,7 +123,7 @@ class TestSmallRuns:
     def test_keys_and_perfect_counts(self, suite):
         trials = 4
         result = ensemble_run(suite, trials, seed=7)
-        assert set(result) == EXPECTED_KEYS[suite]
+        assert tuple(result) == EXPECTED_KEYS[suite]
         assert result["trials"] == trials
         for key in COUNT_KEYS[suite]:
             assert result[key] == trials, f"{suite}: {key} = {result[key]}"
@@ -139,6 +142,22 @@ class TestSmallRuns:
     def test_explicit_dims_respected(self):
         result = ensemble_run("albert-vs-spectral", 5, dims=(2, 2), seed=3)
         assert result["agreements"] == 5
+
+
+class TestTotals:
+    @pytest.mark.parametrize("suite", SUITE_NAMES)
+    def test_figures_are_counts_or_finite_residuals(self, suite):
+        # a count is a Python int of trials, a max_/min_ figure a finite float, in the suite's
+        # key order, and the report encodes as JSON with no numpy scalar left in it
+        trials = 3
+        result = ensemble_run(suite, trials, seed=5)
+        assert tuple(result) == EXPECTED_KEYS[suite]
+        for name, value in result.items():
+            if name.startswith(("max_", "min_")):
+                assert type(value) is float and np.isfinite(value), name
+            else:
+                assert type(value) is int and 0 <= value <= trials, name
+        assert json.loads(json.dumps(result)) == result
 
 
 # the suites whose draws carry the problem's scale; stott-roundtrip ({J, 0}) and

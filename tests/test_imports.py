@@ -1,8 +1,8 @@
 """Every name a package module imports is used there or re-exported through
 the module's ``__all__``, every private module-level function or class is
 referenced somewhere in the package, the common range K is decided only
-beside the parallel sum, every threshold is named on ``Tolerances``, and no
-number is added to a scale."""
+beside the parallel sum, trials are seeded only in the one trial loop, every
+threshold is named on ``Tolerances``, and no number is added to a scale."""
 
 import ast
 from pathlib import Path
@@ -110,23 +110,26 @@ def test_finds_an_eigh_of_a_matrix():
     assert eigh_of_a_matrix("linalg", source) == ["linalg.f", "linalg.g", "linalg.<module>"]
 
 
+def callers(function: str, module: str, source: str) -> list[str]:
+    """``module.name`` of each top-level definition that calls ``function``."""
+    return [
+        f"{module}.{getattr(top, 'name', '<module>')}"
+        for top in ast.parse(source).body for node in ast.walk(top)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == function
+    ]
+
+
+def package_callers(function: str) -> set[str]:
+    return {hit for path in MODULES for hit in callers(function, path.stem, path.read_text())}
+
+
 # K = R(A_1) ∩ ... ∩ R(A_k) is decided beside S, which is built on it, by the subspace meet,
 # and by the parallel-ando suite's check of S's range against it: no command decides it again
 COMMON_RANGE_CALLERS = {"linalg.subspace_intersect", "parallel._parallel_sum", "ensembles._parallel_ando"}
 
 
-def common_range_callers(module: str, source: str) -> list[str]:
-    """``module.name`` of each top-level definition that calls ``_common_range``."""
-    return [
-        f"{module}.{getattr(top, 'name', '<module>')}"
-        for top in ast.parse(source).body for node in ast.walk(top)
-        if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == "_common_range"
-    ]
-
-
 def test_common_range_is_decided_beside_the_parallel_sum():
-    callers = {hit for path in MODULES for hit in common_range_callers(path.stem, path.read_text())}
-    assert callers - COMMON_RANGE_CALLERS == set()
+    assert package_callers("_common_range") - COMMON_RANGE_CALLERS == set()
 
 
 def test_finds_common_range_callers():
@@ -136,7 +139,26 @@ def test_finds_common_range_callers():
         "def named(m):\n    return common_range(m)\n"
         "k = _common_range([], tol)\n"
     )
-    assert common_range_callers("parallel", source) == ["parallel._parallel_sum", "parallel.cmd", "parallel.<module>"]
+    assert callers("_common_range", "parallel", source) == [
+        "parallel._parallel_sum", "parallel.cmd", "parallel.<module>"
+    ]
+
+
+def test_trials_are_seeded_in_the_trial_loop():
+    # trial t of every suite draws from trial_rng(seed, t), and only the one trial loop draws it
+    assert package_callers("trial_rng") == {"ensembles.ensemble_run"}
+
+
+def test_finds_trial_rng_callers():
+    source = (
+        "def ensemble_run(trial, trials, seed):\n    return [trial(trial_rng(seed, t)) for t in range(trials)]\n"
+        "def _suite(trials, seed):\n    for t in range(trials):\n        rng = sampling.trial_rng(seed, t)\n"
+        "def _trial(rng, key):\n    return rng.integers(2, 5), key\n"
+        "rng = trial_rng(0, 0)\n"
+    )
+    assert callers("trial_rng", "ensembles", source) == [
+        "ensembles.ensemble_run", "ensembles._suite", "ensembles.<module>"
+    ]
 
 
 def loose_thresholds(source: str) -> list[str]:

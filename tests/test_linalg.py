@@ -248,6 +248,18 @@ class TestSpectral:
         assert first[0] is second[0] and first[1] is second[1]
         assert not first[0].flags.writeable and not first[1].flags.writeable
 
+    def test_keeps_the_eigenvalues(self, monkeypatch):
+        # the eigh's eigenvalues serve norm and min_eigenvalue; eigenvalues kept before stay
+        rng = trial_rng(11, 6)
+        h, kept = random_hermitian(rng, 5), random_hermitian(rng, 5)
+        known = kept._spectrum()
+        calls = record_calls(monkeypatch, np.linalg, "eigvalsh")
+        w, _ = spectral(h)
+        assert (h.norm(), h.min_eigenvalue()) == (float(np.abs(w).max()), float(w[0]))
+        spectral(kept)
+        assert kept._spectrum() is known
+        assert calls["eigvalsh"] == []
+
     def test_new_values_inherit_no_pair(self, monkeypatch):
         rng = trial_rng(11, 5)
         s, t = random_hermitian(rng, 4), random_hermitian(rng, 4)
