@@ -60,7 +60,7 @@ from .linalg import (
     loewner_leq,
 )
 from .parallel import _parallel_sum, two_op_positive_glb
-from .report import RunReport, canonical_digest, encode_array, encode_certificate
+from .report import RunReport, canonical_digest
 
 __all__ = ["main"]
 
@@ -115,7 +115,9 @@ def _parse_dims(text: str) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 # command handlers: each takes (args, tol, document or None) and returns
 # (verdicts, notes, digest inputs beyond the document, arrays as they are),
-# or None when it has written its own output
+# or None when it has written its own output; verdicts hold plain values
+# (matrices, families, arrays, certificates, None and scalars), which
+# ``report`` alone encodes and renders
 
 
 def _cmd_check_order(args, tol, doc):
@@ -141,7 +143,7 @@ def _cmd_infimum(args, tol, doc):
         "minimizing_label": (
             doc.label_of(report.minimizing_index) if report.exists else None
         ),
-        "infimum": encode_array(report.infimum),
+        "infimum": report.infimum,
     }
     notes = (
         "a finite set has an infimum exactly when one member is a lower bound of"
@@ -156,7 +158,7 @@ def _cmd_certify(args, tol, doc):
     cert = certify_maximal(candidate, doc.matrix_set, tol)
     verdicts = {
         "is_lower_bound": cert.is_lower_bound,
-        "certificate": encode_certificate(cert),
+        "certificate": cert,
         "is_maximal": cert.is_maximal,
         "extreme_certified": cert.is_maximal,
     }
@@ -173,8 +175,8 @@ def _cmd_maximal_extend(args, tol, doc):
     extension = extend_to_maximal(lower, doc.matrix_set, tol)
     cert = certify_maximal(extension, doc.matrix_set, tol)
     verdicts = {
-        "extension": encode_array(extension),
-        "certificate": encode_certificate(cert),
+        "extension": extension,
+        "certificate": cert,
         "dominates_input": loewner_leq(lower, extension, tol),
     }
     notes = (
@@ -219,8 +221,8 @@ def _cmd_commuting_glb(args, tol, doc):
     verdicts = {
         "pairwise_commuting": commuting,
         "commutant_dimension": len(commutant),
-        "glb": encode_array(glb),
-        "certificate": encode_certificate(cert),
+        "glb": glb,
+        "certificate": cert,
         "commuting_maximal_exists": cert.is_maximal,
     }
     return verdicts, notes, {}
@@ -230,8 +232,8 @@ def _cmd_positive_mlb(args, tol, doc):
     bound = positive_maximal_lb(doc.matrix_set, tol)
     cert = certify_maximal(bound, doc.matrix_set, tol)
     verdicts = {
-        "bound": encode_array(bound),
-        "certificate": encode_certificate(cert),
+        "bound": bound,
+        "certificate": cert,
         "smallest_member_eigenvalue": doc.matrix_set.min_eigenvalue(),
     }
     notes = (
@@ -246,9 +248,9 @@ def _cmd_positive_glb(args, tol, doc):
     verdicts = {
         "exists": report.exists,
         "common_range_dim": report.k_subspace.dim,
-        "parallel_sum": encode_array(report.s_parallel),
-        "tilde_set": encode_array(report.tilde_set),
-        "glb": encode_array(report.glb),
+        "parallel_sum": report.s_parallel,
+        "tilde_set": report.tilde_set,
+        "glb": report.glb,
         "minimizing_index": report.minimizing_index,
         "minimizing_label": (
             doc.label_of(report.minimizing_index) if report.exists else None
@@ -271,8 +273,8 @@ def _cmd_mlb_mt(args, tol, doc):
     bound = mlb_mt(a, b, transform, tol)
     cert = certify_maximal(bound, doc.matrix_set, tol)
     verdicts = {
-        "bound": encode_array(bound),
-        "certificate": encode_certificate(cert),
+        "bound": bound,
+        "certificate": cert,
     }
     notes = (
         "M_T = (A + B - T*|T^-*(A - B)T^-1|T) / 2 is a maximal lower bound of"
@@ -294,9 +296,9 @@ def _cmd_stott(args, tol, doc):
         cert = certify_maximal(pair.mx, mset, tol)
         verdicts = {
             "mode": "build",
-            "s_matrix": encode_array(pair.sx),
-            "m_matrix": encode_array(pair.mx),
-            "certificate": encode_certificate(cert),
+            "s_matrix": pair.sx,
+            "m_matrix": pair.mx,
+            "certificate": cert,
             # null(J - M) = null(S(X)) and null(0 - M) = null(M), decided in the certificate
             "nullspace_dim_s": cert.per_member_nullspace_dims[0],
             "nullspace_dim_m": cert.per_member_nullspace_dims[1],
@@ -311,7 +313,7 @@ def _cmd_stott(args, tol, doc):
     rebuilt = stott_mx(param, tol).mx
     verdicts = {
         "mode": "recover",
-        "x": encode_array(param.x),
+        "x": param.x,
         "roundtrip_error": (rebuilt - m).norm(),
     }
     notes = (
@@ -331,14 +333,10 @@ def _cmd_constrained(args, tol, doc):
         "attaining_labels": [doc.label_of(i) for i in report.mu_indices],
         "attainers_agree": report.attainers_agree,
         "constrained_family_empty": not report.attainers_agree,
-        "reduced_set": encode_array(report.reduced_set),
-        "witness_row": encode_array(report.witness_row),
-        "maximal_element": encode_array(element),
-        "certificate": (
-            encode_certificate(certify_maximal(element, doc.matrix_set, tol))
-            if element is not None
-            else None
-        ),
+        "reduced_set": report.reduced_set,
+        "witness_row": report.witness_row,
+        "maximal_element": element,
+        "certificate": certify_maximal(element, doc.matrix_set, tol) if element is not None else None,
     }
     notes = (
         "a lower bound matching the set minimum alpha at u exists exactly when"
@@ -352,7 +350,7 @@ def _cmd_parallel_sum(args, tol, doc):
     # the sum is built on the members' common range K, so its rank is K's dimension
     total, k = _parallel_sum(doc.matrix_set, tol)
     verdicts = {
-        "parallel_sum": encode_array(total),
+        "parallel_sum": total,
         "rank": k.range.dim,
         "common_range_dim": k.range.dim,
         "below_every_member": is_lower_bound(total, doc.matrix_set, tol),
@@ -368,11 +366,11 @@ def _cmd_ando(args, tol, doc):
     a, b = doc.matrix_set[0], doc.matrix_set[1]
     result = two_op_positive_glb(a, b, tol)
     verdicts = {
-        "ando_ab": encode_array(result.ando_ab),
-        "ando_ba": encode_array(result.ando_ba),
+        "ando_ab": result.ando_ab,
+        "ando_ba": result.ando_ba,
         "comparability": result.comparability.value,
         "exists": result.exists,
-        "glb": encode_array(result.glb),
+        "glb": result.glb,
     }
     notes = (
         "[A]B is the largest part of B supported inside the range of A; the"

@@ -37,7 +37,6 @@ from .linalg import (
     MatrixSet,
     Subspace,
     Tolerances,
-    _common_range,
     _eigh,
     _range_null,
     _top,
@@ -48,7 +47,7 @@ from .linalg import (
     polar_abs,
     zero,
 )
-from .parallel import ando_limit, parallel_sum, two_op_positive_glb
+from .parallel import _parallel_sum, ando_limit, parallel_sum, two_op_positive_glb
 from .sampling import (
     random_commuting_family,
     random_contraction,
@@ -268,15 +267,15 @@ def _parallel_ando(rng: np.random.Generator, dims: tuple[int, int], key: tuple[i
     a = random_psd(rng, n, int(rng.integers(1, n + 1)))
     b = random_psd(rng, n, int(rng.integers(1, n + 1)))
     pair_scale = max(a.norm(), b.norm())
-    para = parallel_sum(a, b, tol)
-    meet = _common_range([_range_null(a, tol, pair_scale), _range_null(b, tol, pair_scale)], tol)
+    members = MatrixSet([a, b])
+    para, meet = _parallel_sum(members, tol)
     # S's own split, apart from the K it was built on, checks its range against the meet
     rank_identity = _range_null(para, tol, pair_scale).range.dim == meet.range.dim
     bounded = loewner_leq(para, a, tol) and loewner_leq(para, b, tol)
 
     pair = two_op_positive_glb(a, b, tol)
     absorb = (ando_limit(para, b, tol) - pair.ando_ab).norm() / pair_scale
-    family = positive_glb_family(MatrixSet([a, b]), tol)
+    family = positive_glb_family(members, tol)
     return {
         "max_scalar_residual": scalar,
         "rank_identity": rank_identity,

@@ -4,6 +4,7 @@ maximal lower bounds, and greatest positive lower bounds of families."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -260,7 +261,11 @@ def _positive_mlb(a: np.ndarray, w: np.ndarray, tol: Tolerances) -> HermitianMat
     # shifted member A' by A' - yy*/alpha (y = A'u, alpha = u*A'u), which is
     # zero on u; the reflector H = I - tau vv* taking u to the first axis
     # carries that to u's complement as a trailing block, at O(m^2) each.
+    # The loop runs on the family times 2^-e, which puts its scale in [1/2, 1) exactly, so no
+    # squared coupling over- or underflows; e is clamped where 2^-e would overflow.
     n = a.shape[1]
+    e = max(math.frexp(float(_top(w).max()))[1], -1021)
+    a, w = math.ldexp(1.0, -e) * a, math.ldexp(1.0, -e) * w
     scale = float(_top(w).max())
     frame = np.eye(n, dtype=np.complex128)
     lines, gammas = np.empty((n, n), dtype=np.complex128), np.empty(n)
@@ -283,7 +288,8 @@ def _positive_mlb(a: np.ndarray, w: np.ndarray, tol: Tolerances) -> HermitianMat
             i = bad[0]
             raise SchurRangeViolation(
                 f"splitting at the minimizing eigenvector broke down: member {i}: coupling block leaves"
-                f" the range of the corner block (residual {coupling[i]:.3e} on scale {scale:.3e})"
+                f" the range of the corner block (residual {math.ldexp(coupling[i], e):.3e}"
+                f" on scale {math.ldexp(scale, e):.3e})"
             )
         # H A' H = A' - (vq* + qv*) with p = A'v = y + pivot A'e1; adding the
         # conjugate transpose keeps the new members exactly Hermitian
@@ -296,7 +302,7 @@ def _positive_mlb(a: np.ndarray, w: np.ndarray, tol: Tolerances) -> HermitianMat
         frame = frame[:, 1:] - tau * (frame @ v)[:, None] * v[1:].conj()
     lines[:, -1] = frame[:, 0]
     gammas[-1] = a[:, 0, 0].real.min()
-    return HermitianMatrix((lines * np.cumsum(gammas)) @ lines.conj().T)
+    return HermitianMatrix((lines * np.ldexp(np.cumsum(gammas), e)) @ lines.conj().T)
 
 
 def extend_to_maximal(l: HermitianMatrix, mset: MatrixSet, tol: Tolerances = DEFAULT_TOL) -> HermitianMatrix:
@@ -353,37 +359,30 @@ def distinct_maximals(
         gaps = [(candidate - other).mat for other in chosen]
         return not any(_within(gap, "eq_rel", scale, tol) or _within(gap, "distinct_rel", scale) for gap in gaps)
 
+    def routes():
+        # the second bound: a random congruence transform of the pair formula, or a jittered floor
+        for _ in range(_MAX_ROUTE_TRIES):
+            if len(mset) == 2:
+                yield mlb_mt(mset[0], mset[1], random_invertible(rng, n), tol)
+            else:
+                jitter = random_psd(rng, n)
+                yield extend_to_maximal(floor - (0.25 * scale / jitter.norm()) * jitter, mset, tol)
+
+    def blends():
+        # each later bound: extensions of blends of the first and the last, their weights drawn up front
+        thetas = [0.5] + [float(rng.uniform(0.25, 0.75)) for _ in range(_MAX_ROUTE_TRIES)]
+        return (extend_to_maximal(HermitianMatrix(t * out[0].mat + (1.0 - t) * out[-1].mat), mset, tol) for t in thetas)
+
     if len(mset) == 2:
         first = mlb_mt(mset[0], mset[1], np.eye(n), tol)
     else:
         first = extend_to_maximal(floor, mset, tol)
     out = [certified(first)]
-
-    for _ in range(_MAX_ROUTE_TRIES):
-        if len(mset) == 2:
-            candidate = mlb_mt(mset[0], mset[1], random_invertible(rng, n), tol)
-        else:
-            jitter = random_psd(rng, n)
-            jitter = (0.25 * scale / jitter.norm()) * jitter
-            candidate = extend_to_maximal(floor - jitter, mset, tol)
-        if separated(candidate, out):
-            out.append(certified(candidate))
-            break
-    else:
-        raise DistinctnessFailure("randomized routes kept reproducing the first bound")
-
     while len(out) < count:
-        thetas = [0.5] + [float(rng.uniform(0.25, 0.75)) for _ in range(_MAX_ROUTE_TRIES)]
-        for theta in thetas:
-            blend = HermitianMatrix(theta * out[0].mat + (1.0 - theta) * out[-1].mat)
-            candidate = extend_to_maximal(blend, mset, tol)
-            if separated(candidate, out):
-                out.append(certified(candidate))
-                break
-        else:
-            raise DistinctnessFailure(
-                f"could not separate bound {len(out) + 1} from the earlier ones"
-            )
+        found = next((c for c in (routes() if len(out) == 1 else blends()) if separated(c, out)), None)
+        if found is None:
+            raise DistinctnessFailure(f"could not separate bound {len(out) + 1} from the earlier ones")
+        out.append(certified(found))
     return out
 
 

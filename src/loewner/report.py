@@ -1,9 +1,12 @@
 """Structured run reports with a human rendering and a byte-stable JSON
-rendering.
+rendering, the one place that decides how a verdict value looks.
 
-The JSON form deliberately omits wall-clock time: identical inputs must
-produce identical bytes, and elapsed time is the one nondeterministic field.
-The human rendering shows it.
+Verdicts hold plain values: ``HermitianMatrix``, ``MatrixSet``, arrays,
+``MaximalityCertificate``, ``None`` and Python scalars.  ``to_json`` encodes a
+matrix, vector or family by ``encode_array`` and a certificate as its fields;
+``render_text`` lays them out from their types.  The JSON form omits
+wall-clock time, the one nondeterministic field, so identical inputs produce
+identical bytes; the human rendering shows it.
 """
 
 from __future__ import annotations
@@ -14,14 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import MaximalityCertificate
 from .linalg import HermitianMatrix, MatrixSet, Tolerances
 
-__all__ = [
-    "RunReport",
-    "encode_array",
-    "encode_certificate",
-    "canonical_digest",
-]
+__all__ = ["RunReport", "encode_array", "canonical_digest"]
 
 
 def _as_array(value) -> np.ndarray:
@@ -49,13 +48,18 @@ def encode_array(value):
     return (arr + 0.0).tolist()
 
 
-def encode_certificate(cert) -> dict:
-    return {
-        "per_member_nullspace_dims": list(cert.per_member_nullspace_dims),
-        "span_dim": cert.span_dim,
-        "is_lower_bound": cert.is_lower_bound,
-        "is_maximal": cert.is_maximal,
-    }
+def _fields(cert: MaximalityCertificate) -> dict:
+    """A certificate's fields in field order, its tuple of null-space dimensions as a list."""
+    return {name: list(value) if isinstance(value, tuple) else value for name, value in vars(cert).items()}
+
+
+def _encode(value):
+    """``json.dumps``'s hook for the verdict values it cannot encode itself."""
+    if isinstance(value, MaximalityCertificate):
+        return _fields(value)
+    if isinstance(value, (np.ndarray, HermitianMatrix, MatrixSet)):
+        return encode_array(value)
+    raise TypeError(f"a report cannot hold a {type(value).__name__}")
 
 
 def canonical_digest(command: str, inputs: dict, tolerances: dict, seed: int | None) -> str:
@@ -87,28 +91,17 @@ def canonical_digest(command: str, inputs: dict, tolerances: dict, seed: int | N
     return digest.hexdigest()[:12]
 
 
-def _looks_like_matrix(value) -> bool:
-    if not isinstance(value, list) or not value:
-        return False
-    if not all(isinstance(row, list) and len(row) == len(value[0]) and row for row in value):
-        return False
-    return all(
-        isinstance(e, list) and len(e) == 2 and all(isinstance(x, (int, float)) for x in e)
-        for row in value
-        for e in row
-    )
+def _format_entry(z: complex | float) -> str:
+    if z.imag == 0.0:
+        return f"{z.real:.10g}"
+    sign = "+" if z.imag >= 0 else "-"
+    return f"{z.real:.10g}{sign}{abs(z.imag):.10g}i"
 
 
-def _format_entry(pair) -> str:
-    re_part, im_part = pair
-    if im_part == 0.0:
-        return f"{re_part:.10g}"
-    sign = "+" if im_part >= 0 else "-"
-    return f"{re_part:.10g}{sign}{abs(im_part):.10g}i"
-
-
-def _render_matrix(rows, indent: str) -> list[str]:
-    cells = [[_format_entry(e) for e in row] for row in rows]
+def _render_matrix(value, indent: str) -> list[str]:
+    # adding 0.0 folds negative zero into plain zero, as the wire encoding does
+    rows = (np.atleast_2d(_as_array(value)) + 0.0).tolist()
+    cells = [[_format_entry(z) for z in row] for row in rows]
     widths = [max(len(cells[r][c]) for r in range(len(cells))) for c in range(len(cells[0]))]
     return [
         indent + "  ".join(cell.rjust(widths[c]) for c, cell in enumerate(row))
@@ -117,18 +110,16 @@ def _render_matrix(rows, indent: str) -> list[str]:
 
 
 def _render_value(key: str, value, indent: str = "  ") -> list[str]:
-    if _looks_like_matrix(value):
+    if isinstance(value, (np.ndarray, HermitianMatrix)):
         return [f"{indent}{key}:"] + _render_matrix(value, indent + "    ")
-    if isinstance(value, dict):
+    if isinstance(value, MaximalityCertificate):
+        fields = _fields(value).items()
+        return [f"{indent}{key}:"] + [line for name, field in fields for line in _render_value(name, field, indent + "  ")]
+    if isinstance(value, MatrixSet):
         lines = [f"{indent}{key}:"]
-        for sub_key, sub_value in value.items():
-            lines.extend(_render_value(sub_key, sub_value, indent + "  "))
-        return lines
-    if isinstance(value, list) and value and all(_looks_like_matrix(v) for v in value):
-        lines = [f"{indent}{key}:"]
-        for i, sub in enumerate(value):
+        for i, member in enumerate(value):
             lines.append(f"{indent}  [{i}]")
-            lines.extend(_render_matrix(sub, indent + "    "))
+            lines.extend(_render_matrix(member, indent + "    "))
         return lines
     if isinstance(value, float):
         return [f"{indent}{key}: {value:.12g}"]
@@ -157,7 +148,7 @@ class RunReport:
             "notes": list(self.notes),
         }
         # elapsed_ms stays out: the JSON rendering is byte-stable.
-        return json.dumps(payload, sort_keys=True) + "\n"
+        return json.dumps(payload, sort_keys=True, default=_encode) + "\n"
 
     def render_text(self) -> str:
         tolerances = "  ".join(f"{k}={v:g}" for k, v in self.tolerances.as_dict().items())

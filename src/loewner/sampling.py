@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import NumericalFailure
 from .linalg import Comparability, HermitianMatrix, MatrixSet, compare
 
 __all__ = [
@@ -93,4 +94,4 @@ def random_incomparable_pair(rng: np.random.Generator, n: int) -> tuple[Hermitia
         b = random_hermitian(rng, n)
         if compare(a, b) is Comparability.INCOMPARABLE:
             return a, b
-    raise RuntimeError("could not draw an incomparable pair")
+    raise NumericalFailure("could not draw an incomparable pair in 64 draws")

@@ -18,6 +18,7 @@ from loewner import (
 )
 from loewner.errors import SchurRangeViolation
 from loewner.linalg import _inverse, _within, fix_column_phases
+from loewner.sampling import random_psd, trial_rng
 from loewner.schur import _blocks, _corner_analysis
 
 # Property tests draw the same bounded examples on every run and keep no
@@ -107,6 +108,13 @@ def finite_infimum_reference(mset, tol=DEFAULT_TOL, scale=None) -> tuple:
         if all(_within(-np.linalg.eigvalsh(m.mat - candidate.mat)[0], "psd_rel", scale, tol) for m in mset):
             return True, i
     return False, None
+
+
+def scale_probe_family() -> MatrixSet:
+    """n = 5, PSD members of ranks 3, 4 and 5 drawn from ``trial_rng(5, 1)``: scaled past about
+    1e154, its squared couplings overflowed the positive-mlb recursion."""
+    rng = trial_rng(5, 1)
+    return MatrixSet(random_psd(rng, 5, rank) for rank in (3, 4, 5))
 
 
 def positive_mlb_reference(mset, tol=DEFAULT_TOL) -> HermitianMatrix:

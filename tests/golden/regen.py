@@ -1,10 +1,11 @@
 """Golden CLI outputs: the cases, how one is run, and how they are regenerated.
 
-Each case is one ``loewner`` invocation run in-process.  Its stdout is kept
-verbatim in ``<case>.out`` and its exit code in ``exit_codes.json``;
-``tests/test_golden.py`` replays every case and requires both to match byte
-for byte.  Document inputs are the stored ``fixture ... --json`` outputs and
-``complex12.json``, a seeded complex n = 12 family with ``-0.0`` entries.
+Each case is one ``loewner`` invocation run in-process.  Its stdout, less the
+``elapsed`` line of a text report, is kept verbatim in ``<case>.out`` and its
+exit code in ``exit_codes.json``; ``tests/test_golden.py`` replays every case
+and requires both to match byte for byte.  Document inputs are the stored
+``fixture ... --json`` outputs and ``complex12.json``, a seeded complex n = 12
+family with ``-0.0`` entries.
 
 Regenerate, only when a change is meant to alter the output, with
 
@@ -43,6 +44,13 @@ DOCUMENT_COMMANDS = (
     "mlb-mt", "parallel-sum", "ando",
 )
 ROOT2 = "1.4142135623730951"
+# the cases whose default text report is kept too, as ``<case>-text``
+TEXT_CASES = {f"{command}-{name}" for command in DOCUMENT_COMMANDS for name in ("ex6.2", "complex12")} | {
+    "certify-ex6.2-half", "maximal-extend-ex6.2", "constrained-ex4.7", "mlb-mt-ex6.2-transform",
+    "stott-build-complex", "stott-recover-complex", "ensemble-anti-lattice",
+}
+# the one line of a text report that differs between runs
+_ELAPSED = re.compile(r"^  elapsed: [^\n]* ms\n", re.MULTILINE)
 
 
 def _doc(name: str) -> str:
@@ -94,18 +102,20 @@ def cases() -> list[tuple[str, list[str]]]:
     for suite in SUITES:
         out.append((f"ensemble-{suite}-seed601",
                     ["ensemble", "--suite", suite, "--trials", "10", "--seed", "601", "--json"]))
+    out += [(f"{name}-text", [arg for arg in argv if arg != "--json"]) for name, argv in out if name in TEXT_CASES]
     return out
 
 
 def run_case(argv: list[str]) -> tuple[int, str]:
-    """Run one CLI invocation in-process; return its exit code and stdout."""
+    """Run one CLI invocation in-process; return its exit code and stdout, less
+    a text report's elapsed line."""
     from loewner.cli import main
 
     argv = [arg.replace("{dir}", str(GOLDEN)) for arg in argv]
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
-    return code, stdout.getvalue()
+    return code, _ELAPSED.sub("", stdout.getvalue())
 
 
 def complex12_document() -> str:

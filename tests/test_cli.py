@@ -16,9 +16,11 @@ from hypothesis import strategies as st
 
 from loewner import cli, constrained, infimum, report
 from loewner.cli import main
+from loewner.documents import MatrixSetDocument, emit_document
 from loewner.errors import ConvergenceFailure
+from loewner.linalg import Comparability, MatrixSet
 
-from .conftest import record_calls
+from .conftest import record_calls, scale_probe_family
 from .golden.regen import GOLDEN
 
 
@@ -151,6 +153,13 @@ class TestExitCodes:
         code, _, err = run(["infimum", "-i", path], capsys)
         assert code == 3
         assert "stalled" in err
+
+    def test_no_incomparable_pair_is_exit_3(self, capsys, monkeypatch):
+        monkeypatch.setattr("loewner.sampling.compare", lambda a, b: Comparability.LESS_EQUAL)
+        code, out, err = run(["ensemble", "--suite", "anti-lattice", "--trials", "1", "--json"], capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: could not draw an incomparable pair")
 
     def test_singular_transform_is_exit_2(self, tmp_path, capsys):
         path = write_doc(tmp_path, EX62)
@@ -533,6 +542,15 @@ class TestCommands:
         bound = matrix_from_pairs(verdicts["bound"])
         np.testing.assert_allclose(bound, np.diag([0.5, 0.0]), atol=1e-12)
         assert verdicts["certificate"]["is_maximal"] is True
+
+    @pytest.mark.filterwarnings("error")
+    def test_positive_mlb_at_1e200(self, tmp_path, capsys):
+        # the recursion runs on the family times 2^-e, so no squared coupling overflows
+        family = MatrixSet(1e200 * m for m in scale_probe_family())
+        path = write_doc(tmp_path, emit_document(MatrixSetDocument(5, "complex", family)))
+        code, out, err = run(["positive-mlb", "-i", path, "--json"], capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["verdicts"]["certificate"]["is_maximal"] is True
 
     def test_certify_non_maximal(self, tmp_path, capsys):
         path = write_doc(tmp_path, EX62)

@@ -1,8 +1,9 @@
 """Every name a package module imports is used there or re-exported through
 the module's ``__all__``, every private module-level function or class is
 referenced somewhere in the package, the common range K is decided only
-beside the parallel sum, trials are seeded only in the one trial loop, every
-threshold is named on ``Tolerances``, and no number is added to a scale."""
+beside the parallel sum, trials are seeded only in the one trial loop, only
+the report and the document writer encode arrays, every threshold is named
+on ``Tolerances``, and no number is added to a scale."""
 
 import ast
 from pathlib import Path
@@ -123,9 +124,9 @@ def package_callers(function: str) -> set[str]:
     return {hit for path in MODULES for hit in callers(function, path.stem, path.read_text())}
 
 
-# K = R(A_1) ∩ ... ∩ R(A_k) is decided beside S, which is built on it, by the subspace meet,
-# and by the parallel-ando suite's check of S's range against it: no command decides it again
-COMMON_RANGE_CALLERS = {"linalg.subspace_intersect", "parallel._parallel_sum", "ensembles._parallel_ando"}
+# K = R(A_1) ∩ ... ∩ R(A_k) is decided beside S, which is built on it, and by the subspace meet:
+# no command or suite decides it again
+COMMON_RANGE_CALLERS = {"linalg.subspace_intersect", "parallel._parallel_sum"}
 
 
 def test_common_range_is_decided_beside_the_parallel_sum():
@@ -159,6 +160,25 @@ def test_finds_trial_rng_callers():
     assert callers("trial_rng", "ensembles", source) == [
         "ensembles.ensemble_run", "ensembles._suite", "ensembles.<module>"
     ]
+
+
+# handlers put plain values in their verdicts; the report encodes them, and a document is emitted
+# by its own encoding
+ENCODE_ARRAY_CALLERS = {"report._encode", "documents.emit_document"}
+
+
+def test_only_the_report_and_the_document_writer_encode():
+    assert package_callers("encode_array") <= ENCODE_ARRAY_CALLERS
+
+
+def test_finds_encode_array_callers():
+    source = (
+        "def _cmd_bound(args, tol, doc):\n    return {'bound': encode_array(bound), 'cert': cert}\n"
+        "class RunReport:\n    def to_json(self):\n        return json.dumps(self.verdicts, default=_encode)\n"
+        "def _cmd_glb(args, tol, doc):\n    return {'glb': report.encode_array(glb)}\n"
+        "grid = encode_array(zero(2))\n"
+    )
+    assert callers("encode_array", "cli", source) == ["cli._cmd_bound", "cli._cmd_glb", "cli.<module>"]
 
 
 def loose_thresholds(source: str) -> list[str]:

@@ -55,7 +55,7 @@ from loewner.sampling import (
     trial_rng,
 )
 
-from .conftest import herm, is_psd_on
+from .conftest import herm, is_psd_on, scale_probe_family
 
 SCALES = [10.0 ** e for e in (1, -1, 6, -6, 12, -12, 100, -100)]
 seeds = st.integers(0, 2**20)
@@ -407,3 +407,30 @@ class TestScaleRepros:
         bounds = distinct_maximals(mset, 2)
         assert all(certify_maximal(m, mset).is_maximal for m in bounds)
         assert (bounds[0] - bounds[1]).norm() > DEFAULT_TOL.distinct_rel * mset.max_norm()
+
+
+class TestScaleFreeRecursion:
+    """The positive-mlb recursion runs on its family times an exact power of two that puts
+    the scale in [1/2, 1), so no squared coupling over- or underflows at any scale."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k", range(-300, 301, 20))
+    def test_certified_at_every_power_of_ten(self, k):
+        family = MatrixSet(10.0 ** k * m for m in scale_probe_family())
+        for m in [positive_maximal_lb(family)] + distinct_maximals(family, 3):
+            assert certify_maximal(m, family).is_maximal
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k", [200, -200, 400, -400, 600, -600, 900, -900])
+    def test_powers_of_two_move_the_bounds_along(self, k):
+        # bit for bit, until LAPACK rescales the family's own eigenvalues by a factor that is
+        # not a power of two (past about 2^±500); then within eq_rel
+        family = scale_probe_family()
+        bounds = [positive_maximal_lb(family)] + distinct_maximals(family, 3)
+        moved = MatrixSet(2.0 ** k * m for m in family)
+        for m, expected in zip([positive_maximal_lb(moved)] + distinct_maximals(moved, 3), bounds):
+            back = np.ldexp(m.mat.real, -k) + 1j * np.ldexp(m.mat.imag, -k)
+            if abs(k) <= 400:
+                assert np.array_equal(back, expected.mat)
+            else:
+                assert float(np.abs(back - expected.mat).max()) <= DEFAULT_TOL.eq_rel * family.max_norm()

@@ -429,7 +429,7 @@ class TestOneCommonRange:
             # S is built on K, so where K = {0} it is the exact zero, as the glb is
             assert report.exists and np.array_equal(report.glb.mat, np.zeros((2, 2)))
             assert np.array_equal(parallel_sum_family(mset).mat, np.zeros((2, 2)))
-            assert _parallel_sum_verdicts(mset)["parallel_sum"] == encode_array(zero(2))
+            assert encode_array(_parallel_sum_verdicts(mset)["parallel_sum"]) == encode_array(zero(2))
 
     @pytest.mark.parametrize("low", [(-5e-10, 5e-10), (-3e-10, 3.2e-10)])
     def test_tolerated_negative_eigenvalue_is_null(self, low):
