@@ -25,6 +25,7 @@ from .linalg import (
     _deciding_scale,
     _eigh,
     _freeze,
+    _scale_free,
     _within,
     matrix_abs,
     range_nullspace,
@@ -46,6 +47,7 @@ __all__ = [
 ]
 
 
+@_scale_free
 def is_lower_bound(l: HermitianMatrix, mset: MatrixSet, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True when ``l`` is below every member, decided on all the gaps A - l at once."""
     l._require_same_dim(mset)
@@ -75,6 +77,7 @@ class MaximalityCertificate:
     is_maximal: bool
 
 
+@_scale_free
 def certify_maximal(m: HermitianMatrix, mset: MatrixSet, tol: Tolerances = DEFAULT_TOL) -> MaximalityCertificate:
     """Certify whether ``m`` is a maximal lower bound of the set.
 
@@ -113,6 +116,7 @@ def certify_maximal(m: HermitianMatrix, mset: MatrixSet, tol: Tolerances = DEFAU
     )
 
 
+@_scale_free
 def mlb_mt(a: HermitianMatrix, b: HermitianMatrix, t, tol: Tolerances = DEFAULT_TOL) -> HermitianMatrix:
     """Explicit maximal lower bound of {a, b} attached to an invertible T:
 

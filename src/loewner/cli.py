@@ -29,7 +29,7 @@ from .bounds import (
     stott_mx,
     stott_recover_x,
 )
-from .constrained import _maximal_from_report, constrained_at_vector
+from .constrained import _constrained
 from .documents import decode_grid, emit_document, parse_document
 from .ensembles import DEFAULT_DIMS, SUITE_NAMES, ensemble_run
 from .errors import (
@@ -325,8 +325,7 @@ def _cmd_stott(args, tol, doc):
 
 def _cmd_constrained(args, tol, doc):
     u = _parse_vector_arg(args.u, "--u")
-    report = constrained_at_vector(doc.matrix_set, u, tol)
-    element = _maximal_from_report(report, tol)
+    report, element = _constrained(doc.matrix_set, u, tol)
     verdicts = {
         "alpha": report.alpha,
         "attaining_indices": list(report.mu_indices),
@@ -334,7 +333,7 @@ def _cmd_constrained(args, tol, doc):
         "attainers_agree": report.attainers_agree,
         "constrained_family_empty": not report.attainers_agree,
         "reduced_set": report.reduced_set,
-        "witness_row": report.witness_row,
+        "witness_row": None if report.witness_row is None else np.array(report.witness_row),
         "maximal_element": element,
         "certificate": certify_maximal(element, doc.matrix_set, tol) if element is not None else None,
     }

@@ -23,6 +23,7 @@ from .linalg import (
     Subspace,
     Tolerances,
     _freeze,
+    _scale_free,
     _sym,
     _within,
     identity,
@@ -44,18 +45,21 @@ class ConstrainedReport:
     is empty.  When True and the ambient dimension exceeds one,
     ``reduced_set`` holds the reduced matrices in the coordinates of
     ``complement_basis``, and ``witness_row`` is the coupling row (u* B W)
-    of the first attaining member, shared by every constrained bound.
+    of the first attaining member, shared by every constrained bound.  It is
+    held as numbers, as ``alpha`` is, since it moves with the family's scale;
+    the arrays are bases and do not.
     """
 
     alpha: float
     mu_indices: tuple[int, ...]
     attainers_agree: bool
     reduced_set: MatrixSet | None
-    witness_row: np.ndarray | None
+    witness_row: tuple[complex, ...] | None
     complement_basis: np.ndarray | None
     unit: np.ndarray
 
 
+@_scale_free
 def constrained_at_vector(mset: MatrixSet, u, tol: Tolerances = DEFAULT_TOL) -> ConstrainedReport:
     """Analyze the lower bounds that agree with the set minimum at ``u``.
 
@@ -99,11 +103,10 @@ def constrained_at_vector(mset: MatrixSet, u, tol: Tolerances = DEFAULT_TOL) -> 
         row = unit.conj() @ (member.mat @ w)
         gap = row - witness
         reduced.append(HermitianMatrix(corner - np.outer(gap.conj(), gap) / (values[i] - alpha)))
-    return ConstrainedReport(
-        alpha, mu, True, MatrixSet(reduced), _freeze(witness), _freeze(np.array(w)), unit
-    )
+    return ConstrainedReport(alpha, mu, True, MatrixSet(reduced), tuple(witness.tolist()), _freeze(np.array(w)), unit)
 
 
+@_scale_free
 def maximal_in_lu(mset: MatrixSet, u, tol: Tolerances = DEFAULT_TOL) -> HermitianMatrix | None:
     """A maximal element of the constrained lower bounds at ``u``, or None.
 
@@ -112,22 +115,24 @@ def maximal_in_lu(mset: MatrixSet, u, tol: Tolerances = DEFAULT_TOL) -> Hermitia
     coupling row, and a maximal lower bound of the reduced set on the
     complement of u.
     """
-    return _maximal_from_report(constrained_at_vector(mset, u, tol), tol)
+    return _constrained(mset, u, tol)[1]
 
 
-def _maximal_from_report(report: ConstrainedReport, tol: Tolerances) -> HermitianMatrix | None:
-    """``maximal_in_lu`` assembled from an existing reduction at u."""
+@_scale_free
+def _constrained(mset: MatrixSet, u, tol: Tolerances) -> tuple[ConstrainedReport, HermitianMatrix | None]:
+    """(the reduction at u, ``maximal_in_lu`` assembled from it), from one reduction."""
+    report = constrained_at_vector(mset, u, tol)
     if not report.attainers_agree:
-        return None
+        return report, None
     n = report.unit.shape[0]
     if n == 1:
-        return HermitianMatrix([[report.alpha]])
+        return report, HermitianMatrix([[report.alpha]])
     reduced = report.reduced_set
     inner = extend_to_maximal(reduced.min_eigenvalue() * identity(reduced.dim), reduced, tol)
     blocks = np.zeros((n, n), dtype=np.complex128)
     blocks[0, 0] = report.alpha
     blocks[0, 1:] = report.witness_row
-    blocks[1:, 0] = report.witness_row.conj()
+    blocks[1:, 0] = np.conj(report.witness_row)
     blocks[1:, 1:] = inner.mat
     rotation = np.hstack([report.unit[:, None], report.complement_basis])
-    return HermitianMatrix(rotation @ blocks @ rotation.conj().T)
+    return report, HermitianMatrix(rotation @ blocks @ rotation.conj().T)

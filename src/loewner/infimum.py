@@ -4,7 +4,6 @@ maximal lower bounds, and greatest positive lower bounds of families."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +26,7 @@ from .linalg import (
     Tolerances,
     _eigh,
     _require_psd_members,
+    _scale_free,
     _sym,
     _top,
     _within,
@@ -68,6 +68,7 @@ class InfimumReport:
     minimizing_index: int | None
 
 
+@_scale_free
 def finite_infimum(mset: MatrixSet, tol: Tolerances = DEFAULT_TOL) -> InfimumReport:
     """Scan for a member below all others; first such member wins."""
     return _finite_infimum(mset, tol, mset.max_norm())
@@ -78,7 +79,7 @@ def _finite_infimum(mset: MatrixSet, tol: Tolerances, scale: float) -> InfimumRe
     # A_j - A_i >= -e I, e = psd_rel * scale, bounds each diagonal entry of
     # A_j - A_i below by -e, so only members whose diagonal is within e of
     # the family's least diagonal, widened by a rounding slack on a Frobenius
-    # bound, can be the infimum; an overflowed bound keeps every member
+    # bound, can be the infimum
     diagonals = np.real(np.diagonal(mset.stack, axis1=1, axis2=2))
     slack = 2.0 * mset.dim**2 * tol.noise_rel * float(np.abs(mset.stack).max())
     ceiling = diagonals.min(axis=0) + (tol.psd_rel * scale + slack)
@@ -95,6 +96,7 @@ def _finite_infimum(mset: MatrixSet, tol: Tolerances, scale: float) -> InfimumRe
     return InfimumReport(False, None, None)
 
 
+@_scale_free
 def pairwise_commuting(mset: MatrixSet, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True when every pair of members commutes within tolerance."""
     try:
@@ -118,6 +120,7 @@ def _check_commuting(mset: MatrixSet, tol: Tolerances) -> None:
                 )
 
 
+@_scale_free
 def simultaneous_eigenbasis(mset: MatrixSet) -> np.ndarray:
     """Common unitary eigenbasis of a pairwise commuting family.
 
@@ -151,6 +154,7 @@ def _cluster_bounds(w: np.ndarray, scale: float) -> list[tuple[int, int]]:
     return list(zip(edges[:-1], edges[1:]))
 
 
+@_scale_free
 def commuting_glb_two_routes(
     mset: MatrixSet, tol: Tolerances = DEFAULT_TOL
 ) -> tuple[HermitianMatrix, HermitianMatrix]:
@@ -171,6 +175,7 @@ def _joint_diagonals(mset: MatrixSet, basis: np.ndarray) -> np.ndarray:
     return np.real(np.diagonal(basis.conj().T @ mset.stack @ basis, axis1=1, axis2=2))
 
 
+@_scale_free
 def commuting_glb(mset: MatrixSet, tol: Tolerances = DEFAULT_TOL) -> HermitianMatrix:
     """Greatest lower bound among matrices commuting with every member.
 
@@ -180,9 +185,11 @@ def commuting_glb(mset: MatrixSet, tol: Tolerances = DEFAULT_TOL) -> HermitianMa
     are both evaluated and must agree; the fold is returned.
     """
     folded, joint = commuting_glb_two_routes(mset, tol)
-    if not _within((folded - joint).mat, "two_route_rel", mset.max_norm()):
+    scale = mset.max_norm()
+    if not _within((folded - joint).mat, "two_route_rel", scale):
         raise ConsistencyError(
-            f"pairwise fold and joint diagonalization disagree by {(folded - joint).norm():.3e}"
+            f"pairwise fold and joint diagonalization disagree by {(folded - joint).norm() / scale:.3e}"
+            " of the family scale"
         )
     return folded
 
@@ -195,6 +202,7 @@ def commuting_glb(mset: MatrixSet, tol: Tolerances = DEFAULT_TOL) -> HermitianMa
 _GOLDEN_FRACTION = 0.6180339887498949
 
 
+@_scale_free
 def commutant_basis(mset: MatrixSet, tol: Tolerances = DEFAULT_TOL) -> list[np.ndarray]:
     """Basis of the algebra of matrices commuting with every member.
 
@@ -240,6 +248,7 @@ def commutant_basis(mset: MatrixSet, tol: Tolerances = DEFAULT_TOL) -> list[np.n
     return list(v @ blocks @ v.conj().T)
 
 
+@_scale_free
 def positive_maximal_lb(mset: MatrixSet, tol: Tolerances = DEFAULT_TOL) -> HermitianMatrix:
     """Positive maximal lower bound of a finite family of PSD matrices.
 
@@ -261,11 +270,7 @@ def _positive_mlb(a: np.ndarray, w: np.ndarray, tol: Tolerances) -> HermitianMat
     # shifted member A' by A' - yy*/alpha (y = A'u, alpha = u*A'u), which is
     # zero on u; the reflector H = I - tau vv* taking u to the first axis
     # carries that to u's complement as a trailing block, at O(m^2) each.
-    # The loop runs on the family times 2^-e, which puts its scale in [1/2, 1) exactly, so no
-    # squared coupling over- or underflows; e is clamped where 2^-e would overflow.
     n = a.shape[1]
-    e = max(math.frexp(float(_top(w).max()))[1], -1021)
-    a, w = math.ldexp(1.0, -e) * a, math.ldexp(1.0, -e) * w
     scale = float(_top(w).max())
     frame = np.eye(n, dtype=np.complex128)
     lines, gammas = np.empty((n, n), dtype=np.complex128), np.empty(n)
@@ -288,8 +293,7 @@ def _positive_mlb(a: np.ndarray, w: np.ndarray, tol: Tolerances) -> HermitianMat
             i = bad[0]
             raise SchurRangeViolation(
                 f"splitting at the minimizing eigenvector broke down: member {i}: coupling block leaves"
-                f" the range of the corner block (residual {math.ldexp(coupling[i], e):.3e}"
-                f" on scale {math.ldexp(scale, e):.3e})"
+                f" the range of the corner block (residual {coupling[i] / scale:.3e} of the family scale)"
             )
         # H A' H = A' - (vq* + qv*) with p = A'v = y + pivot A'e1; adding the
         # conjugate transpose keeps the new members exactly Hermitian
@@ -302,9 +306,10 @@ def _positive_mlb(a: np.ndarray, w: np.ndarray, tol: Tolerances) -> HermitianMat
         frame = frame[:, 1:] - tau * (frame @ v)[:, None] * v[1:].conj()
     lines[:, -1] = frame[:, 0]
     gammas[-1] = a[:, 0, 0].real.min()
-    return HermitianMatrix((lines * np.ldexp(np.cumsum(gammas), e)) @ lines.conj().T)
+    return HermitianMatrix((lines * np.cumsum(gammas)) @ lines.conj().T)
 
 
+@_scale_free
 def extend_to_maximal(l: HermitianMatrix, mset: MatrixSet, tol: Tolerances = DEFAULT_TOL) -> HermitianMatrix:
     """Extend a lower bound to a maximal one above it.
 
@@ -324,6 +329,7 @@ def extend_to_maximal(l: HermitianMatrix, mset: MatrixSet, tol: Tolerances = DEF
 _MAX_ROUTE_TRIES = 24
 
 
+@_scale_free
 def distinct_maximals(
     mset: MatrixSet,
     count: int,
@@ -406,6 +412,7 @@ class PositiveGlbReport:
     minimizing_index: int | None
 
 
+@_scale_free
 def positive_glb_family(mset: MatrixSet, tol: Tolerances = DEFAULT_TOL) -> PositiveGlbReport:
     """Existence and value of the greatest positive lower bound of a family."""
     # [S]A depends on S only through its range K, so every [S]A is built on the K S is built on;

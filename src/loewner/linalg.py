@@ -7,7 +7,9 @@ operation is a pure function of its inputs.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import ClassVar, Iterable, NamedTuple, Sequence
@@ -110,13 +112,7 @@ def _top(w: np.ndarray):
 
 
 def _frobenius(x: np.ndarray) -> float:
-    """Frobenius norm, retaken over the largest entry if the squares could under- or overflow."""
-    f = math.sqrt(np.vdot(x, x).real)
-    if 1e-150 < f < 1e150:
-        return f
-    mod = np.abs(x)
-    top = float(mod.max(initial=0.0))
-    return top * math.sqrt(np.vdot(mod / top, mod / top)) if 0.0 < top < math.inf else top
+    return math.sqrt(np.vdot(x, x).real)
 
 
 def _within(value, kind: str, scale, tol: Tolerances = DEFAULT_TOL):
@@ -138,6 +134,77 @@ def _within(value, kind: str, scale, tol: Tolerances = DEFAULT_TOL):
     if f <= bound or f / math.sqrt(value.size // max(value.shape)) > bound:
         return f <= bound
     return float(np.linalg.norm(value, 2)) <= bound
+
+
+# Every routine homogeneous of degree one runs at its input's own scale when that is within
+# 2^±256 of 1.  There no square of an entry over- or underflows, and LAPACK's own rescale of a
+# matrix past about 2^±485, by a factor that is not a power of two, is not reached, so the run
+# gives the bits it would give on the input times 2^-e and keeps the input's cached spectra.
+_NATIVE_EXPONENTS = 256
+
+
+def _exponent(arrays: Iterable[np.ndarray]) -> int:
+    """e with the largest real or imaginary part of an entry of ``arrays`` in [2^(e-1), 2^e), 0 for none."""
+    top = max((float(np.abs(_real_view(arr)).max()) for arr in arrays), default=0.0)
+    return math.frexp(top)[1]
+
+
+def _real_view(arr: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(arr).view(np.float64) if arr.dtype.kind == "c" else arr
+
+
+def _ldexp(x, e: int):
+    """``x``, a real or complex number or array, times 2^e: exact while the result stays normal."""
+    if isinstance(x, np.ndarray):
+        out = np.ldexp(_real_view(x), e)
+        return out.view(np.complex128) if x.dtype.kind == "c" else out
+    if isinstance(x, complex):
+        return complex(np.ldexp(x.real, e), np.ldexp(x.imag, e))
+    return float(np.ldexp(x, e))
+
+
+def _times_two_to(value, e: int):
+    """``value`` with every ``HermitianMatrix``, ``MatrixSet`` and real or complex number in it times
+    2^e, through tuples, named tuples, lists and dataclasses.  Arrays, subspaces, counts and verdicts
+    are dimensionless and stay as they are."""
+    if isinstance(value, HermitianMatrix):
+        return _hermitian(_ldexp(value.mat, e))
+    if isinstance(value, MatrixSet):
+        return MatrixSet(map(_hermitian, _ldexp(value.stack, e)))
+    if isinstance(value, (float, complex)):
+        return _ldexp(value, e)
+    if isinstance(value, tuple) and hasattr(value, "_fields"):
+        return type(value)(*(_times_two_to(item, e) for item in value))
+    if isinstance(value, (tuple, list)):
+        return type(value)(_times_two_to(item, e) for item in value)
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        fields = {f.name: _times_two_to(getattr(value, f.name), e) for f in dataclasses.fields(value)}
+        return dataclasses.replace(value, **fields)
+    return value
+
+
+def _scale_free(routine):
+    """The scale boundary of a routine homogeneous of degree one, f(cM) = c f(M) for c > 0: it runs
+    on its ``HermitianMatrix`` and ``MatrixSet`` arguments times 2^-e, e from ``_exponent``, which is
+    exact, and its result comes back times 2^e (``_times_two_to``).  So f(2^k M) is 2^k f(M) bit for
+    bit, and nothing inside over- or underflows at any scale.  Inside ``_NATIVE_EXPONENTS`` it runs
+    as it is."""
+
+    @functools.wraps(routine)
+    def at_unit_scale(*args, **kwargs):
+        e = _exponent(
+            v.mat if isinstance(v, HermitianMatrix) else v.stack
+            for v in (*args, *kwargs.values()) if isinstance(v, (HermitianMatrix, MatrixSet))
+        )
+        if abs(e) <= _NATIVE_EXPONENTS:
+            return routine(*args, **kwargs)
+
+        def unit(v):
+            return _times_two_to(v, -e) if isinstance(v, (HermitianMatrix, MatrixSet)) else v
+
+        return _times_two_to(routine(*map(unit, args), **{k: unit(v) for k, v in kwargs.items()}), e)
+
+    return at_unit_scale
 
 
 class HermitianMatrix:
@@ -229,29 +296,28 @@ def hermitize(raw, tol: Tolerances = DEFAULT_TOL) -> HermitianMatrix:
 
     The Hermitian defect must satisfy ``|raw - raw*| <= eq_rel * |raw|`` in
     spectral norm; anything beyond that is rejected rather than silently
-    symmetrized away.  So is a non-finite entry, or one whose sum or
-    difference with its mirror entry overflows, since symmetrizing it would
-    silently give inf or NaN, and a matrix whose spectral norm overflows.
+    symmetrized away, and so is a non-finite entry.  Past ``_NATIVE_EXPONENTS``
+    both are decided, and ``raw`` is symmetrized, on ``raw`` times 2^-e, e from
+    ``_exponent``, as a degree-one routine runs: no sum with a mirror entry
+    and no norm overflows.
     """
     arr = _square(raw)
-    with np.errstate(over="ignore", invalid="ignore"):
-        skew = arr - arr.conj().T
-        total = arr + arr.conj().T
-        bad = ~np.isfinite(total) | ~np.isfinite(skew)
+    bad = ~np.isfinite(arr)
     if bad.any():
         r, c = np.argwhere(bad)[0]
-        raise ValidationError(f"entry [{r}][{c}] is not finite or overflows with its mirror entry")
+        raise ValidationError(f"entry [{r}][{c}] is not finite")
+    e = _exponent([arr])
+    unit = arr if abs(e) <= _NATIVE_EXPONENTS else _ldexp(arr, -e)
+    skew = unit - unit.conj().T
     # |raw|_F / sqrt(n) <= |raw|, which is computed only when that cannot decide
-    low = _frobenius(arr) / math.sqrt(arr.shape[0])
-    if not (math.isfinite(low) and _within(skew, "eq_rel", low, tol)):
-        scale = float(np.linalg.norm(arr, 2))
-        if not math.isfinite(scale):
-            raise ValidationError("the spectral norm overflows")
+    if not _within(skew, "eq_rel", _frobenius(unit) / math.sqrt(arr.shape[0]), tol):
+        scale = float(np.linalg.norm(unit, 2))
         if not _within(skew, "eq_rel", scale, tol):
+            r, c = np.unravel_index(np.argmax(np.abs(skew)), skew.shape)
             raise NotHermitianWithinTolerance(
-                f"Hermitian defect {np.linalg.norm(skew, 2):.3e} exceeds eq_rel times |raw| = {scale:.3e}"
+                f"entry [{r}][{c}]: Hermitian defect {np.linalg.norm(skew, 2) / scale:.3e} times |raw| exceeds eq_rel"
             )
-    return _hermitian(total / 2.0)
+    return _hermitian(_sym(unit) if unit is arr else _ldexp(_sym(unit), e))
 
 
 class MatrixSet:
@@ -296,6 +362,9 @@ class MatrixSet:
     def max_norm(self) -> float:
         return float(_top(self.eigenvalues()).max())
 
+    # the accessors read the cached spectra at the family's own scale, on every hot path; this
+    # one, which commands report and build bounds from, goes through the scale boundary
+    @_scale_free
     def min_eigenvalue(self) -> float:
         return float(self.eigenvalues()[:, 0].min())
 
@@ -368,6 +437,7 @@ def sqrt_psd(s: HermitianMatrix, tol: Tolerances = DEFAULT_TOL) -> HermitianMatr
     return _map_eigenvalues(s, root)
 
 
+@_scale_free
 def matrix_abs(s: HermitianMatrix) -> HermitianMatrix:
     return _map_eigenvalues(s, np.abs)
 
@@ -496,6 +566,7 @@ def subspace_intersect(subspaces: Sequence[Subspace], tol: Tolerances = DEFAULT_
     return _common_range([RangeNullspace(s, s.complement()) for s in subspaces], tol).range
 
 
+@_scale_free
 def range_nullspace(s: HermitianMatrix, tol: Tolerances = DEFAULT_TOL) -> RangeNullspace:
     """``_range_null`` of a lone matrix, on its own norm; a member of a pair or family,
     or a matrix built from one, is split on that problem's scale instead.  The range
@@ -535,6 +606,7 @@ _VERDICTS = {(True, True): Comparability.EQUAL, (True, False): Comparability.LES
              (False, True): Comparability.GREATER_EQUAL, (False, False): Comparability.INCOMPARABLE}
 
 
+@_scale_free
 def compare(s: HermitianMatrix, t: HermitianMatrix, tol: Tolerances = DEFAULT_TOL) -> Comparability:
     """Two-sided Loewner comparison of ``s`` and ``t``.
 
@@ -564,10 +636,12 @@ def _verdict(w: np.ndarray, scale: float, tol: Tolerances) -> Comparability:
     return _VERDICTS[bool(_within(-w[0], "psd_rel", scale, tol)), bool(_within(w[-1], "psd_rel", scale, tol))]
 
 
+@_scale_free
 def loewner_leq(s: HermitianMatrix, t: HermitianMatrix, tol: Tolerances = DEFAULT_TOL) -> bool:
     return compare(s, t, tol) in (Comparability.LESS_EQUAL, Comparability.EQUAL)
 
 
+@_scale_free
 def is_psd(s: HermitianMatrix, tol: Tolerances = DEFAULT_TOL) -> bool:
     """0 <= s, decided on the cached eigenvalues of ``s`` and on its norm."""
     return bool(_within(-s.min_eigenvalue(), "psd_rel", s.norm(), tol))

@@ -20,6 +20,7 @@ from .linalg import (
     _map_eigenvalues,
     _range_null,
     _require_psd_members,
+    _scale_free,
     _verdict,
     _within,
     spectral,
@@ -36,6 +37,7 @@ __all__ = [
 ]
 
 
+@_scale_free
 def parallel_sum(a: HermitianMatrix, b: HermitianMatrix, tol: Tolerances = DEFAULT_TOL) -> HermitianMatrix:
     """Parallel sum ``a : b = a (a + b)^# b`` of two PSD matrices.
 
@@ -46,12 +48,14 @@ def parallel_sum(a: HermitianMatrix, b: HermitianMatrix, tol: Tolerances = DEFAU
     return parallel_sum_family(MatrixSet([a, b]), tol)
 
 
+@_scale_free
 def parallel_sum_family(mset: MatrixSet, tol: Tolerances = DEFAULT_TOL) -> HermitianMatrix:
     """The parallel sum A_1 : ... : A_k of a PSD family, built on the members' common range
     (``_parallel_sum``); a singleton gives its member."""
     return _parallel_sum(mset, tol)[0]
 
 
+@_scale_free
 def _parallel_sum(mset: MatrixSet, tol: Tolerances) -> tuple[HermitianMatrix, RangeNullspace]:
     """(S, K): K = R(A_1) ∩ ... ∩ R(A_k), decided once by ``_common_range`` from each member's split on
     the family scale, and S = U (U* (A_1^+ + ... + A_k^+) U)^-1 U* for K's orthonormal basis U (Anderson
@@ -89,6 +93,7 @@ def _rounded(s: HermitianMatrix, tol: Tolerances, scale: float) -> HermitianMatr
     return _map_eigenvalues(s, lambda w: np.where(small, 0.0, w)) if small.any() else s
 
 
+@_scale_free
 def ando_limit(a: HermitianMatrix, b: HermitianMatrix, tol: Tolerances = DEFAULT_TOL) -> HermitianMatrix:
     """The limit [a]b of the decreasing sequence b : (n a) as n grows.
 
@@ -130,6 +135,7 @@ class TwoOpGlbResult:
     comparability: Comparability
 
 
+@_scale_free
 def two_op_positive_glb(a: HermitianMatrix, b: HermitianMatrix, tol: Tolerances = DEFAULT_TOL) -> TwoOpGlbResult:
     """Greatest positive lower bound of two PSD matrices, when it exists."""
     ab = ando_limit(a, b, tol)

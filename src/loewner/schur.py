@@ -15,6 +15,7 @@ from .linalg import (
     HermitianMatrix,
     Subspace,
     Tolerances,
+    _scale_free,
     _sym,
     _within,
     spectral,
@@ -97,6 +98,7 @@ class AlbertReport:
     failing_condition: str | None
 
 
+@_scale_free
 def albert_is_psd(s: HermitianMatrix, h1: Subspace, tol: Tolerances = DEFAULT_TOL) -> AlbertReport:
     """Decide positivity of ``s`` from its blocks over (h1, complement).
 
@@ -124,6 +126,7 @@ class SchurResult(NamedTuple):
     shorted: HermitianMatrix
 
 
+@_scale_free
 def schur_complement(s: HermitianMatrix, h1: Subspace, tol: Tolerances = DEFAULT_TOL) -> SchurResult:
     """Generalized Schur complement of ``s`` over h1, plus the shorted operator.
 
@@ -132,12 +135,12 @@ def schur_complement(s: HermitianMatrix, h1: Subspace, tol: Tolerances = DEFAULT
     ``[[0, 0], [0, complement]]`` in (h1, h2) coordinates.  Requires the
     coupling block to stay inside the corner block's range.
     """
-    h2 = _split(h1, s.dim)
-    inside, residual, complement = _corner_analysis(_blocks(s, h1, h2), tol, s.norm(), s.norm(), least=-math.inf)
+    h2, scale = _split(h1, s.dim), s.norm()
+    inside, residual, complement = _corner_analysis(_blocks(s, h1, h2), tol, scale, scale, least=-math.inf)
     if not inside:
         raise RangeConditionViolated(
             f"coupling block leaves the range of the corner block "
-            f"(residual {np.linalg.norm(residual, 2):.3e} on scale {s.norm():.3e})"
+            f"(residual {np.linalg.norm(residual, 2) / scale:.3e} of |s|)"
         )
     return SchurResult(complement, _shorted(complement, h2))
 

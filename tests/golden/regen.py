@@ -106,16 +106,16 @@ def cases() -> list[tuple[str, list[str]]]:
     return out
 
 
-def run_case(argv: list[str]) -> tuple[int, str]:
-    """Run one CLI invocation in-process; return its exit code and stdout, less
-    a text report's elapsed line."""
+def run_case(argv: list[str]) -> tuple[int, str, str]:
+    """Run one CLI invocation in-process; return its exit code, its stdout, less
+    a text report's elapsed line, and its stderr."""
     from loewner.cli import main
 
     argv = [arg.replace("{dir}", str(GOLDEN)) for arg in argv]
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main(argv)
-    return code, _ELAPSED.sub("", stdout.getvalue())
+    return code, _ELAPSED.sub("", stdout.getvalue()), stderr.getvalue()
 
 
 def complex12_document() -> str:
@@ -187,7 +187,7 @@ def main() -> int:
     (GOLDEN / "complex12.json").write_text(complex12_document())
     codes = {}
     for name, argv in cases():
-        codes[name], stdout = run_case(argv)
+        codes[name], stdout, _ = run_case(argv)
         (GOLDEN / f"{name}.out").write_text(stdout)
     codes_path.write_text(json.dumps(codes, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(codes)} golden cases to {GOLDEN}")

@@ -270,11 +270,12 @@ class TestInlineArguments:
         assert code == 2
         assert err.startswith("error: --x[0][0]: expected a number")
 
-    def test_symmetrization_overflow_in_candidate_is_exit_2(self, tmp_path, capsys):
+    def test_candidate_past_the_symmetrization_overflow_is_certified(self, tmp_path, capsys):
+        # the candidate is symmetrized on itself times 2^-e, and certified on the problem times 2^-e
         path = write_doc(tmp_path, EX62)
-        code, _, err = run(["certify", "-i", path, "--candidate", "[[1e308, 1e308], [1e308, 0]]"], capsys)
-        assert code == 2
-        assert "entry [0][0]" in err
+        code, out, err = run(["certify", "-i", path, "--candidate", "[[1e308, 1e308], [1e308, 0]]", "--json"], capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["verdicts"]["is_lower_bound"] is False
 
 
 class TestNonFiniteDocuments:
@@ -289,15 +290,12 @@ class TestNonFiniteDocuments:
         assert out == ""
         assert err.startswith("error: matrices[0][0][1]: expected a finite number")
 
-    def test_symmetrization_overflow_is_exit_2(self, tmp_path, capsys):
-        text = json.dumps(
-            {"dim": 2, "field_tag": "real", "matrices": [[[1e308, 1e308], [1e308, -1e308]]]}
-        )
-        path = write_doc(tmp_path, text)
+    def test_document_past_the_symmetrization_overflow_is_read(self, tmp_path, capsys):
+        grid = [[1e308, 1e308], [1e308, -1e308]]
+        path = write_doc(tmp_path, json.dumps({"dim": 2, "field_tag": "real", "matrices": [grid]}))
         code, out, err = run(["infimum", "-i", path, "--json"], capsys)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: matrices[0]: entry [0][0]")
+        assert (code, err) == (0, "")
+        assert np.array_equal(matrix_from_pairs(json.loads(out)["verdicts"]["infimum"]), grid)
 
 
 class TestReports:
@@ -639,7 +637,6 @@ class TestCommands:
 
     def test_constrained_reduces_once(self, tmp_path, capsys, monkeypatch):
         reductions = record_calls(monkeypatch, constrained, "constrained_at_vector")
-        monkeypatch.setattr(cli, "constrained_at_vector", constrained.constrained_at_vector)
         code, out, _ = run(["constrained", "-i", write_doc(tmp_path, COMMUTING_PAIR), "--u", "[1, 0]", "--json"], capsys)
         assert code == 0
         assert json.loads(out)["verdicts"]["maximal_element"] is not None
@@ -777,6 +774,60 @@ class TestCommands:
         assert verdicts["exists"] is True
         glb = matrix_from_pairs(verdicts["glb"])
         np.testing.assert_allclose(glb, np.diag([0.5, 0.0]), atol=1e-10)
+
+
+# every command that reads a document, with the arguments it needs on scale_probe_family's n = 5;
+# the pair commands read its first two members
+PROBE_COMMANDS = {
+    "check-order": (2, []),
+    "infimum": (3, []),
+    "certify": (3, ["--candidate", json.dumps(np.zeros((5, 5)).tolist())]),
+    "maximal-extend": (3, ["--lower", json.dumps(np.zeros((5, 5)).tolist())]),
+    "commuting-glb": (3, []),
+    "positive-mlb": (3, []),
+    "positive-glb": (3, []),
+    "mlb-mt": (2, []),
+    "constrained": (3, ["--u", "[1, 0, 0, 0, 0]"]),
+    "parallel-sum": (3, []),
+    "ando": (2, []),
+}
+
+
+def verdict_leaves(verdicts) -> list:
+    """The verdicts' leaves other than floats, with their paths: what a rescaling leaves as it is."""
+    out = []
+
+    def walk(node, path):
+        if isinstance(node, dict):
+            for key in sorted(node):
+                walk(node[key], f"{path}/{key}")
+        elif isinstance(node, list):
+            out.append((path, len(node)))
+            for i, item in enumerate(node):
+                walk(item, f"{path}/{i}")
+        elif not isinstance(node, float):
+            out.append((path, node))
+    walk(verdicts, "")
+    return out
+
+
+class TestScaleBoundary:
+    """Every document command gives scale_probe_family's verdicts at 1e200 to 1e-310, where
+    commuting-glb exited 2 and constrained 3 at 1e200, and four commands exited 3 at 1e-310."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e200, 1e300, 1e-300, 1e-310])
+    @pytest.mark.parametrize("command", sorted(PROBE_COMMANDS))
+    def test_verdicts_at_every_scale(self, tmp_path, capsys, command, scale):
+        members, extra = PROBE_COMMANDS[command]
+        verdicts = []
+        for c in (1.0, scale):
+            family = MatrixSet(c * m for m in scale_probe_family().members[:members])
+            path = write_doc(tmp_path, emit_document(MatrixSetDocument(5, "complex", family)))
+            code, out, err = run([command, "-i", path, "--json", *extra], capsys)
+            assert (code, err) == (0, "")
+            verdicts.append(verdict_leaves(json.loads(out)["verdicts"]))
+        assert verdicts[1] == verdicts[0]
 
 
 class TestFixtureCommand:

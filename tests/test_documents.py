@@ -9,6 +9,7 @@ from loewner import (
     MatrixSet,
     document_from_set,
     emit_document,
+    is_psd,
     parse_document,
 )
 from loewner import documents
@@ -258,20 +259,22 @@ class TestNonFiniteInput:
         with pytest.raises(ParseError, match=r"matrices\[1\]\[0\]\[0\]\[1\]: expected a finite number"):
             parse_document(text)
 
-    def test_symmetrization_overflow_rejected(self):
-        text = one_member([[1e308, 1e308], [1e308, -1e308]])
-        with pytest.raises(ValidationError, match=r"matrices\[0\]: entry \[0\]\[0\].*overflows"):
-            parse_document(text)
+    def test_symmetrization_past_the_float_range_is_exact(self):
+        # an entry plus its mirror overflows, but not on the input times 2^-e
+        grid = [[1e308, 1e308], [1e308, -1e308]]
+        assert np.array_equal(parse_document(one_member(grid)).matrix_set.stack[0], grid)
 
     def test_off_diagonal_overflow_rejected(self):
         text = one_member([[0.0, 1e308], [-1e308, 0.0]])
         with pytest.raises(ValidationError, match=r"matrices\[0\]: entry \[0\]\[1\]"):
             parse_document(text)
 
-    def test_spectral_norm_overflow_rejected(self):
-        text = one_member([[8e307] * 4 for _ in range(4)])
-        with pytest.raises(ValidationError, match=r"matrices\[0\]: the spectral norm overflows"):
-            parse_document(text)
+    def test_spectral_norm_past_the_float_range_is_accepted(self):
+        # |raw| = 3.2e308 overflows; the input times 2^-e has norm 2^-e |raw|
+        grid = [[8e307] * 4 for _ in range(4)]
+        member = parse_document(one_member(grid)).matrix_set[0]
+        assert np.array_equal(member.mat, grid)
+        assert is_psd(member)
 
 
 class TestDecodeGrid:

@@ -3,9 +3,14 @@ the module's ``__all__``, every private module-level function or class is
 referenced somewhere in the package, the common range K is decided only
 beside the parallel sum, trials are seeded only in the one trial loop, only
 the report and the document writer encode arrays, every threshold is named
-on ``Tolerances``, and no number is added to a scale."""
+on ``Tolerances``, no number is added to a scale, and every degree-one
+routine runs through the one scale boundary, which alone takes and applies
+powers of two."""
 
 import ast
+import functools
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -298,4 +303,128 @@ def test_finds_additive_floors():
     assert additive_floors(source) == [
         "1.0 + mset.max_norm()", "1 + max(a.norm(), b.norm(), m.norm())", "1.0 + scale",
         "np.linalg.norm(a, 2) + 1e-300",
+    ]
+
+
+# the scale boundary: an exact power of two is taken and applied only by its helpers
+SCALE_HELPERS = {"linalg._exponent", "linalg._ldexp"}
+
+
+def power_of_two_calls(module: str, source: str) -> list[str]:
+    """``module.name`` of each top-level definition that calls ``frexp`` or ``ldexp``."""
+    return sorted({hit for function in ("frexp", "ldexp") for hit in callers(function, module, source)})
+
+
+def test_powers_of_two_are_taken_only_at_the_scale_boundary():
+    assert {hit for path in MODULES for hit in power_of_two_calls(path.stem, path.read_text())} <= SCALE_HELPERS
+
+
+def test_finds_power_of_two_calls():
+    source = (
+        "def _exponent(arrays):\n    return math.frexp(max(arrays))[1]\n"
+        "def _positive_mlb(a, w):\n    e = frexp(w.max())[1]\n    return np.ldexp(a, -e)\n"
+        "def shift(x):\n    return x * 2.0 ** -3\n"
+        "top = math.ldexp(1.0, 5)\n"
+    )
+    assert power_of_two_calls("infimum", source) == ["infimum.<module>", "infimum._exponent", "infimum._positive_mlb"]
+
+
+# every public routine homogeneous of degree one, f(cM) = c f(M) for c > 0, runs through the
+# scale boundary: matrices and numbers in its result move with the input's scale, verdicts,
+# counts and bases do not
+DEGREE_ONE = (
+    "linalg.matrix_abs", "linalg.range_nullspace", "linalg.compare", "linalg.loewner_leq", "linalg.is_psd",
+    "linalg.MatrixSet.min_eigenvalue",
+    "schur.albert_is_psd", "schur.schur_complement",
+    "parallel.parallel_sum", "parallel.parallel_sum_family", "parallel.ando_limit", "parallel.two_op_positive_glb",
+    "infimum.finite_infimum", "infimum.pairwise_commuting", "infimum.simultaneous_eigenbasis",
+    "infimum.commuting_glb", "infimum.commuting_glb_two_routes", "infimum.commutant_basis",
+    "infimum.positive_maximal_lb", "infimum.extend_to_maximal", "infimum.distinct_maximals",
+    "infimum.positive_glb_family",
+    "bounds.is_lower_bound", "bounds.certify_maximal", "bounds.mlb_mt",
+    "constrained.constrained_at_vector", "constrained.maximal_in_lu",
+)
+# the public routines that are not: square roots, inverses, the {J, 0} parametrization, which
+# is not homogeneous in X, constructors, a lone eigendecomposition, whose vectors do not move,
+# routines of bare arrays or subspaces, and ``hermitize``, which normalizes its raw input itself
+NOT_DEGREE_ONE = (
+    "linalg.identity", "linalg.zero", "linalg.hermitize", "linalg.spectral", "linalg.fix_column_phases",
+    "linalg.sqrt_psd", "linalg.pinv", "linalg.polar_abs", "linalg.subspace_intersect",
+    "bounds.signature_matrix", "bounds.stott_mx", "bounds.stott_recover_x",
+)
+NUMERIC_MODULES = ("linalg", "schur", "parallel", "infimum", "bounds", "constrained")
+
+
+def resolve(dotted: str):
+    module, *attrs = dotted.split(".")
+    value = importlib.import_module(f"loewner.{module}")
+    for attr in attrs:
+        value = getattr(value, attr)
+    return value
+
+
+def unbounded(names, lookup=resolve) -> list[str]:
+    """The names whose routine has no ``__wrapped__``, the mark of the scale boundary."""
+    return [name for name in names if not hasattr(lookup(name), "__wrapped__")]
+
+
+def test_degree_one_routines_run_through_the_scale_boundary():
+    assert unbounded(DEGREE_ONE) == []
+    assert unbounded(NOT_DEGREE_ONE) == list(NOT_DEGREE_ONE)
+    # every public function is classified
+    public = {
+        f"{module}.{name}" for module in NUMERIC_MODULES for name in resolve(module).__all__
+        if inspect.isfunction(resolve(f"{module}.{name}"))
+    }
+    assert public == {name for name in DEGREE_ONE + NOT_DEGREE_ONE if name.count(".") == 1}
+
+
+def test_finds_routines_without_the_boundary():
+    def plain(m):
+        return m
+
+    @functools.wraps(plain)
+    def bounded(m):
+        return plain(m)
+
+    lookup = {"a.bounded": bounded, "a.plain": plain, "b.Set.method": plain}.get
+    assert unbounded(["a.bounded", "a.plain", "b.Set.method"], lookup) == ["a.plain", "b.Set.method"]
+
+
+def unbounded_private_calls(source: str, lookup=resolve) -> list[str]:
+    """``handler -> module.name`` for each call in a ``_cmd_*`` handler of ``source`` to a private
+    routine it imports from the package that has no scale boundary (``lookup`` finds it by name):
+    a handler that skips the public routine must not skip its boundary too."""
+    tree = ast.parse(source)
+    imported = {
+        alias.asname or alias.name: f"{node.module}.{alias.name}"
+        for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1 for alias in node.names
+    }
+    return [
+        f"{top.name} -> {imported[node.func.id]}"
+        for top in tree.body if isinstance(top, ast.FunctionDef) and top.name.startswith("_cmd_")
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id.startswith("_")
+        and node.func.id in imported and not hasattr(lookup(imported[node.func.id]), "__wrapped__")
+    ]
+
+
+def test_cli_handlers_call_no_private_routine_past_the_boundary():
+    assert unbounded_private_calls((PACKAGE / "cli.py").read_text()) == []
+
+
+def test_finds_private_calls_past_the_boundary():
+    source = (
+        "from .parallel import _parallel_sum, _ando_limit\nfrom .constrained import _maximal_from_report as _mfr\n"
+        "def _parse(text):\n    return _ando_limit(text)\n"
+        "def _cmd_sum(args, tol, doc):\n    return _parallel_sum(doc.matrix_set, tol), _parse(args.x)\n"
+        "def _cmd_ando(args, tol, doc):\n    return _ando_limit(doc.split, doc.b, tol, 1.0), _mfr(doc, tol)\n"
+    )
+    def bare(*args):
+        return args
+
+    lookup = {"parallel._parallel_sum": functools.wraps(bare)(lambda *args: bare(*args)),
+              "parallel._ando_limit": bare, "constrained._maximal_from_report": bare}.get
+    assert unbounded_private_calls(source, lookup) == [
+        "_cmd_ando -> parallel._ando_limit", "_cmd_ando -> constrained._maximal_from_report"
     ]

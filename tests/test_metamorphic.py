@@ -5,13 +5,15 @@ c > 0 rescales every bound by c, as in [cA](cB) = c[A]B, a unitary
 congruence moves every bound along, as in [U*AU](U*BU) = U*([A]B)U, and
 permuting the members permutes the per-member answers.  So the
 verdicts must be invariant, and the certified bounds equivariant, under
-rescaling by 10^(+-1, +-6, +-12, +-100), a random unitary congruence, a
-permutation of the members and the embedding of real input as complex.
+rescaling by 10^(+-1, +-6, +-12, +-100, +-300) and 2^(+-900), a random
+unitary congruence, a permutation of the members and the embedding of real
+input as complex.
 The inputs are drawn from seeds by Hypothesis; the test profile in
 ``conftest`` derandomizes and bounds the examples.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 import sys
@@ -42,7 +44,7 @@ from loewner import (
 )
 from loewner.cli import main
 from loewner.documents import MatrixSetDocument, emit_document
-from loewner.errors import NotCommutingFamily
+from loewner.errors import LoewnerError, NotCommutingFamily
 from loewner.linalg import DEFAULT_TOL, _range_null
 from loewner.sampling import (
     random_commuting_family,
@@ -57,7 +59,7 @@ from loewner.sampling import (
 
 from .conftest import herm, is_psd_on, scale_probe_family
 
-SCALES = [10.0 ** e for e in (1, -1, 6, -6, 12, -12, 100, -100)]
+SCALES = [10.0 ** e for e in (1, -1, 6, -6, 12, -12, 100, -100, 300, -300)] + [2.0 ** 900, 2.0 ** -900]
 seeds = st.integers(0, 2**20)
 scales = st.sampled_from(SCALES)
 MIRROR = {
@@ -410,8 +412,8 @@ class TestScaleRepros:
 
 
 class TestScaleFreeRecursion:
-    """The positive-mlb recursion runs on its family times an exact power of two that puts
-    the scale in [1/2, 1), so no squared coupling over- or underflows at any scale."""
+    """The positive-mlb recursion, as every degree-one routine, runs on its family times an exact
+    power of two that brings its scale near 1, so no squared coupling over- or underflows at any scale."""
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("k", range(-300, 301, 20))
@@ -421,16 +423,90 @@ class TestScaleFreeRecursion:
             assert certify_maximal(m, family).is_maximal
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("k", [200, -200, 400, -400, 600, -600, 900, -900])
+    @pytest.mark.parametrize("k", [200, -200, 400, -400, 600, -600, 900, -900, 1000, -1000])
     def test_powers_of_two_move_the_bounds_along(self, k):
-        # bit for bit, until LAPACK rescales the family's own eigenvalues by a factor that is
-        # not a power of two (past about 2^±500); then within eq_rel
+        # bit for bit at every k: the recursion runs on the family times an exact power of two
         family = scale_probe_family()
         bounds = [positive_maximal_lb(family)] + distinct_maximals(family, 3)
         moved = MatrixSet(2.0 ** k * m for m in family)
         for m, expected in zip([positive_maximal_lb(moved)] + distinct_maximals(moved, 3), bounds):
-            back = np.ldexp(m.mat.real, -k) + 1j * np.ldexp(m.mat.imag, -k)
-            if abs(k) <= 400:
-                assert np.array_equal(back, expected.mat)
-            else:
-                assert float(np.abs(back - expected.mat).max()) <= DEFAULT_TOL.eq_rel * family.max_norm()
+            assert np.array_equal(m.mat, np.ldexp(expected.mat.real, k) + 1j * np.ldexp(expected.mat.imag, k))
+
+
+def integer_gram_family(rng) -> MatrixSet:
+    """2 to 5 members X X^T of dimension 2 to 5, X of small integers, sharing a block of 0 to n - 1
+    columns so that the members' common range K is often nontrivial."""
+    n = int(rng.integers(2, 6))
+    shared = rng.integers(-3, 4, (n, int(rng.integers(0, n))))
+    grams = []
+    for _ in range(int(rng.integers(2, 6))):
+        x = np.hstack([shared, rng.integers(-3, 4, (n, int(rng.integers(0, n + 1))))])
+        grams.append(HermitianMatrix((x @ x.T).astype(float)))
+    return MatrixSet(grams)
+
+
+def assert_moved(at_one, at_k, k: int) -> None:
+    """``at_k`` is ``at_one`` with every matrix, family and float times 2^k, bit for bit, and
+    every basis, count and verdict as it is."""
+    if isinstance(at_one, (HermitianMatrix, MatrixSet)):
+        one, moved = (at_one.mat, at_k.mat) if isinstance(at_one, HermitianMatrix) else (at_one.stack, at_k.stack)
+        assert np.array_equal(moved, np.ldexp(one.real, k) + 1j * np.ldexp(one.imag, k))
+    elif isinstance(at_one, Subspace):
+        assert np.array_equal(at_k.basis, at_one.basis)
+    elif isinstance(at_one, float):
+        assert at_k == np.ldexp(at_one, k)
+    elif dataclasses.is_dataclass(at_one):
+        for field in dataclasses.fields(at_one):
+            assert_moved(getattr(at_one, field.name), getattr(at_k, field.name), k)
+    else:
+        assert at_k == at_one
+
+
+class TestScaleBoundary:
+    """Every degree-one routine gives 2^k f(M) for 2^k M bit for bit, from subnormal families to
+    2^1000, where squared couplings and inverted eigenvalues once over- or underflowed."""
+
+    ROUTINES = (
+        positive_glb_family,
+        parallel_sum_family,
+        lambda mset: two_op_positive_glb(mset[0], mset[1]),
+    )
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k", [300, -300, 600, -600, 1000, -1060])
+    def test_integer_gram_families_move_bit_for_bit(self, k):
+        rng = np.random.default_rng(2600)
+        for _ in range(30):
+            family = integer_gram_family(rng)
+            moved = MatrixSet(HermitianMatrix(np.ldexp(m.mat.real, k)) for m in family)
+            for routine in self.ROUTINES:
+                try:
+                    at_one = routine(family)
+                except LoewnerError as exc:
+                    with pytest.raises(type(exc)):
+                        routine(moved)
+                    continue
+                assert_moved(at_one, routine(moved), k)
+
+    @pytest.mark.filterwarnings("error")
+    def test_positive_glb_of_a_gram_pair_at_2_to_the_600(self):
+        # the glb is B; at 2^600 squared couplings overflowed, and it came out 0 with exit 0
+        a = np.array([[1.0, 1.0, -2.0], [1.0, 2.0, -3.0], [-2.0, -3.0, 5.0]])
+        b = np.array([[1.0, 1.0, -2.0], [1.0, 1.0, -2.0], [-2.0, -2.0, 4.0]])
+        glbs = []
+        for k in (0, 600):
+            family = MatrixSet([HermitianMatrix(np.ldexp(a, k)), HermitianMatrix(np.ldexp(b, k))])
+            out, err = io.StringIO(), io.StringIO()
+            saved, sys.stdin = sys.stdin, io.StringIO(emit_document(MatrixSetDocument(3, "real", family)))
+            try:
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(["positive-glb", "--json"])
+            finally:
+                sys.stdin = saved
+            assert (code, err.getvalue()) == (0, "")
+            verdicts = json.loads(out.getvalue())["verdicts"]
+            assert verdicts["exists"] is True
+            glbs.append(np.array(verdicts["glb"]))
+        assert np.array_equal(glbs[1], np.ldexp(glbs[0], 600))
+        # [S]A, the glb at scale 1, is B up to rounding
+        assert float(np.abs(glbs[0][..., 0] - b).max()) <= 4.0 * np.finfo(float).eps * 8.0
