@@ -63,8 +63,9 @@ from .schur import albert_is_psd
 
 __all__ = ["SUITE_NAMES", "DEFAULT_DIMS", "ensemble_run"]
 
-# The largest dimension a suite may draw.  The positive-mlb suite holds 1000
-# complex n x n perturbations per trial: 66 MB at n = 64, 640 MB at n = 200.
+# The largest dimension a suite may draw.  The positive-mlb suite draws 1000
+# complex n x n perturbations per trial, 16 n^2 kB: 66 MB at n = 64, where the
+# trial's peak under tracemalloc is 73 MB, and 640 MB at n = 200.
 MAX_SUITE_DIM = 64
 
 
@@ -166,6 +167,9 @@ def _commuting_tworoute(rng: np.random.Generator, dims: tuple[int, int], key: tu
 
 
 _PERTURBATION_STEPS = (1e-3, 1e-2, 1e-1)
+# The screen forms |G* u|^2 in blocks of at most this many product entries, so its memory stays
+# a few MB at any dimension; a trial of the suites' own sizes (n <= 6, k <= 4) is one block.
+_SCREEN_ENTRIES = 2**18
 
 
 def _no_dominating_perturbation(
@@ -174,8 +178,8 @@ def _no_dominating_perturbation(
     """True when no perturbation m + s P (P = G G* random PSD, s = step / |P|, each
     step a fixed fraction of the scale max(|A|, |m|)) stays a lower bound of the set.
 
-    A bound rejects most candidates first.  For each member A and each
-    eigenpair (w_j, u_j) of A - m, the Rayleigh quotient gives
+    A bound rejects most candidates first (``_screen``, block by block).  For each
+    member A and each eigenpair (w_j, u_j) of A - m, the Rayleigh quotient gives
     lambda_min(A - m - s P) <= w_j - s |G* u_j|^2, and s >= step / |G|_F^2
     since |P| <= tr P = |G|_F^2.  The exact test's margin is psd_rel times
     the scale of the family and m, so a candidate whose bound lies below
@@ -183,28 +187,21 @@ def _no_dominating_perturbation(
     the survivors are built and decided by batched eigenvalues.
     """
     n = m.dim
-    g = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+    real, imag = rng.standard_normal((count, n, n)), rng.standard_normal((count, n, n))
     scale = max(mset.max_norm(), m.norm())
     steps = scale * np.resize(_PERTURBATION_STEPS, count)
     gap_w, gap_u = _eigh(mset.stack - m.mat)
-    # the members' eigenvector matrices side by side, n x (k n)
-    columns = np.swapaxes(gap_u, 0, 1).reshape(n, -1)
-    # |G* u|^2 = |u* G|^2 for every column and draw from one product U* [G_1 ... G_count];
-    # it and |G|_F^2 are sums of squares of the real and imaginary parts
-    products = columns.conj().T @ np.swapaxes(g, 0, 1).reshape(n, -1)
-    parts = products.view(np.float64).reshape(-1, count, 2 * n)
-    forms = np.einsum("ckx,ckx->kc", parts, parts).reshape(count, len(mset), n)
-    flat = g.view(np.float64).reshape(count, -1)
-    frobenius = np.einsum("kx,kx->k", flat, flat)
-    shrink = steps / np.where(frobenius > 0.0, frobenius, 1.0)
-    bounds = (gap_w[None, :, :] - shrink[:, None, None] * forms).min(axis=2)
-    # n times the noise floor covers the rounding of the eigenpairs, of the
-    # forms and of the exact route's eigenvalues, each a few n * eps * |A - m|
-    slack = tol.noise_rel * n * (_top(gap_w)[None, :] + steps[:, None])
-    survivors = np.flatnonzero(_within((-bounds - slack).max(axis=1), "psd_rel", scale, tol))
+    # the members' eigenvector matrices side by side, n x (k n), conjugated and transposed
+    columns = np.swapaxes(gap_u, 0, 1).reshape(n, -1).conj().T
+    block = max(1, _SCREEN_ENTRIES // columns.size)
+    survivors = np.concatenate([
+        start + _screen(real[start:start + block] + 1j * imag[start:start + block], columns, gap_w,
+                        steps[start:start + block], scale, tol)
+        for start in range(0, count, block)
+    ])
     if survivors.size == 0:
         return True
-    g, steps = g[survivors], steps[survivors]
+    g, steps = real[survivors] + 1j * imag[survivors], steps[survivors]
     p = np.einsum("kij,klj->kil", g, g.conj())
     p = (p + np.conj(np.swapaxes(p, 1, 2))) / 2.0
     norms = np.abs(np.linalg.eigvalsh(p)).max(axis=1)
@@ -218,6 +215,26 @@ def _no_dominating_perturbation(
         w = np.linalg.eigvalsh(member.mat[None, :, :] - candidates[index])
         alive[index] = _within(-w[:, 0], "psd_rel", scale, tol)
     return not bool(alive.any())
+
+
+def _screen(
+    g: np.ndarray, columns: np.ndarray, gap_w: np.ndarray, steps: np.ndarray, scale: float, tol: Tolerances
+) -> np.ndarray:
+    """The indices of the draws ``g`` whose Rayleigh bound does not rule them out."""
+    count, n = len(g), g.shape[1]
+    # |G* u|^2 = |u* G|^2 for every column and draw from one product U* [G_1 ... G_count];
+    # it and |G|_F^2 are sums of squares of the real and imaginary parts
+    products = columns @ np.swapaxes(g, 0, 1).reshape(n, -1)
+    parts = products.view(np.float64).reshape(-1, count, 2 * n)
+    forms = np.einsum("ckx,ckx->kc", parts, parts).reshape(count, len(gap_w), n)
+    flat = g.view(np.float64).reshape(count, -1)
+    frobenius = np.einsum("kx,kx->k", flat, flat)
+    shrink = steps / np.where(frobenius > 0.0, frobenius, 1.0)
+    bounds = (gap_w[None, :, :] - shrink[:, None, None] * forms).min(axis=2)
+    # n times the noise floor covers the rounding of the eigenpairs, of the
+    # forms and of the exact route's eigenvalues, each a few n * eps * |A - m|
+    slack = tol.noise_rel * n * (_top(gap_w)[None, :] + steps[:, None])
+    return np.flatnonzero(_within((-bounds - slack).max(axis=1), "psd_rel", scale, tol))
 
 
 def _positive_mlb(rng: np.random.Generator, dims: tuple[int, int], key: tuple[int, int], tol: Tolerances) -> dict:
@@ -269,7 +286,7 @@ def _parallel_ando(rng: np.random.Generator, dims: tuple[int, int], key: tuple[i
     pair_scale = max(a.norm(), b.norm())
     members = MatrixSet([a, b])
     para, meet = _parallel_sum(members, tol)
-    # S's own split, apart from the K it was built on, checks its range against the meet
+    # S's own split on the pair's scale is the meet K, by the one rank rule that both follow
     rank_identity = _range_null(para, tol, pair_scale).range.dim == meet.range.dim
     bounded = loewner_leq(para, a, tol) and loewner_leq(para, b, tol)
 

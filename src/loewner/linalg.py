@@ -136,17 +136,38 @@ def _within(value, kind: str, scale, tol: Tolerances = DEFAULT_TOL):
     return float(np.linalg.norm(value, 2)) <= bound
 
 
-# Every routine homogeneous of degree one runs at its input's own scale when that is within
-# 2^±256 of 1.  There no square of an entry over- or underflows, and LAPACK's own rescale of a
-# matrix past about 2^±485, by a factor that is not a power of two, is not reached, so the run
-# gives the bits it would give on the input times 2^-e and keeps the input's cached spectra.
+# Every routine homogeneous of degree one, and every eigenvalue solve of a value, runs at its
+# input's own scale when that is within 2^±256 of 1.  There no square of an entry over- or
+# underflows, and LAPACK's own rescale of a matrix past about 2^±485, by a factor that is not a
+# power of two, is not reached, so the run gives the bits it would give on the input times 2^-e
+# and keeps the input's cached spectra.
 _NATIVE_EXPONENTS = 256
 
 
-def _exponent(arrays: Iterable[np.ndarray]) -> int:
-    """e with the largest real or imaginary part of an entry of ``arrays`` in [2^(e-1), 2^e), 0 for none."""
-    top = max((float(np.abs(_real_view(arr)).max()) for arr in arrays), default=0.0)
-    return math.frexp(top)[1]
+def _exponent(magnitudes: Iterable[float]) -> int:
+    """e with the largest of ``magnitudes`` in [2^(e-1), 2^e), 0 when there is none or all are zero."""
+    return math.frexp(max(magnitudes, default=0.0))[1]
+
+
+def _largest_part(arr: np.ndarray) -> float:
+    """The largest real or imaginary part of an entry of ``arr``, in modulus."""
+    return float(np.abs(_real_view(arr)).max())
+
+
+def _magnitude(value: "HermitianMatrix | MatrixSet") -> float:
+    """``_largest_part`` of a value's entries, computed once and kept on it; a zero value gives 0.0,
+    which adds nothing to a scale."""
+    if value._magnitude is None:
+        value._magnitude = _largest_part(value.mat if isinstance(value, HermitianMatrix) else value.stack)
+    return value._magnitude
+
+
+def _unit_scale(value: "HermitianMatrix | MatrixSet") -> tuple[np.ndarray, int]:
+    """A value's entries and 0, or past ``_NATIVE_EXPONENTS`` its entries times 2^-e and e: eigenvalues
+    solved on them and moved back by 2^e are 2^k times those of the value at 2^-k, bit for bit."""
+    arr = value.mat if isinstance(value, HermitianMatrix) else value.stack
+    e = _exponent([_magnitude(value)])
+    return (arr, 0) if abs(e) <= _NATIVE_EXPONENTS else (_ldexp(arr, -e), e)
 
 
 def _real_view(arr: np.ndarray) -> np.ndarray:
@@ -155,6 +176,8 @@ def _real_view(arr: np.ndarray) -> np.ndarray:
 
 def _ldexp(x, e: int):
     """``x``, a real or complex number or array, times 2^e: exact while the result stays normal."""
+    if e == 0:
+        return x
     if isinstance(x, np.ndarray):
         out = np.ldexp(_real_view(x), e)
         return out.view(np.complex128) if x.dtype.kind == "c" else out
@@ -185,16 +208,15 @@ def _times_two_to(value, e: int):
 
 def _scale_free(routine):
     """The scale boundary of a routine homogeneous of degree one, f(cM) = c f(M) for c > 0: it runs
-    on its ``HermitianMatrix`` and ``MatrixSet`` arguments times 2^-e, e from ``_exponent``, which is
-    exact, and its result comes back times 2^e (``_times_two_to``).  So f(2^k M) is 2^k f(M) bit for
-    bit, and nothing inside over- or underflows at any scale.  Inside ``_NATIVE_EXPONENTS`` it runs
-    as it is."""
+    on its ``HermitianMatrix`` and ``MatrixSet`` arguments times 2^-e, e from ``_exponent`` of their
+    kept magnitudes, which is exact, and its result comes back times 2^e (``_times_two_to``).  So
+    f(2^k M) is 2^k f(M) bit for bit, and nothing inside over- or underflows at any scale.  Inside
+    ``_NATIVE_EXPONENTS`` it runs as it is."""
 
     @functools.wraps(routine)
     def at_unit_scale(*args, **kwargs):
         e = _exponent(
-            v.mat if isinstance(v, HermitianMatrix) else v.stack
-            for v in (*args, *kwargs.values()) if isinstance(v, (HermitianMatrix, MatrixSet))
+            _magnitude(v) for v in (*args, *kwargs.values()) if isinstance(v, (HermitianMatrix, MatrixSet))
         )
         if abs(e) <= _NATIVE_EXPONENTS:
             return routine(*args, **kwargs)
@@ -214,14 +236,15 @@ class HermitianMatrix:
     ``mat[i, j] == conj(mat[j, i])`` holds exactly in floating point; sums,
     differences, negations and real multiples keep that identity exactly and
     are wrapped as they are.  The eigenvalues are computed once, and so are
-    the eigenpairs (``spectral``), which no sum, negation or multiple inherits.
+    the eigenpairs (``spectral``) and the largest entry (``_magnitude``),
+    which no sum, negation or multiple inherits.
     """
 
-    __slots__ = ("mat", "_eigvals", "_eigenpairs")
+    __slots__ = ("mat", "_eigvals", "_eigenpairs", "_magnitude")
 
     def __init__(self, entries) -> None:
         self.mat = _freeze(_sym(_square(entries)))
-        self._eigvals = self._eigenpairs = None
+        self._eigvals = self._eigenpairs = self._magnitude = None
 
     @property
     def dim(self) -> int:
@@ -229,7 +252,8 @@ class HermitianMatrix:
 
     def _spectrum(self) -> np.ndarray:
         if self._eigvals is None:
-            self._eigvals = _freeze(np.linalg.eigvalsh(self.mat))
+            arr, e = _unit_scale(self)
+            self._eigvals = _freeze(_ldexp(np.linalg.eigvalsh(arr), e))
         return self._eigvals
 
     def norm(self) -> float:
@@ -279,7 +303,7 @@ def _hermitian(mat: np.ndarray) -> HermitianMatrix:
     """Wrap an exactly Hermitian array as it is: no copy, no symmetrizing."""
     out = HermitianMatrix.__new__(HermitianMatrix)
     out.mat = _freeze(mat)
-    out._eigvals = out._eigenpairs = None
+    out._eigvals = out._eigenpairs = out._magnitude = None
     return out
 
 
@@ -306,7 +330,7 @@ def hermitize(raw, tol: Tolerances = DEFAULT_TOL) -> HermitianMatrix:
     if bad.any():
         r, c = np.argwhere(bad)[0]
         raise ValidationError(f"entry [{r}][{c}] is not finite")
-    e = _exponent([arr])
+    e = _exponent([_largest_part(arr)])
     unit = arr if abs(e) <= _NATIVE_EXPONENTS else _ldexp(arr, -e)
     skew = unit - unit.conj().T
     # |raw|_F / sqrt(n) <= |raw|, which is computed only when that cannot decide
@@ -325,7 +349,7 @@ class MatrixSet:
     as one frozen ``(k, n, n)`` array ``stack`` whose slices are the members;
     one batched eigenvalue call serves every member's spectrum."""
 
-    __slots__ = ("stack", "members", "_eigvals")
+    __slots__ = ("stack", "members", "_eigvals", "_magnitude")
 
     def __init__(self, members: Iterable[HermitianMatrix]) -> None:
         tup = tuple(members)
@@ -336,7 +360,7 @@ class MatrixSet:
                 raise DimensionMismatch(f"member {i} has dimension {member.dim}, expected {tup[0].dim}")
         self.stack = _freeze(np.stack([member.mat for member in tup]))
         self.members = tuple(_hermitian(mat) for mat in self.stack)
-        self._eigvals = None
+        self._eigvals = self._magnitude = None
 
     @property
     def dim(self) -> int:
@@ -354,7 +378,8 @@ class MatrixSet:
     def eigenvalues(self) -> np.ndarray:
         """Ascending eigenvalues of every member, one row per member."""
         if self._eigvals is None:
-            self._eigvals = _freeze(np.linalg.eigvalsh(self.stack))
+            arr, e = _unit_scale(self)
+            self._eigvals = _freeze(_ldexp(np.linalg.eigvalsh(arr), e))
             for member, w in zip(self.members, self._eigvals):
                 member._eigvals = w
         return self._eigvals
@@ -362,9 +387,6 @@ class MatrixSet:
     def max_norm(self) -> float:
         return float(_top(self.eigenvalues()).max())
 
-    # the accessors read the cached spectra at the family's own scale, on every hot path; this
-    # one, which commands report and build bounds from, goes through the scale boundary
-    @_scale_free
     def min_eigenvalue(self) -> float:
         return float(self.eigenvalues()[:, 0].min())
 
@@ -377,8 +399,8 @@ def fix_column_phases(vectors: np.ndarray) -> np.ndarray:
 
     Ties in modulus are broken by the lowest row index (argmax convention),
     which makes eigenbases deterministic across runs.  Every nonzero column
-    is multiplied by conj(p) / |p| for its pivot p in one step; zero columns
-    are left as they are.
+    is multiplied by conj(p) / |p| for its pivot p in one step, in one broadcast
+    when no column is zero; zero columns are left as they are.
     """
     out = np.array(vectors, dtype=np.complex128)
     pivots = out[np.argmax(np.abs(out), axis=0), np.arange(out.shape[1])]
@@ -386,7 +408,10 @@ def fix_column_phases(vectors: np.ndarray) -> np.ndarray:
     # array need not: the phases, and the outputs built on them, stay byte-stable
     moduli = np.hypot(pivots.real, pivots.imag)
     nonzero = moduli > 0.0
-    out[:, nonzero] *= pivots[nonzero].conj() / moduli[nonzero]
+    if nonzero.all():
+        out *= pivots.conj() / moduli
+    else:
+        out[:, nonzero] *= pivots[nonzero].conj() / moduli[nonzero]
     return out
 
 
@@ -400,10 +425,12 @@ def _eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def spectral(s: HermitianMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Frozen (w, v) with s = v diag(w) v*, ``w`` ascending and ``v`` phase-fixed,
-    computed once per matrix and kept on it, ``w`` as its eigenvalues too when none are kept."""
+    computed once per matrix (``_unit_scale``) and kept on it, ``w`` as its eigenvalues
+    too when none are kept."""
     if s._eigenpairs is None:
-        w, v = _eigh(s.mat)
-        s._eigenpairs = (_freeze(w), _freeze(fix_column_phases(v)))
+        arr, e = _unit_scale(s)
+        w, v = _eigh(arr)
+        s._eigenpairs = (_freeze(_ldexp(w, e)), _freeze(fix_column_phases(v)))
         if s._eigvals is None:
             s._eigvals = s._eigenpairs[0]
     return s._eigenpairs
@@ -419,9 +446,15 @@ def _map_eigenvalues(s: HermitianMatrix, fn) -> HermitianMatrix:
     """V fn(w) V* for s = V diag(w) V*, carrying (fn(w), V) as its eigenpairs when fn(w) is ascending."""
     w, v = spectral(s)
     mapped = fn(w)
-    out = HermitianMatrix((v * mapped) @ v.conj().T)
     if np.all(np.diff(mapped) >= 0.0):
-        out._eigenpairs = (_freeze(mapped), v)
+        return _from_eigenpairs(mapped, v)
+    return HermitianMatrix((v * mapped) @ v.conj().T)
+
+
+def _from_eigenpairs(w: np.ndarray, v: np.ndarray) -> HermitianMatrix:
+    """V diag(w) V*, carrying (w, V) as its eigenpairs, for ``w`` ascending and ``v`` phase-fixed and unitary."""
+    out = HermitianMatrix((v * w) @ v.conj().T)
+    out._eigenpairs = (_freeze(w), _freeze(v))
     return out
 
 

@@ -3,6 +3,7 @@ lower bounds of pairs of PSD matrices."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,13 +17,19 @@ from .linalg import (
     Tolerances,
     _clear_of_cut,
     _common_range,
+    _eigh,
+    _frobenius,
+    _from_eigenpairs,
     _inverse,
     _map_eigenvalues,
     _range_null,
     _require_psd_members,
     _scale_free,
+    _subspace,
+    _sym,
     _verdict,
     _within,
+    fix_column_phases,
     spectral,
     zero,
 )
@@ -42,8 +49,9 @@ def parallel_sum(a: HermitianMatrix, b: HermitianMatrix, tol: Tolerances = DEFAU
     """Parallel sum ``a : b = a (a + b)^# b`` of two PSD matrices.
 
     The result is PSD, bounded by both arguments, and its range is the
-    intersection of the ranges of the arguments, built on that intersection
-    by ``_parallel_sum``; downstream code relies on that range identity.
+    intersection of the ranges of the arguments, less any direction on which
+    it is at most ``rank_rel`` on the pair's scale, built on that range by
+    ``_parallel_sum``; downstream code relies on that range identity.
     """
     return parallel_sum_family(MatrixSet([a, b]), tol)
 
@@ -58,8 +66,10 @@ def parallel_sum_family(mset: MatrixSet, tol: Tolerances = DEFAULT_TOL) -> Hermi
 @_scale_free
 def _parallel_sum(mset: MatrixSet, tol: Tolerances) -> tuple[HermitianMatrix, RangeNullspace]:
     """(S, K): K = R(A_1) ∩ ... ∩ R(A_k), decided once by ``_common_range`` from each member's split on
-    the family scale, and S = U (U* (A_1^+ + ... + A_k^+) U)^-1 U* for K's orthonormal basis U (Anderson
-    and Duffin), so S's range is K up to U's rounding.  A member with a negative eigenvalue past the cut,
+    the family scale, and S = U M^-1 U* with M = U* (A_1^+ + ... + A_k^+) U for K's orthonormal basis U
+    (Anderson and Duffin).  One rank rule holds for both: a direction of K on which S's eigenvalue is at
+    most ``rank_rel`` on the family scale leaves K (``_cut_on_k``), so S's own split on that scale is K,
+    and S's range is K up to U's rounding.  A member with a negative eigenvalue past the cut,
     which the PSD check lets through, is ``_rounded`` first: kept in range it would be inverted to a large
     negative 1 / w that could cancel another member's inverse.  A member with no null space is inverted by
     ``inv``, a singular one on its split's eigenpairs, and a singleton is that member."""
@@ -79,7 +89,30 @@ def _parallel_sum(mset: MatrixSet, tol: Tolerances) -> tuple[HermitianMatrix, Ra
         for member, split in zip(members, splits)
     )
     u = k.range.basis
-    return HermitianMatrix(u @ np.linalg.inv(u.conj().T @ total @ u) @ u.conj().T), k
+    compression = u.conj().T @ total @ u
+    on_k = np.linalg.inv(compression)
+    # mu_max <= |M|_F, so when 1 / |M|_F clears the cut by S's rounding, 64 eps on the family scale, every
+    # eigenvalue 1 / mu of S on K does, as computed too
+    if _clear_of_cut(np.array([1.0 / _frobenius(compression), scale]), tol, scale):
+        return HermitianMatrix(u @ on_k @ u.conj().T), k
+    return _cut_on_k(k, u, on_k, tol, scale)
+
+
+def _cut_on_k(
+    k: RangeNullspace, u: np.ndarray, on_k: np.ndarray, tol: Tolerances, scale: float
+) -> tuple[HermitianMatrix, RangeNullspace]:
+    """(S, K) from one ``eigh`` of S on K, M^-1 = W diag(1 / mu) W* in U's basis: each direction of K on which
+    1 / mu is at most ``rank_rel`` on ``scale`` moves to K's null space, and S = (UW) diag(1 / mu) (UW)* on the
+    rest carries its eigenpairs, zeros on K's complement, so S's own split is K.  K's gap is the lesser of the
+    members' and S's at the cut.  M^-1 is decomposed, not M: the rounding of the members' inverses in M, about
+    eps |A^-1|^2 |A|, would swamp M's small eigenvalues, and cancels in its inverse."""
+    values, w = _eigh(_sym(on_k))
+    cut = _within(values, "rank_rel", scale, tol)
+    kept = np.concatenate([np.zeros(k.nullspace.dim, dtype=bool), ~cut])
+    vectors = fix_column_phases(np.hstack([k.nullspace.basis, u @ w]))
+    total = _from_eigenpairs(np.concatenate([np.zeros(k.nullspace.dim), np.where(cut, 0.0, values)]), vectors)
+    gap = min(k.gap, values[~cut].min(initial=math.inf) - values[cut].max(initial=-math.inf))
+    return total, RangeNullspace(_subspace(vectors[:, kept]), _subspace(vectors[:, ~kept]), gap)
 
 
 def _rounded(s: HermitianMatrix, tol: Tolerances, scale: float) -> HermitianMatrix:

@@ -1,6 +1,7 @@
 """Seeded ensemble suites: shape, determinism, and small-scale sanity."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -211,6 +212,15 @@ class TestPerturbationScreen:
     and decides every candidate."""
 
     def test_matches_exact_route(self):
+        self._agrees_with_exact_route()
+
+    def test_matches_exact_route_in_small_blocks(self, monkeypatch):
+        # the suites' own sizes screen in one block; blocks of 2^7 product entries split every draw
+        monkeypatch.setattr(ensembles, "_SCREEN_ENTRIES", 2**7)
+        self._agrees_with_exact_route()
+
+    @staticmethod
+    def _agrees_with_exact_route():
         verdicts = []
         for t in range(8):
             mset = _psd_family(trial_rng(61, t))
@@ -240,6 +250,23 @@ class TestPerturbationScreen:
         monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
         assert _no_dominating_perturbation(maximal, mset, trial_rng(64, 0), 1000, DEFAULT_TOL)
         assert batched == []
+
+
+    def test_memory_stays_near_the_draws(self):
+        # one trial at n = 32 holds 1000 complex draws, 16.4 MB; the screen forms its products
+        # block by block, so the trial's peak stays within twice that
+        n, draws = 32, 1000 * 32 * 32 * 16
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            ensemble_run("positive-mlb", 1, (n, n), seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 2 * draws
 
 
 class TestCandidateScreen:

@@ -5,7 +5,7 @@ beside the parallel sum, trials are seeded only in the one trial loop, only
 the report and the document writer encode arrays, every threshold is named
 on ``Tolerances``, no number is added to a scale, and every degree-one
 routine runs through the one scale boundary, which alone takes and applies
-powers of two."""
+powers of two, and every value accessor of a spectrum is covariant on its own."""
 
 import ast
 import functools
@@ -16,6 +16,8 @@ from pathlib import Path
 import pytest
 
 from loewner.linalg import Tolerances
+
+from .test_metamorphic import COVARIANT_ACCESSORS
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "loewner"
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -327,6 +329,13 @@ def test_finds_power_of_two_calls():
         "top = math.ldexp(1.0, 5)\n"
     )
     assert power_of_two_calls("infimum", source) == ["infimum.<module>", "infimum._exponent", "infimum._positive_mlb"]
+    # an accessor moves its eigenvalues through the helpers too
+    source = (
+        "class HermitianMatrix:\n    def norm(self):\n"
+        "        return np.ldexp(_top(np.linalg.eigvalsh(np.ldexp(self.mat, -self.e))), self.e)\n"
+        "    def min_eigenvalue(self):\n        return _ldexp(self._spectrum()[0], 0)\n"
+    )
+    assert power_of_two_calls("linalg", source) == ["linalg.HermitianMatrix"]
 
 
 # every public routine homogeneous of degree one, f(cM) = c f(M) for c > 0, runs through the
@@ -334,7 +343,6 @@ def test_finds_power_of_two_calls():
 # counts and bases do not
 DEGREE_ONE = (
     "linalg.matrix_abs", "linalg.range_nullspace", "linalg.compare", "linalg.loewner_leq", "linalg.is_psd",
-    "linalg.MatrixSet.min_eigenvalue",
     "schur.albert_is_psd", "schur.schur_complement",
     "parallel.parallel_sum", "parallel.parallel_sum_family", "parallel.ando_limit", "parallel.two_op_positive_glb",
     "infimum.finite_infimum", "infimum.pairwise_commuting", "infimum.simultaneous_eigenbasis",
@@ -377,6 +385,42 @@ def test_degree_one_routines_run_through_the_scale_boundary():
         if inspect.isfunction(resolve(f"{module}.{name}"))
     }
     assert public == {name for name in DEGREE_ONE + NOT_DEGREE_ONE if name.count(".") == 1}
+
+
+def spectrum_readers(source: str) -> list[str]:
+    """``linalg.Class.name`` of each public method of ``HermitianMatrix`` or ``MatrixSet`` in ``source``
+    that reads a spectrum: calls ``_spectrum``, ``eigenvalues`` or ``eigvalsh``."""
+    return [
+        f"linalg.{top.name}.{method.name}"
+        for top in ast.parse(source).body if isinstance(top, ast.ClassDef) and top.name in ("HermitianMatrix", "MatrixSet")
+        for method in top.body if isinstance(method, ast.FunctionDef) and not method.name.startswith("_")
+        if any(
+            isinstance(node, ast.Call) and getattr(node.func, "attr", None) in ("_spectrum", "eigenvalues", "eigvalsh")
+            for node in ast.walk(method)
+        )
+    ]
+
+
+def test_value_accessors_are_covariant_on_their_own():
+    # a value solves its eigenvalues times 2^-e past the native exponents, so its accessors need no
+    # boundary; each one is listed, and TestScaleBoundary moves it by 2^k bit for bit
+    readers = spectrum_readers((PACKAGE / "linalg.py").read_text())
+    assert sorted(COVARIANT_ACCESSORS) == sorted(readers)
+    assert unbounded(readers) == readers
+
+
+def test_finds_spectrum_readers():
+    source = (
+        "class HermitianMatrix:\n    def norm(self):\n        return float(_top(self._spectrum()))\n"
+        "    def _spectrum(self):\n        return np.linalg.eigvalsh(self.mat)\n"
+        "    def __add__(self, other):\n        return _hermitian(self.mat + other.mat)\n"
+        "class MatrixSet:\n    def eigenvalues(self):\n        return np.linalg.eigvalsh(self.stack)\n"
+        "    def least(self):\n        return self.eigenvalues()[:, 0].min()\n"
+        "class Subspace:\n    def dim(self):\n        return eigvalsh(self.basis)\n"
+    )
+    assert spectrum_readers(source) == [
+        "linalg.HermitianMatrix.norm", "linalg.MatrixSet.eigenvalues", "linalg.MatrixSet.least"
+    ]
 
 
 def test_finds_routines_without_the_boundary():

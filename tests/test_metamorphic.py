@@ -45,7 +45,7 @@ from loewner import (
 from loewner.cli import main
 from loewner.documents import MatrixSetDocument, emit_document
 from loewner.errors import LoewnerError, NotCommutingFamily
-from loewner.linalg import DEFAULT_TOL, _range_null
+from loewner.linalg import DEFAULT_TOL, _range_null, spectral
 from loewner.sampling import (
     random_commuting_family,
     random_contraction,
@@ -462,9 +462,34 @@ def assert_moved(at_one, at_k, k: int) -> None:
         assert at_k == at_one
 
 
+# the value accessors, covariant with no scale boundary: a value past the native exponents solves
+# its eigenvalues on its entries times 2^-e (each read on a pair's first member or on the pair)
+COVARIANT_ACCESSORS = {
+    "linalg.HermitianMatrix.norm": lambda pair: pair[0].norm(),
+    "linalg.HermitianMatrix.min_eigenvalue": lambda pair: pair[0].min_eigenvalue(),
+    "linalg.MatrixSet.max_norm": lambda pair: pair.max_norm(),
+    "linalg.MatrixSet.min_eigenvalue": lambda pair: pair.min_eigenvalue(),
+    "linalg.MatrixSet.eigenvalues": lambda pair: pair.eigenvalues(),
+}
+
+
 class TestScaleBoundary:
     """Every degree-one routine gives 2^k f(M) for 2^k M bit for bit, from subnormal families to
     2^1000, where squared couplings and inverted eigenvalues once over- or underflowed."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k", [450, 500, 600, -600, -1000])
+    @pytest.mark.parametrize("name", sorted(COVARIANT_ACCESSORS))
+    def test_value_accessors_move_bit_for_bit(self, name, k):
+        # past about 2^±485 LAPACK rescales a matrix by a factor that is not a power of two
+        rng = trial_rng(2800, 0)
+        pair = [random_psd(rng, 5), random_psd(rng, 5)]
+        at_one = COVARIANT_ACCESSORS[name](MatrixSet(pair))
+        moved = MatrixSet(member * 2.0**k for member in pair)
+        assert np.array_equal(np.ldexp(moved.stack.real, -k), np.stack([m.mat.real for m in pair]))
+        assert np.array_equal(COVARIANT_ACCESSORS[name](moved), np.ldexp(at_one, k))
+        # the eigenpairs' eigenvalues move too
+        assert np.array_equal(spectral(moved[0])[0], np.ldexp(spectral(pair[0])[0], k))
 
     ROUTINES = (
         positive_glb_family,
